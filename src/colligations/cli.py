@@ -39,14 +39,11 @@ from .linalg import (
     sigma_extremes,
     tolerances_from_profile,
 )
-from .colligation import charfun_z
-from .multi import elimination_matrix, multi_charfun
-from .conjugacy import tri_charfun, tri_elimination_matrix
-from .doublecoset import dc_charfun, dc_elimination_matrix
 from .documents import (
+    KIND_TABLE,
     KINDS,
     Document,
-    document_for,
+    _new_document,
     emit_document,
     load_document,
     matrix_from_json,
@@ -93,16 +90,13 @@ def _parse_json(text: str, what: str):
 
 def _parse_scalar(obj, what: str) -> complex:
     """A complex scalar given as a number or a ``[re, im]`` pair."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        value = complex(float(obj), 0.0)
-    elif (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        value = complex(float(obj[0]), float(obj[1]))
-    else:
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         raise CliError(EXIT_PARSE, f"{what}: expected a number or an [re, im] pair")
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise CliError(EXIT_PARSE, f"{what}: entry too large for a float") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise CliError(EXIT_PARSE, f"{what}: entries must be finite")
     return value
@@ -159,7 +153,10 @@ def _parse_grid(obj) -> GridSpec:
         value = obj.get(key, default)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise CliError(EXIT_PARSE, f"grid: {key} must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
         if not (math.isfinite(value) and value > 0.0):
             raise CliError(EXIT_PARSE, f"grid: {key} must be positive and finite")
         return value
@@ -188,9 +185,7 @@ def _parse_grid(obj) -> GridSpec:
 
 
 def _variable_for(doc: Document, requested: str | None) -> str:
-    allowed = {"colligation": ("z",), "multi": ("S",), "tri": ("S",), "doublecoset": ("S", "R")}[
-        doc.kind
-    ]
+    allowed = KIND_TABLE[doc.kind].variables
     if requested is None:
         return allowed[0]
     if requested not in allowed:
@@ -202,59 +197,36 @@ def _variable_for(doc: Document, requested: str | None) -> str:
     return requested
 
 
-def _argument_dim(doc: Document) -> int:
-    payload = doc.payload
-    return {"multi": lambda: payload.arity, "tri": lambda: payload.slots, "doublecoset": lambda: payload.arity}[
-        doc.kind
-    ]()
+def _argument_dim(doc: Document) -> int | None:
+    """Size of a matrix argument, None for a scalar one."""
+    dim = KIND_TABLE[doc.kind].argument_dim
+    return None if dim is None else dim(doc.payload)
 
 
 def _check_shape(doc: Document, argument, what: str) -> None:
-    if doc.kind == "colligation":
-        return
     n = _argument_dim(doc)
-    if argument.shape != (n, n):
+    if n is not None and argument.shape != (n, n):
         raise CliError(EXIT_MISMATCH, f"{what}: expected a {n}x{n} matrix, got {argument.shape}")
 
 
-def _charfun_runner(doc: Document, variable: str, fixed, tol: Tolerances):
-    """Point evaluator returning a CharValue for the varied argument."""
+def _point_map(doc: Document, variable: str, fixed, fn, tol: Tolerances):
+    """``argument -> fn(payload, arguments, tol)`` for the varied argument.
+
+    ``fn`` is a kind-table entry (``charfun`` or ``system``); a two-argument
+    kind puts the held-fixed matrix in the other slot.
+    """
     payload = doc.payload
-    if doc.kind == "colligation":
-        return lambda z: charfun_z(payload, z, tol)
-    if doc.kind == "multi":
-        return lambda s: multi_charfun(payload, s, tol)
-    if doc.kind == "tri":
-        return lambda s: tri_charfun(payload, s, tol)
+    if len(KIND_TABLE[doc.kind].variables) == 1:
+        return lambda x: fn(payload, (x,), tol)
     if fixed is None:
         other = "R" if variable == "S" else "S"
         raise CliError(
             EXIT_MISMATCH,
-            f"a doublecoset document takes two arguments; give --fixed with the {other} matrix",
+            f"a {doc.kind} document takes two arguments; give --fixed with the {other} matrix",
         )
     if variable == "S":
-        return lambda s: dc_charfun(payload, s, fixed, tol)
-    return lambda r: dc_charfun(payload, fixed, r, tol)
-
-
-def _surface_system(doc: Document, variable: str, fixed, tol: Tolerances):
-    """Point-to-elimination-matrix map for the surface subcommand."""
-    payload = doc.payload
-    if doc.kind == "colligation":
-        raise CliError(EXIT_MISMATCH, "a colligation document has no eigensurface to sample")
-    if doc.kind == "multi":
-        return lambda s: elimination_matrix(payload, s)
-    if doc.kind == "tri":
-        return lambda s: tri_elimination_matrix(payload, s)
-    if fixed is None:
-        other = "R" if variable == "S" else "S"
-        raise CliError(
-            EXIT_MISMATCH,
-            f"a doublecoset document takes two arguments; give --fixed with the {other} matrix",
-        )
-    if variable == "S":
-        return lambda s: dc_elimination_matrix(payload, s, fixed, tol)
-    return lambda r: dc_elimination_matrix(payload, fixed, r, tol)
+        return lambda s: fn(payload, (s, fixed), tol)
+    return lambda r: fn(payload, (fixed, r), tol)
 
 
 def _scalar_json(z: complex) -> list:
@@ -263,7 +235,7 @@ def _scalar_json(z: complex) -> list:
 
 def _grid_arguments(spec: GridSpec, doc: Document) -> list[tuple[object, object]]:
     """The (point label, argument) list in the deterministic output order."""
-    scalar = doc.kind == "colligation"
+    scalar = _argument_dim(doc) is None
     if spec.kind == "disc":
         if not scalar:
             raise CliError(EXIT_MISMATCH, "disc grids apply to one-variable documents only")
@@ -318,6 +290,19 @@ def _map_ordered(fn, items, threads: int):
     return [fn(item) for item in items]
 
 
+def _sweep(args, fn, points) -> list[dict]:
+    """Map ``fn`` over the labelled points and write the records in order."""
+    if points:
+        try:  # dimension mismatches abort before the parallel sweep
+            fn(points[0])
+        except ColligationError as exc:
+            raise CliError(EXIT_MISMATCH, str(exc)) from None
+    records = _map_ordered(fn, points, args.threads)
+    with _open_out(args.out) as out:
+        _emit_records(records, out)
+    return records
+
+
 # --- subcommands --------------------------------------------------------------
 
 
@@ -327,31 +312,20 @@ def _cmd_validate(args, tol: Tolerances) -> int:
 
 
 def _cmd_product(args, tol: Tolerances) -> int:
-    from .colligation import product
-    from .multi import multi_product
-    from .conjugacy import tri_product
-    from .doublecoset import dc_product
-
     first = _load(args.first, tol)
     second = _load(args.second, tol)
     if first.kind != second.kind:
         raise CliError(EXIT_MISMATCH, f"kind mismatch: {first.kind} vs {second.kind}")
-    combine = {
-        "colligation": product,
-        "multi": multi_product,
-        "tri": tri_product,
-        "doublecoset": dc_product,
-    }[first.kind]
     try:
-        combined = combine(first.payload, second.payload, tol)
+        combined = KIND_TABLE[first.kind].product(first.payload, second.payload, tol)
     except ColligationError as exc:
         raise CliError(EXIT_MISMATCH, str(exc)) from None
     with _open_out(args.out) as out:
-        out.write(emit_document(document_for(combined)))
+        out.write(emit_document(_new_document(first.kind, combined)))
     return EXIT_OK
 
 
-def _eval_points(args, doc: Document, variable: str, scalar: bool):
+def _eval_points(args, doc: Document, scalar: bool):
     if (args.point is None) == (args.grid is None):
         raise CliError(EXIT_PARSE, "give exactly one of --point or --grid")
     if args.point is not None:
@@ -368,7 +342,7 @@ def _eval_points(args, doc: Document, variable: str, scalar: bool):
     return points
 
 
-def _fixed_argument(args, doc: Document, variable: str):
+def _fixed_argument(args, doc: Document):
     if args.fixed is None:
         return None
     fixed = _parse_matrix(_parse_json(args.fixed, "--fixed"), "--fixed")
@@ -379,9 +353,8 @@ def _fixed_argument(args, doc: Document, variable: str):
 def _cmd_eval(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
     variable = _variable_for(doc, args.variable)
-    scalar = doc.kind == "colligation"
-    points = _eval_points(args, doc, variable, scalar)
-    run = _charfun_runner(doc, variable, _fixed_argument(args, doc, variable), tol)
+    points = _eval_points(args, doc, scalar=_argument_dim(doc) is None)
+    run = _point_map(doc, variable, _fixed_argument(args, doc), KIND_TABLE[doc.kind].charfun, tol)
 
     def evaluate(labelled):
         label, argument = labelled
@@ -396,14 +369,7 @@ def _cmd_eval(args, tol: Tolerances) -> int:
             "regular": True,
         }
 
-    if points:
-        try:  # surface dimension mismatches abort before the parallel sweep
-            evaluate(points[0])
-        except ColligationError as exc:
-            raise CliError(EXIT_MISMATCH, str(exc)) from None
-    records = _map_ordered(evaluate, points, args.threads)
-    with _open_out(args.out) as out:
-        _emit_records(records, out)
+    records = _sweep(args, evaluate, points)
     if records and not any(record["regular"] for record in records):
         return EXIT_ALL_SINGULAR
     return EXIT_OK
@@ -411,13 +377,17 @@ def _cmd_eval(args, tol: Tolerances) -> int:
 
 def _cmd_surface(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
-    variable = _variable_for(doc, args.variable) if doc.kind != "colligation" else "S"
-    system = _surface_system(doc, variable, _fixed_argument(args, doc, variable), tol)
-    points = _eval_points(args, doc, variable, scalar=False)
+    system = KIND_TABLE[doc.kind].system
+    variable = _variable_for(doc, args.variable) if system else None
+    fixed = _fixed_argument(args, doc)
+    if system is None:
+        raise CliError(EXIT_MISMATCH, f"a {doc.kind} document has no eigensurface to sample")
+    build = _point_map(doc, variable, fixed, system, tol)
+    points = _eval_points(args, doc, scalar=False)
 
     def sample(labelled):
         label, argument = labelled
-        matrix = system(argument)
+        matrix = build(argument)
         smin, _ = sigma_extremes(matrix)
         return {
             "point": label,
@@ -425,14 +395,7 @@ def _cmd_surface(args, tol: Tolerances) -> int:
             "sigma_min": smin,
         }
 
-    if points:
-        try:
-            sample(points[0])
-        except ColligationError as exc:
-            raise CliError(EXIT_MISMATCH, str(exc)) from None
-    records = _map_ordered(sample, points, args.threads)
-    with _open_out(args.out) as out:
-        _emit_records(records, out)
+    _sweep(args, sample, points)
     return EXIT_OK
 
 
@@ -470,6 +433,13 @@ def _cmd_random(args, tol: Tolerances) -> int:
 # --- argument parser ----------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     tol_flags = argparse.ArgumentParser(add_help=False)
     for name in ("unitarity", "residual", "rank", "surface-guard"):
@@ -484,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     threaded = argparse.ArgumentParser(add_help=False)
     threaded.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker threads (default: machine cores); output bytes are identical regardless",
     )
@@ -533,17 +503,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list the registered suites")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-alpha", type=int, default=3, help="largest exposed dimension drawn")
-    p.add_argument("--max-inner", type=int, default=4, help="largest inner dimension drawn")
-    p.add_argument("--max-arity", type=int, default=3, help="largest family arity drawn")
+    p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn")
+    p.add_argument("--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn")
+    p.add_argument("--max-arity", type=_positive_int, default=3, help="largest family arity drawn")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("random", parents=[tol_flags, output], help="emit a seeded random document")
     p.add_argument("kind", choices=KINDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--inner", type=int, default=2, help="inner dimension (slot dimension for tri)")
-    p.add_argument("--arity", type=int, default=2, help="member count (slot count for tri)")
+    p.add_argument("--alpha", type=_positive_int, default=2)
+    p.add_argument("--inner", type=_positive_int, default=2, help="inner dimension (slot dimension for tri)")
+    p.add_argument("--arity", type=_positive_int, default=2, help="member count (slot count for tri)")
     p.set_defaults(handler=_cmd_random)
 
     return parser

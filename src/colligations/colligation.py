@@ -110,8 +110,13 @@ def conjugate_inner(col: Colligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -
     w = require_unitary(u, tol, "inner conjugator")
     if w.shape[0] != col.inner:
         raise BadSplit(f"inner conjugator has dimension {w.shape[0]}, expected {col.inner}")
-    winv = w.conj().T
-    m = np.block([[col.a, col.b @ winv], [w @ col.c, w @ col.d @ winv]])
+    return _act_inner(col, w, w.conj().T, tol)
+
+
+def _act_inner(col: Colligation, left, right, tol: Tolerances) -> Colligation:
+    """``[[a, b right], [left c, left d right]]``: ``left`` acts on the inner
+    outputs and ``right`` on the inner inputs."""
+    m = np.block([[col.a, col.b @ right], [left @ col.c, left @ col.d @ right]])
     return Colligation(m, col.alpha, tol)
 
 
@@ -157,7 +162,7 @@ def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> Char
         xsol, smin = solve(e, col.c, tol)
     except NearSingular as err:
         raise NearPole(err.sigma_min, f"argument z={z} lies at or near a pole") from None
-    return CharValue(col.a + z * (col.b @ xsol), smin, True)
+    return CharValue(col.a + z * (col.b @ xsol), smin)
 
 
 def _cluster_points(points: list[complex], radius: float) -> list[tuple[complex, int]]:

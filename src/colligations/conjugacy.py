@@ -19,6 +19,7 @@ from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
+    _check_argument,
     _haar_unitary,
     require_unitary,
     sigma_extremes,
@@ -161,19 +162,9 @@ def tri_product(x: TriColligation, y: TriColligation, tol: Tolerances = DEFAULT_
     return TriColligation(left @ right, x.alpha, x.slot_dim + y.slot_dim, x.slots, tol)
 
 
-def _check_argument(tc: TriColligation, s) -> np.ndarray:
-    s = np.asarray(s, dtype=complex)
-    n = tc.slots
-    if s.shape != (n, n):
-        raise ArityMismatch(f"argument must be {n}x{n}, got {s.shape}")
-    if s.size and not np.all(np.isfinite(s.real) & np.isfinite(s.imag)):
-        raise ValueError("argument contains non-finite entries")
-    return s
-
-
 def tri_elimination_matrix(tc: TriColligation, s) -> np.ndarray:
     """Eliminated inner system ``kron(S, I) - d_full`` on the stacked inner slots."""
-    s = _check_argument(tc, s)
+    s = _check_argument(s, tc.slots)
     return np.kron(s, np.eye(tc.slot_dim)) - tc.d_full()
 
 
@@ -184,12 +175,12 @@ def tri_charfun(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> 
         xsol, smin = solve(elim, tc.c_col(), tol)
     except NearSingular as err:
         raise OnEigensurface(err.sigma_min, "argument lies on the eigensurface") from None
-    return CharValue(tc.a + tc.b_row() @ xsol, smin, True)
+    return CharValue(tc.a + tc.b_row() @ xsol, smin)
 
 
 def tri_charfun_system(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Brute-force evaluation via the literal (alpha + slots*slot_dim) system."""
-    s = _check_argument(tc, s)
+    s = _check_argument(s, tc.slots)
     al, p, n = tc.alpha, tc.slot_dim, tc.slots
     dim = al + n * p
     sys = np.zeros((dim, dim), dtype=complex)

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .colligation import Colligation, random_colligation
-from .conjugacy import TriColligation, random_tri
-from .doublecoset import DoubleCosetFamily, random_family
+from .colligation import Colligation, charfun_z, product, random_colligation
+from .conjugacy import TriColligation, random_tri, tri_charfun, tri_elimination_matrix, tri_product
+from .doublecoset import dc_charfun, dc_elimination_matrix
 from .errors import ColligationError, DocumentError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .multi import MultiColligation, random_multi
+from .multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
 
 __all__ = [
     "SCHEMA_VERSION",
     "KINDS",
+    "KIND_TABLE",
+    "KindSpec",
     "Document",
     "Payload",
     "matrix_to_json",
@@ -39,9 +41,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-KINDS = ("colligation", "multi", "tri", "doublecoset")
 
-Payload = Union[Colligation, MultiColligation, TriColligation, DoubleCosetFamily]
+Payload = Union[Colligation, MultiColligation, TriColligation]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +85,10 @@ def matrix_from_json(obj, what: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
             ):
                 raise _parse_error(f"{what}: entry ({i},{j}) is not a [re, im] number pair")
-            entries.append(complex(pair[0], pair[1]))
+            try:
+                entries.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise _parse_error(f"{what}: entry ({i},{j}) is too large for a float") from None
         rows.append(entries)
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -124,47 +128,121 @@ def _parse_metadata(obj) -> dict:
     return meta
 
 
-def _parse_payload(kind: str, obj, tol: Tolerances) -> Payload:
+def _parse_dims(obj, what: str, keys: tuple[str, ...]) -> list[int]:
+    """Check a payload object has exactly ``keys``; return the positive
+    integers under all but the last (the matrix data)."""
     if not isinstance(obj, dict):
         raise _parse_error("payload must be an object")
-    what = f"{kind} payload"
-    if kind == "colligation":
-        _require_keys(obj, dict.fromkeys(("alpha", "inner", "matrix")), {}, what)
-        alpha = _natural(obj, "alpha", what)
-        inner = _natural(obj, "inner", what)
-        matrix = matrix_from_json(obj["matrix"], what)
+    _require_keys(obj, dict.fromkeys(keys), {}, what)
+    return [_natural(obj, key, what) for key in keys[:-1]]
+
+
+def _parse_colligation(obj, what: str, tol: Tolerances) -> Colligation:
+    alpha, inner = _parse_dims(obj, what, ("alpha", "inner", "matrix"))
+    matrix = matrix_from_json(obj["matrix"], what)
+    if matrix.shape != (alpha + inner, alpha + inner):
+        raise _parse_error(f"{what}: matrix shape {matrix.shape} does not match alpha+inner")
+    return Colligation(matrix, alpha, tol)
+
+
+def _parse_family(obj, what: str, tol: Tolerances) -> MultiColligation:
+    alpha, inner = _parse_dims(obj, what, ("alpha", "inner", "members"))
+    raw = obj["members"]
+    if not isinstance(raw, list) or not raw:
+        raise _parse_error(f"{what}: 'members' must be a non-empty list")
+    members = []
+    for i, entry in enumerate(raw):
+        matrix = matrix_from_json(entry, f"{what} member {i}")
         if matrix.shape != (alpha + inner, alpha + inner):
-            raise _parse_error(
-                f"{what}: matrix shape {matrix.shape} does not match alpha+inner"
-            )
-        return Colligation(matrix, alpha, tol)
-    if kind in ("multi", "doublecoset"):
-        _require_keys(obj, dict.fromkeys(("alpha", "inner", "members")), {}, what)
-        alpha = _natural(obj, "alpha", what)
-        inner = _natural(obj, "inner", what)
-        raw = obj["members"]
-        if not isinstance(raw, list) or not raw:
-            raise _parse_error(f"{what}: 'members' must be a non-empty list")
-        members = []
-        for i, entry in enumerate(raw):
-            matrix = matrix_from_json(entry, f"{what} member {i}")
-            if matrix.shape != (alpha + inner, alpha + inner):
-                raise _parse_error(
-                    f"{what}: member {i} shape {matrix.shape} does not match alpha+inner"
-                )
-            members.append(Colligation(matrix, alpha, tol))
-        cls = MultiColligation if kind == "multi" else DoubleCosetFamily
-        return cls(members)
-    # kind == "tri"
-    _require_keys(obj, dict.fromkeys(("alpha", "p", "slots", "matrix")), {}, what)
-    alpha = _natural(obj, "alpha", what)
-    slot_dim = _natural(obj, "p", what)
-    slots = _natural(obj, "slots", what)
+            raise _parse_error(f"{what}: member {i} shape {matrix.shape} does not match alpha+inner")
+        members.append(Colligation(matrix, alpha, tol))
+    return MultiColligation(members)
+
+
+def _parse_tri(obj, what: str, tol: Tolerances) -> TriColligation:
+    alpha, slot_dim, slots = _parse_dims(obj, what, ("alpha", "p", "slots", "matrix"))
     matrix = matrix_from_json(obj["matrix"], what)
     size = alpha + slots * slot_dim
     if matrix.shape != (size, size):
         raise _parse_error(f"{what}: matrix shape {matrix.shape} does not match the split")
     return TriColligation(matrix, alpha, slot_dim, slots, tol)
+
+
+@dataclasses.dataclass(frozen=True)
+class KindSpec:
+    """Everything that differs between document kinds.
+
+    ``parse(obj, what, tol)`` and ``emit(payload)`` convert the payload
+    object; ``random(alpha, inner, arity, seed)`` draws one (slot dimension
+    and slot count for ``tri``).  ``variables`` names the arguments in order
+    and ``argument_dim(payload)`` is the size of a matrix argument (None for
+    the scalar ``z``).  ``charfun(payload, arguments, tol)`` evaluates the
+    characteristic function and ``system(payload, arguments, tol)`` builds
+    the eliminated system that is singular on the eigensurface.
+    """
+
+    payload_type: type
+    parse: Callable
+    emit: Callable
+    random: Callable
+    product: Callable
+    variables: tuple[str, ...]
+    argument_dim: Callable | None
+    charfun: Callable
+    system: Callable | None
+
+
+# The evaluation entries (emit, charfun, system) call through this module's
+# globals, so a wrapper bound to those names at run time (a profiler's, say)
+# sees every call.
+_MULTI = KindSpec(
+    payload_type=MultiColligation,
+    parse=_parse_family,
+    emit=lambda mc: {
+        "alpha": mc.alpha,
+        "inner": mc.inner,
+        "members": [matrix_to_json(member.matrix) for member in mc.members],
+    },
+    random=random_multi,
+    product=multi_product,
+    variables=("S",),
+    argument_dim=lambda mc: mc.arity,
+    charfun=lambda mc, args, tol: multi_charfun(mc, *args, tol),
+    system=lambda mc, args, tol: elimination_matrix(mc, *args),
+)
+KIND_TABLE = {
+    "colligation": KindSpec(
+        payload_type=Colligation,
+        parse=_parse_colligation,
+        emit=lambda col: {"alpha": col.alpha, "inner": col.inner, "matrix": matrix_to_json(col.matrix)},
+        random=lambda alpha, inner, arity, seed: random_colligation(alpha, inner, seed),
+        product=product,
+        variables=("z",),
+        argument_dim=None,
+        charfun=lambda col, args, tol: charfun_z(col, *args, tol),
+        system=None,
+    ),
+    "multi": _MULTI,
+    "tri": KindSpec(
+        payload_type=TriColligation,
+        parse=_parse_tri,
+        emit=lambda tc: {"alpha": tc.alpha, "p": tc.slot_dim, "slots": tc.slots, "matrix": matrix_to_json(tc.matrix)},
+        random=random_tri,
+        product=tri_product,
+        variables=("S",),
+        argument_dim=lambda tc: tc.slots,
+        charfun=lambda tc, args, tol: tri_charfun(tc, *args, tol),
+        system=lambda tc, args, tol: tri_elimination_matrix(tc, *args),
+    ),
+    # The multi family, read with the two-argument function.
+    "doublecoset": dataclasses.replace(
+        _MULTI,
+        variables=("S", "R"),
+        charfun=lambda fam, args, tol: dc_charfun(fam, *args, tol),
+        system=lambda fam, args, tol: dc_elimination_matrix(fam, *args, tol),
+    ),
+}
+KINDS = tuple(KIND_TABLE)
 
 
 def parse_document(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Document:
@@ -186,7 +264,7 @@ def parse_document(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Document:
         raise _parse_error(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     metadata = _parse_metadata(obj["metadata"])
     try:
-        payload = _parse_payload(kind, obj["payload"], tol)
+        payload = KIND_TABLE[kind].parse(obj["payload"], f"{kind} payload", tol)
     except DocumentError:
         raise
     except ColligationError as exc:
@@ -194,33 +272,12 @@ def parse_document(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Document:
     return Document(kind, payload, metadata)
 
 
-def _payload_to_object(kind: str, payload: Payload) -> dict:
-    if kind == "colligation":
-        return {
-            "alpha": payload.alpha,
-            "inner": payload.inner,
-            "matrix": matrix_to_json(payload.matrix),
-        }
-    if kind in ("multi", "doublecoset"):
-        return {
-            "alpha": payload.alpha,
-            "inner": payload.inner,
-            "members": [matrix_to_json(member.matrix) for member in payload.members],
-        }
-    return {
-        "alpha": payload.alpha,
-        "p": payload.slot_dim,
-        "slots": payload.slots,
-        "matrix": matrix_to_json(payload.matrix),
-    }
-
-
 def emit_document(doc: Document) -> str:
     """Serialize to the canonical byte form (stable under parse/emit)."""
     obj = {
         "kind": doc.kind,
         "metadata": doc.metadata,
-        "payload": _payload_to_object(doc.kind, doc.payload),
+        "payload": KIND_TABLE[doc.kind].emit(doc.payload),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -241,24 +298,23 @@ def save_document(doc: Document, path) -> None:
         handle.write(emit_document(doc))
 
 
-def _kind_of(payload: Payload) -> str:
-    if isinstance(payload, Colligation):
-        return "colligation"
-    if isinstance(payload, MultiColligation):
-        return "multi"
-    if isinstance(payload, TriColligation):
-        return "tri"
-    if isinstance(payload, DoubleCosetFamily):
-        return "doublecoset"
-    raise TypeError(f"not a document payload: {type(payload).__name__}")
-
-
-def document_for(payload: Payload, seed: int | None = None) -> Document:
-    """Wrap an in-memory object as a document with fresh metadata."""
+def _new_document(kind: str, payload: Payload, seed: int | None = None) -> Document:
     metadata = {"schema_version": SCHEMA_VERSION}
     if seed is not None:
         metadata["seed"] = int(seed)
-    return Document(_kind_of(payload), payload, metadata)
+    return Document(kind, payload, metadata)
+
+
+def document_for(payload: Payload, seed: int | None = None) -> Document:
+    """Wrap an in-memory object as a document with fresh metadata.
+
+    The kind is the first in :data:`KINDS` whose payload type matches, so a
+    family becomes a ``multi`` document.
+    """
+    for kind, spec in KIND_TABLE.items():
+        if isinstance(payload, spec.payload_type):
+            return _new_document(kind, payload, seed)
+    raise TypeError(f"not a document payload: {type(payload).__name__}")
 
 
 def random_document(
@@ -274,14 +330,6 @@ def random_document(
     coupled kind; ``inner`` is the inner dimension (slot dimension for the
     coupled kind).
     """
-    if kind == "colligation":
-        payload: Payload = random_colligation(alpha, inner, seed)
-    elif kind == "multi":
-        payload = random_multi(alpha, inner, arity, seed)
-    elif kind == "tri":
-        payload = random_tri(alpha, inner, arity, seed)
-    elif kind == "doublecoset":
-        payload = random_family(alpha, inner, arity, seed)
-    else:
+    if kind not in KIND_TABLE:
         raise _parse_error(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    return document_for(payload, seed)
+    return _new_document(kind, KIND_TABLE[kind].random(alpha, inner, arity, seed), seed)

@@ -17,23 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .colligation import Colligation, _random_colligation, product
-from .errors import (
-    AlphaMismatch,
-    ArityMismatch,
-    NearSingular,
-    NotUnitary,
-    OnEigensurface,
-)
+from .colligation import _act_inner
+from .errors import ArityMismatch, NearSingular, NotUnitary, OnEigensurface
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
+    _check_argument,
     op_norm,
     require_real_orthogonal,
     sigma_extremes,
     solve,
 )
+from .multi import MultiColligation, multi_product, random_multi
 
 __all__ = [
     "DoubleCosetFamily",
@@ -53,48 +49,11 @@ __all__ = [
 ]
 
 
-class DoubleCosetFamily:
-    """Tuple of split unitaries sharing one exposed/inner dimension pair."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        members = tuple(members)
-        if not members:
-            raise ArityMismatch("a family needs at least one member")
-        if any(not isinstance(g, Colligation) for g in members):
-            raise TypeError("members must be Colligation instances")
-        alpha, inner = members[0].alpha, members[0].inner
-        for g in members[1:]:
-            if g.alpha != alpha:
-                raise AlphaMismatch("members disagree on the exposed dimension")
-            if g.inner != inner:
-                raise ArityMismatch("members disagree on the inner dimension")
-        self.members = members
-
-    @property
-    def arity(self) -> int:
-        return len(self.members)
-
-    @property
-    def alpha(self) -> int:
-        return self.members[0].alpha
-
-    @property
-    def inner(self) -> int:
-        return self.members[0].inner
-
-    def __repr__(self):
-        return f"DoubleCosetFamily(arity={self.arity}, alpha={self.alpha}, inner={self.inner})"
-
-
-def random_family(alpha: int, inner: int, arity: int, seed) -> DoubleCosetFamily:
-    rng = np.random.default_rng(seed)
-    return _random_family(rng, alpha, inner, arity)
-
-
-def _random_family(rng: np.random.Generator, alpha: int, inner: int, arity: int) -> DoubleCosetFamily:
-    return DoubleCosetFamily(_random_colligation(rng, alpha, inner) for _ in range(arity))
+# A double-coset family is a tuple of colligations exactly as a multi family
+# is; only the characteristic function (dc_charfun) differs.
+DoubleCosetFamily = MultiColligation
+random_family = random_multi
+dc_product = multi_product
 
 
 def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -120,32 +79,11 @@ def dc_equivalent(
     vo = require_real_orthogonal(v, tol, "right inner factor")
     if uo.shape[0] != fam.inner or vo.shape[0] != fam.inner:
         raise ArityMismatch("inner factors do not match the inner dimension")
-    members = []
-    for g in fam.members:
-        m = np.block([[g.a, g.b @ vo], [uo @ g.c, uo @ g.d @ vo]])
-        members.append(Colligation(m, g.alpha, tol))
-    return DoubleCosetFamily(members)
-
-
-def dc_product(x: DoubleCosetFamily, y: DoubleCosetFamily, tol: Tolerances = DEFAULT_TOLERANCES) -> DoubleCosetFamily:
-    """Member-wise semigroup product of two families of equal arity."""
-    if x.arity != y.arity:
-        raise ArityMismatch(f"arities differ: {x.arity} vs {y.arity}")
-    if x.alpha != y.alpha:
-        raise AlphaMismatch(f"exposed dimensions differ: {x.alpha} vs {y.alpha}")
-    return DoubleCosetFamily(product(g, h, tol) for g, h in zip(x.members, y.members))
+    return DoubleCosetFamily(_act_inner(g, uo, vo, tol) for g in fam.members)
 
 
 def _check_arguments(fam: DoubleCosetFamily, s, r):
-    n = fam.arity
-    s = np.asarray(s, dtype=complex)
-    r = np.asarray(r, dtype=complex)
-    if s.shape != (n, n) or r.shape != (n, n):
-        raise ArityMismatch(f"arguments must be {n}x{n}, got {s.shape} and {r.shape}")
-    for name, m in (("S", s), ("R", r)):
-        if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
-            raise ValueError(f"argument {name} contains non-finite entries")
-    return s, r
+    return _check_argument(s, fam.arity, "argument S"), _check_argument(r, fam.arity, "argument R")
 
 
 def _tilde_blocks(fam: DoubleCosetFamily, tol: Tolerances):
@@ -162,13 +100,15 @@ def dc_elimination_matrix(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAUL
     """Core system on (x_plus, y_minus) after the coupled variables are
     substituted away: ``[[-D, S x I], [-Dt (R x I), I]]``."""
     s, r = _check_arguments(fam, s, r)
-    m = fam.inner
-    nm = fam.arity * m
-    big_s = np.kron(s, np.eye(m))
-    big_r = np.kron(r, np.eye(m))
-    big_d = block_diag(*(g.d for g in fam.members)).astype(complex)
     _, _, _, dt = _tilde_blocks(fam, tol)
-    return np.block([[-big_d, big_s], [-(dt @ big_r), np.eye(nm)]])
+    return _core(fam, s, np.kron(r, np.eye(fam.inner)), dt)
+
+
+def _core(fam: DoubleCosetFamily, s, big_r, dt) -> np.ndarray:
+    m = fam.inner
+    big_s = np.kron(s, np.eye(m))
+    big_d = block_diag(*(g.d for g in fam.members)).astype(complex)
+    return np.block([[-big_d, big_s], [-(dt @ big_r), np.eye(fam.arity * m)]])
 
 
 def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
@@ -183,9 +123,9 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     big_a = block_diag(*(g.a for g in fam.members)).astype(complex)
     big_b = block_diag(*(g.b for g in fam.members)).astype(complex)
     big_c = block_diag(*(g.c for g in fam.members)).astype(complex)
-    at, bt, ct, _ = _tilde_blocks(fam, tol)
+    at, bt, ct, dt = _tilde_blocks(fam, tol)
     big_r = np.kron(r, np.eye(m))
-    core = dc_elimination_matrix(fam, s, r, tol)
+    core = _core(fam, s, big_r, dt)
     rhs = np.block(
         [
             [big_c, np.zeros((nm, na))],
@@ -199,7 +139,7 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     x_plus = sol[:nm, :]
     top = np.hstack([big_a, np.zeros((na, na))]) + big_b @ x_plus
     bottom = np.hstack([np.zeros((na, na)), at]) + (bt @ big_r) @ x_plus
-    return CharValue(np.vstack([top, bottom]), smin, True)
+    return CharValue(np.vstack([top, bottom]), smin)
 
 
 def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -226,7 +166,6 @@ def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TO
         ta, tb = t[:al, :al], t[:al, al:]
         tc, td = t[al:, :al], t[al:, al:]
         qa = slice(j * al, (j + 1) * al)
-        xa = slice(j * m, (j + 1) * m)
         # plus side: q+ = a p+ + b x+ ; y+ = c p+ + d x+
         sys[row : row + al, col_qp + j * al : col_qp + (j + 1) * al] = np.eye(al)
         sys[row : row + al, col_xp + j * m : col_xp + (j + 1) * m] = -g.b
@@ -245,7 +184,6 @@ def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TO
         sys[row : row + m, col_xm + j * m : col_xm + (j + 1) * m] = -td
         rhs[row : row + m, na + j * al : na + (j + 1) * al] = tc
         row += m
-        del xa
     # coupling: y+ = (S x I) y- and x- = (R x I) x+
     big_s = np.kron(s, np.eye(m))
     big_r = np.kron(r, np.eye(m))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingular, NotOrthogonal, NotUnitary
+from .errors import ArityMismatch, NearSingular, NotOrthogonal, NotUnitary
 
 __all__ = [
     "Tolerances",
@@ -87,13 +87,12 @@ class CharValue:
     """A characteristic-function value with its regularity certificate.
 
     ``sigma_min`` is the smallest singular value of the eliminated linear
-    system; ``regular`` records that it cleared the surface guard (values are
-    only ever returned for regular arguments, singular ones raise).
+    system.  Values are only ever returned for arguments that cleared the
+    surface guard; singular ones raise.
     """
 
     value: np.ndarray
     sigma_min: float
-    regular: bool
 
 
 def _as_complex(m, name="matrix") -> np.ndarray:
@@ -101,6 +100,20 @@ def _as_complex(m, name="matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {a.shape}")
     if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _check_argument(s, n: int, name: str = "argument") -> np.ndarray:
+    """A characteristic-function argument as a complex ``n x n`` array.
+
+    A wrong shape raises :class:`ArityMismatch`, a non-finite entry
+    ``ValueError``.
+    """
+    a = np.asarray(s, dtype=complex)
+    if a.shape != (n, n):
+        raise ArityMismatch(f"{name} must be {n}x{n}, got {a.shape}")
+    if a.size and not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import block_diag
 
-from .colligation import Colligation, _random_colligation, product
+from .colligation import Colligation, _act_inner, _random_colligation, product
 from .errors import AlphaMismatch, ArityMismatch, NearSingular, OnEigensurface
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
+    _check_argument,
     require_unitary,
     sigma_extremes,
     solve,
@@ -45,7 +46,11 @@ __all__ = [
 
 
 class MultiColligation:
-    """A tuple of colligations sharing one exposed/inner split."""
+    """A tuple of colligations sharing one exposed/inner split.
+
+    The double-coset family of :mod:`.doublecoset` is the same tuple; which
+    characteristic function applies is a property of the document kind.
+    """
 
     __slots__ = ("members",)
 
@@ -96,19 +101,9 @@ def _blocks(mc: MultiColligation):
     return big_a, big_b, big_c, big_d
 
 
-def _check_argument(mc: MultiColligation, s) -> np.ndarray:
-    s = np.asarray(s, dtype=complex)
-    n = mc.arity
-    if s.shape != (n, n):
-        raise ArityMismatch(f"argument must be {n}x{n}, got {s.shape}")
-    if s.size and not np.all(np.isfinite(s.real) & np.isfinite(s.imag)):
-        raise ValueError("argument contains non-finite entries")
-    return s
-
-
 def elimination_matrix(mc: MultiColligation, s) -> np.ndarray:
     """The eliminated inner system ``kron(S, I) - blockdiag(d_j)``."""
-    s = _check_argument(mc, s)
+    s = _check_argument(s, mc.arity)
     big_d = block_diag(*(g.d for g in mc.members)).astype(complex)
     return np.kron(s, np.eye(mc.inner)) - big_d
 
@@ -125,14 +120,14 @@ def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
 
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
-    s = _check_argument(mc, s)
-    big_a, big_b, big_c, _ = _blocks(mc)
-    elim = elimination_matrix(mc, s)
+    s = _check_argument(s, mc.arity)
+    big_a, big_b, big_c, big_d = _blocks(mc)
+    elim = np.kron(s, np.eye(mc.inner)) - big_d
     try:
         xsol, smin = solve(elim, big_c, tol)
     except NearSingular as err:
         raise OnEigensurface(err.sigma_min, "argument lies on the eigensurface") from None
-    return CharValue(big_a + big_b @ xsol, smin, True)
+    return CharValue(big_a + big_b @ xsol, smin)
 
 
 def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -142,7 +137,7 @@ def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLE
     exposed input is probed with standard basis vectors and the exposed
     outputs are read off a dense solve.  Independent of the closed form.
     """
-    s = _check_argument(mc, s)
+    s = _check_argument(s, mc.arity)
     n, al, m = mc.arity, mc.alpha, mc.inner
     dim = n * (al + m)
     sys = np.zeros((dim, dim), dtype=complex)
@@ -180,11 +175,7 @@ def multi_conjugate(mc: MultiColligation, u, tol: Tolerances = DEFAULT_TOLERANCE
     if w.shape[0] != mc.inner:
         raise ArityMismatch(f"conjugator has dimension {w.shape[0]}, expected {mc.inner}")
     winv = w.conj().T
-    members = []
-    for g in mc.members:
-        m = np.block([[g.a, g.b @ winv], [w @ g.c, w @ g.d @ winv]])
-        members.append(Colligation(m, g.alpha, tol))
-    return MultiColligation(members)
+    return MultiColligation(_act_inner(g, w, winv, tol) for g in mc.members)
 
 
 def multi_product(x: MultiColligation, y: MultiColligation, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiColligation:
@@ -205,7 +196,7 @@ def diag_conjugation(
     vector of nonzero scalars, acting diagonally on the argument and
     block-diagonally (``lam_j I_alpha``) on the value.
     """
-    s = _check_argument(mc, s)
+    s = _check_argument(s, mc.arity)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
     if lam.shape[0] != mc.arity:
         raise ArityMismatch(f"need {mc.arity} scalars, got {lam.shape[0]}")

@@ -26,7 +26,7 @@ from .linalg import (
     orthonormal_columns,
     sigma_extremes,
 )
-from .multi import MultiColligation, _blocks, _check_argument
+from .multi import MultiColligation, _blocks
 
 __all__ = [
     "LinearRelation",

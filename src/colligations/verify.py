@@ -86,10 +86,8 @@ from .doublecoset import (
     dc_dilation_check,
     dc_elimination_matrix,
     dc_equivalent,
-    dc_product,
     form_checks,
     indefinite_form,
-    random_family,
     skew_form,
 )
 
@@ -285,28 +283,25 @@ def _boundary_point(rng, col, tol):
     return _retrying(draw)
 
 
-def _regular_multi_arg(rng, mc, tol, radius=None, extra=()):
-    """An argument at which every listed family is comfortably regular."""
+def _regular_arg(rng, n: int, system, payloads, radius):
+    """An ``n x n`` argument at which ``system`` is comfortably regular for
+    every listed payload."""
 
     def draw():
-        n = mc.arity
         s = sample_ball(rng, n, radius) if radius is not None else _complex_gauss(rng, n, n)
-        for fam in (mc, *extra):
-            _require_regular(elimination_matrix(fam, s))
+        for payload in payloads:
+            _require_regular(system(payload, s))
         return s
 
     return _retrying(draw)
+
+
+def _regular_multi_arg(rng, mc, tol, radius=None, extra=()):
+    return _regular_arg(rng, mc.arity, elimination_matrix, (mc, *extra), radius)
 
 
 def _regular_tri_arg(rng, tc, tol, radius=None, extra=()):
-    def draw():
-        n = tc.slots
-        s = sample_ball(rng, n, radius) if radius is not None else _complex_gauss(rng, n, n)
-        for fam in (tc, *extra):
-            _require_regular(tri_elimination_matrix(fam, s))
-        return s
-
-    return _retrying(draw)
+    return _regular_arg(rng, tc.slots, tri_elimination_matrix, (tc, *extra), radius)
 
 
 def _symmetric_ball(rng, n: int) -> np.ndarray:
@@ -1084,7 +1079,7 @@ def _dc_dims(rng, dims) -> tuple[int, int, int]:
 @_suite("doublecoset-oracle", "the two-argument value matches the coupled full-system solve")
 def _doublecoset_oracle(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     s, r = _regular_dc_args(rng, fam, tol)
     fast = dc_charfun(fam, s, r, tol).value
     slow = dc_charfun_system(fam, s, r, tol)
@@ -1094,7 +1089,7 @@ def _doublecoset_oracle(rng, dims, tol):
 @_suite("doublecoset-rational", "entries are rational of the sharp degree along each argument line")
 def _doublecoset_rational(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     degree = arity * inner
     size = 2 * arity * alpha
     row, col = _draw(rng, 0, size - 1), _draw(rng, 0, size - 1)
@@ -1127,7 +1122,7 @@ def _doublecoset_rational(rng, dims, tol):
 @_suite("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged")
 def _doublecoset_equivalence(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     other = dc_equivalent(fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol)
     s, r = _regular_dc_args(rng, fam, tol, extra=(other,))
     defect = rel_defect(dc_charfun(fam, s, r, tol).value, dc_charfun(other, s, r, tol).value)
@@ -1137,9 +1132,9 @@ def _doublecoset_equivalence(rng, dims, tol):
 @_suite("doublecoset-multiplicative", "paired products multiply the two-argument values")
 def _doublecoset_multiplicative(rng, dims, tol):
     alpha, _, arity = _dc_dims(rng, dims)
-    x = random_family(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
-    y = random_family(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
-    prod = dc_product(x, y, tol)
+    x = random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
+    y = random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
+    prod = multi_product(x, y, tol)
     s, r = _regular_dc_args(rng, prod, tol, extra=(x, y))
     vx = dc_charfun(x, s, r, tol).value
     vy = dc_charfun(y, s, r, tol).value
@@ -1150,7 +1145,7 @@ def _doublecoset_multiplicative(rng, dims, tol):
 @_suite("doublecoset-dilation", "congruence dilations of the arguments conjugate the value")
 def _doublecoset_dilation(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
 
     def draw():
         s, r = _regular_dc_args(rng, fam, tol)
@@ -1169,7 +1164,7 @@ def _doublecoset_dilation(rng, dims, tol):
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     s, r = _regular_dc_args(rng, fam, tol, radius=0.9)
     report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8)
     smallest = min(report.increase_samples)
@@ -1179,7 +1174,7 @@ def _doublecoset_form_increase(rng, dims, tol):
 @_suite("doublecoset-pseudo-unitary", "unitary arguments preserve the split form")
 def _doublecoset_pseudo_unitary(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     s, r = _regular_dc_args(rng, fam, tol, unitary=True)
     chi = dc_charfun(fam, s, r, tol).value
     form = indefinite_form(arity, alpha)
@@ -1190,7 +1185,7 @@ def _doublecoset_pseudo_unitary(rng, dims, tol):
 @_suite("doublecoset-transpose", "transposing both arguments inverts the skew-transposed value")
 def _doublecoset_transpose(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
 
     def draw():
         s, r = _regular_dc_args(rng, fam, tol)
@@ -1208,7 +1203,7 @@ def _doublecoset_transpose(rng, dims, tol):
 @_suite("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form")
 def _doublecoset_symplectic(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
     s, r = _regular_dc_args(rng, fam, tol, symmetric=True)
     chi = dc_charfun(fam, s, r, tol).value
     skew = skew_form(arity, alpha)
@@ -1223,7 +1218,7 @@ def _doublecoset_symplectic(rng, dims, tol):
 )
 def _doublecoset_adjoint_experiment(rng, dims, tol):
     alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_family(alpha, inner, arity, rng)
+    fam = random_multi(alpha, inner, arity, rng)
 
     def draw():
         s, r = _regular_dc_args(rng, fam, tol)

@@ -45,6 +45,10 @@ def records(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
 
 
+def one_error_line(err: str) -> bool:
+    return len([line for line in err.splitlines() if "error:" in line]) == 1 and "Traceback" not in err
+
+
 class TestValidate:
     def test_valid_document(self, capsys, swap_doc):
         assert run(capsys, "validate", swap_doc)[0] == 0
@@ -86,6 +90,18 @@ class TestProduct:
 
     def test_kind_mismatch(self, capsys, swap_doc, swap_pair_doc):
         assert run(capsys, "product", swap_doc, swap_pair_doc)[0] == 3
+
+    @pytest.mark.parametrize("kind", ["multi", "doublecoset"])
+    def test_family_product_keeps_the_kind(self, capsys, tmp_path, kind):
+        # Both kinds hold the same family type; the kind must come from the
+        # operands, not from the type of the product.
+        first, second, out = (tmp_path / name for name in ("x.json", "y.json", "xy.json"))
+        assert run(capsys, "random", kind, "--seed", 3, "--out", first)[0] == 0
+        assert run(capsys, "random", kind, "--seed", 4, "--out", second)[0] == 0
+        assert run(capsys, "product", first, second, "--out", out)[0] == 0
+        assert json.loads(out.read_text())["kind"] == kind
+        assert run(capsys, "validate", out)[0] == 0
+        assert load_document(out).payload.inner == 4
 
 
 class TestEval:
@@ -264,6 +280,42 @@ class TestRandom:
 
     def test_unknown_kind_is_a_usage_error(self, capsys):
         assert run(capsys, "random", "widget")[0] == 1
+
+    @pytest.mark.parametrize("kind", ["colligation", "multi", "tri", "doublecoset"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--inner", "--arity"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_dimension_is_a_usage_error(self, capsys, kind, flag, value):
+        code, out, err = run(capsys, "random", kind, flag, value)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+
+class TestBadNumbers:
+    def test_huge_integer_point(self, capsys, swap_doc):
+        code, out, err = run(capsys, "eval", swap_doc, "--point", "1" + "0" * 400)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    def test_huge_integer_in_document(self, capsys, tmp_path, swap_doc):
+        doc = json.loads(open(swap_doc).read())
+        doc["payload"]["matrix"][0][0] = [10**400, 0]
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", bad)
+        assert code == 1
+        assert one_error_line(err)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_threads(self, capsys, swap_doc, value):
+        code, out, err = run(capsys, "eval", swap_doc, "--point", "0.5", "--threads", value)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    @pytest.mark.parametrize("flag", ["--max-alpha", "--max-inner", "--max-arity"])
+    def test_non_positive_verify_bound(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "multi-oracle", "--trials", 1, flag, 0)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
 
 
 class TestTolerances:
