@@ -14,6 +14,8 @@ function that is a complete invariant for the equivalence:
   matrix arguments, transfer functions valued in a doubled space carrying
   indefinite and skew forms.
 
+:mod:`~colligations.realization` evaluates every kind's transfer function
+as one realization ``A + B (S x I - D)^{-1} C``, batched over arguments.
 :mod:`~colligations.relations` gives the relation-valued picture of the
 transfer function on eigensurfaces, :mod:`~colligations.documents` the JSON
 wire format, :mod:`~colligations.verify` the randomized property suites,

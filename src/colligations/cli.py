@@ -13,6 +13,7 @@ failure in a verification suite.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -24,19 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ColligationError,
-    DocumentError,
-    NearPole,
-    NearSingular,
-    OnEigensurface,
-)
+from .errors import ColligationError, DocumentError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     sample_ball,
     sample_disc,
-    sigma_extremes,
     tolerances_from_profile,
 )
 from .documents import (
@@ -50,6 +44,7 @@ from .documents import (
     matrix_to_json,
     random_document,
 )
+from .realization import evaluate, surface_indicators
 from .verify import Dims, list_suites, run_suite
 
 __all__ = ["main"]
@@ -61,7 +56,11 @@ EXIT_MISMATCH = 3
 EXIT_ALL_SINGULAR = 4
 EXIT_PROPERTY = 5
 
-_SINGULAR = (NearPole, NearSingular, OnEigensurface)
+# Matrix entries of eliminated systems per kernel call: a chunk of grid
+# points holds about this many, whatever the system size, which bounds the
+# memory of one call.  Values do not depend on it.  A chunk is the unit of
+# work handed to a --threads worker.
+_CHUNK_ENTRIES = 2**16
 
 
 class CliError(Exception):
@@ -176,8 +175,8 @@ def _parse_grid(obj) -> GridSpec:
             t_max=_parse_scalar(obj["t_max"], "grid t_max"),
         )
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise CliError(EXIT_PARSE, "grid: seed must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise CliError(EXIT_PARSE, "grid: seed must be a non-negative integer")
     return GridSpec("ball", count=natural("count"), seed=seed, radius=positive("radius", 1.0))
 
 
@@ -209,24 +208,39 @@ def _check_shape(doc: Document, argument, what: str) -> None:
         raise CliError(EXIT_MISMATCH, f"{what}: expected a {n}x{n} matrix, got {argument.shape}")
 
 
-def _point_map(doc: Document, variable: str, fixed, fn, tol: Tolerances):
-    """``argument -> fn(payload, arguments, tol)`` for the varied argument.
+def _stacker(doc: Document, variable: str, fixed):
+    """``chunk -> arguments`` for the kernel: the chunk's arguments stacked,
+    and for a two-argument kind the held-fixed matrix in the other slot."""
 
-    ``fn`` is a kind-table entry (``charfun`` or ``system``); a two-argument
-    kind puts the held-fixed matrix in the other slot.
-    """
-    payload = doc.payload
+    def stacked(chunk):
+        return np.array([argument for _, argument in chunk], dtype=complex)
+
     if len(KIND_TABLE[doc.kind].variables) == 1:
-        return lambda x: fn(payload, (x,), tol)
+        return lambda chunk: (stacked(chunk),)
     if fixed is None:
         other = "R" if variable == "S" else "S"
         raise CliError(
             EXIT_MISMATCH,
             f"a {doc.kind} document takes two arguments; give --fixed with the {other} matrix",
         )
-    if variable == "S":
-        return lambda s: fn(payload, (s, fixed), tol)
-    return lambda r: fn(payload, (fixed, r), tol)
+
+    def arguments(chunk):
+        varied = stacked(chunk)
+        held = np.broadcast_to(fixed, varied.shape)
+        return (varied, held) if variable == "S" else (held, varied)
+
+    return arguments
+
+
+def _realize(doc: Document, tol: Tolerances):
+    try:
+        return KIND_TABLE[doc.kind].realize(doc.payload, tol)
+    except ColligationError as exc:
+        raise CliError(EXIT_MISMATCH, str(exc)) from None
+
+
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
 
 
 def _scalar_json(z: complex) -> list:
@@ -260,6 +274,8 @@ def _grid_arguments(spec: GridSpec, doc: Document) -> list[tuple[object, object]
             spec.t_min + (spec.t_max - spec.t_min) * (k / (steps - 1) if steps > 1 else 0.0)
             for k in range(steps)
         ]
+        if not all(cmath.isfinite(t) for t in ts):
+            raise CliError(EXIT_PARSE, "grid: the segment parameter overflows a float")
         return [(_scalar_json(t), base + t * direction) for t in ts]
     rng = np.random.default_rng(spec.seed)
     points = []
@@ -274,7 +290,7 @@ def _grid_arguments(spec: GridSpec, doc: Document) -> list[tuple[object, object]
 
 def _emit_records(records, out) -> None:
     for record in records:
-        out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        out.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _open_out(path: str | None):
@@ -290,14 +306,12 @@ def _map_ordered(fn, items, threads: int):
     return [fn(item) for item in items]
 
 
-def _sweep(args, fn, points) -> list[dict]:
-    """Map ``fn`` over the labelled points and write the records in order."""
-    if points:
-        try:  # dimension mismatches abort before the parallel sweep
-            fn(points[0])
-        except ColligationError as exc:
-            raise CliError(EXIT_MISMATCH, str(exc)) from None
-    records = _map_ordered(fn, points, args.threads)
+def _sweep(args, fn, points, real) -> list[dict]:
+    """Map ``fn`` over chunks of the labelled points and write the records in order."""
+    order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
+    size = max(1, _CHUNK_ENTRIES // order**2)
+    chunks = [points[i : i + size] for i in range(0, len(points), size)]
+    records = [record for part in _map_ordered(fn, chunks, args.threads) for record in part]
     with _open_out(args.out) as out:
         _emit_records(records, out)
     return records
@@ -354,48 +368,57 @@ def _cmd_eval(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
     variable = _variable_for(doc, args.variable)
     points = _eval_points(args, doc, scalar=_argument_dim(doc) is None)
-    run = _point_map(doc, variable, _fixed_argument(args, doc), KIND_TABLE[doc.kind].charfun, tol)
+    stack = _stacker(doc, variable, _fixed_argument(args, doc))
+    real = _realize(doc, tol)
 
-    def evaluate(labelled):
-        label, argument = labelled
-        try:
-            value = run(argument)
-        except _SINGULAR as exc:
-            return {"point": label, "value": None, "sigma_min": exc.sigma_min, "regular": False}
-        return {
-            "point": label,
-            "value": matrix_to_json(value.value),
-            "sigma_min": value.sigma_min,
-            "regular": True,
-        }
+    def evaluate_chunk(chunk):
+        values, sigma, regular = evaluate(real, stack(chunk), tol)
+        return [
+            {
+                "point": label,
+                "value": matrix_to_json(values[i]) if regular[i] else None,
+                "sigma_min": _finite_or_none(float(sigma[i])),
+                "regular": bool(regular[i]),
+            }
+            for i, (label, _) in enumerate(chunk)
+        ]
 
-    records = _sweep(args, evaluate, points)
+    records = _sweep(args, evaluate_chunk, points, real)
     if records and not any(record["regular"] for record in records):
         return EXIT_ALL_SINGULAR
     return EXIT_OK
 
 
+def _abs_or_none(det: complex):
+    try:
+        return _finite_or_none(abs(det))
+    except OverflowError:
+        return None
+
+
 def _cmd_surface(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
-    system = KIND_TABLE[doc.kind].system
-    variable = _variable_for(doc, args.variable) if system else None
+    scalar = _argument_dim(doc) is None
+    variable = None if scalar else _variable_for(doc, args.variable)
     fixed = _fixed_argument(args, doc)
-    if system is None:
+    if scalar:
         raise CliError(EXIT_MISMATCH, f"a {doc.kind} document has no eigensurface to sample")
-    build = _point_map(doc, variable, fixed, system, tol)
+    stack = _stacker(doc, variable, fixed)
     points = _eval_points(args, doc, scalar=False)
+    real = _realize(doc, tol)
 
-    def sample(labelled):
-        label, argument = labelled
-        matrix = build(argument)
-        smin, _ = sigma_extremes(matrix)
-        return {
-            "point": label,
-            "abs_det": abs(complex(np.linalg.det(matrix))),
-            "sigma_min": smin,
-        }
+    def sample_chunk(chunk):
+        dets, sigma = surface_indicators(real, stack(chunk))
+        return [
+            {
+                "point": label,
+                "abs_det": _abs_or_none(complex(dets[i])),
+                "sigma_min": _finite_or_none(float(sigma[i])),
+            }
+            for i, (label, _) in enumerate(chunk)
+        ]
 
-    _sweep(args, sample, points)
+    _sweep(args, sample_chunk, points, real)
     return EXIT_OK
 
 
@@ -424,7 +447,10 @@ def _cmd_verify(args, tol: Tolerances) -> int:
 
 
 def _cmd_random(args, tol: Tolerances) -> int:
-    doc = random_document(args.kind, args.seed, alpha=args.alpha, inner=args.inner, arity=args.arity)
+    try:
+        doc = random_document(args.kind, args.seed, alpha=args.alpha, inner=args.inner, arity=args.arity)
+    except MemoryError:
+        raise CliError(EXIT_PARSE, "random: the requested dimensions do not fit in memory") from None
     with _open_out(args.out) as out:
         out.write(emit_document(doc))
     return EXIT_OK
@@ -437,6 +463,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -456,7 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=os.cpu_count() or 1,
-        help="worker threads (default: machine cores); output bytes are identical regardless",
+        help="worker threads over chunks of grid points or trials (default: machine cores);"
+        " output bytes are identical regardless",
     )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -502,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list the registered suites")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn")
     p.add_argument("--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn")
     p.add_argument("--max-arity", type=_positive_int, default=3, help="largest family arity drawn")
@@ -510,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", parents=[tol_flags, output], help="emit a seeded random document")
     p.add_argument("kind", choices=KINDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--alpha", type=_positive_int, default=2)
     p.add_argument("--inner", type=_positive_int, default=2, help="inner dimension (slot dimension for tri)")
     p.add_argument("--arity", type=_positive_int, default=2, help="member count (slot count for tri)")

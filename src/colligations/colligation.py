@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphaMismatch, BadSplit, NearPole, NearSingular
+from .errors import AlphaMismatch, BadSplit, NearPole
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
@@ -22,8 +22,8 @@ from .linalg import (
     op_norm,
     require_unitary,
     sample_disc,
-    solve,
 )
+from .realization import Realization, charvalue
 
 __all__ = [
     "Colligation",
@@ -34,6 +34,7 @@ __all__ = [
     "pad",
     "product",
     "charfun_z",
+    "colligation_realization",
     "unit_spectrum",
     "spectra_match",
     "equivalent_probe",
@@ -150,6 +151,11 @@ def product(x: Colligation, y: Colligation, tol: Tolerances = DEFAULT_TOLERANCES
     return Colligation(out, x.alpha, tol)
 
 
+def colligation_realization(col: Colligation) -> Realization:
+    """The blocks of ``a + z b (1 - z d)^{-1} c`` (the ``"z"`` form)."""
+    return Realization("z", col.a, col.b, col.c, col.d)
+
+
 def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """One-variable characteristic function ``a + z b (1 - z d)^{-1} c``.
 
@@ -157,12 +163,9 @@ def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> Char
     too close to a pole raise :class:`NearPole`.
     """
     z = complex(z)
-    e = np.eye(col.inner) - z * col.d
-    try:
-        xsol, smin = solve(e, col.c, tol)
-    except NearSingular as err:
-        raise NearPole(err.sigma_min, f"argument z={z} lies at or near a pole") from None
-    return CharValue(col.a + z * (col.b @ xsol), smin)
+    return charvalue(
+        colligation_realization(col), (z,), tol, NearPole, f"argument z={z} lies at or near a pole"
+    )
 
 
 def _cluster_points(points: list[complex], radius: float) -> list[tuple[complex, int]]:

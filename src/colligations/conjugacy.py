@@ -12,19 +12,19 @@ dilation law is lost.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .errors import AlphaMismatch, ArityMismatch, BadSplit, NearSingular, OnEigensurface
+from .errors import AlphaMismatch, ArityMismatch, BadSplit, OnEigensurface
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_argument,
     _haar_unitary,
+    block_diag,
     require_unitary,
     sigma_extremes,
-    solve,
 )
+from .realization import Realization, charvalue, system
 
 __all__ = [
     "TriColligation",
@@ -34,6 +34,7 @@ __all__ = [
     "tri_charfun",
     "tri_charfun_system",
     "tri_elimination_matrix",
+    "tri_realization",
 ]
 
 
@@ -111,7 +112,7 @@ def tri_conjugate(tc: TriColligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -
     w = require_unitary(u, tol, "inner conjugator")
     if w.shape[0] != tc.slot_dim:
         raise BadSplit(f"conjugator has dimension {w.shape[0]}, expected {tc.slot_dim}")
-    big = block_diag(np.eye(tc.alpha), *([w] * tc.slots)).astype(complex)
+    big = block_diag(np.eye(tc.alpha), *([w] * tc.slots))
     return TriColligation(big @ tc.matrix @ big.conj().T, tc.alpha, tc.slot_dim, tc.slots, tol)
 
 
@@ -162,20 +163,21 @@ def tri_product(x: TriColligation, y: TriColligation, tol: Tolerances = DEFAULT_
     return TriColligation(left @ right, x.alpha, x.slot_dim + y.slot_dim, x.slots, tol)
 
 
+def tri_realization(tc: TriColligation) -> Realization:
+    """``a``, the slot rows and columns, and the coupled ``d_full`` (the ``"S"`` form)."""
+    return Realization("S", tc.a, tc.b_row(), tc.c_col(), tc.d_full(), tc.slot_dim)
+
+
 def tri_elimination_matrix(tc: TriColligation, s) -> np.ndarray:
     """Eliminated inner system ``kron(S, I) - d_full`` on the stacked inner slots."""
     s = _check_argument(s, tc.slots)
-    return np.kron(s, np.eye(tc.slot_dim)) - tc.d_full()
+    return system(tri_realization(tc), [s[None]])[0]
 
 
 def tri_charfun(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function at a matrix argument; value is alpha x alpha."""
-    elim = tri_elimination_matrix(tc, s)
-    try:
-        xsol, smin = solve(elim, tc.c_col(), tol)
-    except NearSingular as err:
-        raise OnEigensurface(err.sigma_min, "argument lies on the eigensurface") from None
-    return CharValue(tc.a + tc.b_row() @ xsol, smin)
+    s = _check_argument(s, tc.slots)
+    return charvalue(tri_realization(tc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
 
 
 def tri_charfun_system(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

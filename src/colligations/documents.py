@@ -16,12 +16,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .colligation import Colligation, charfun_z, product, random_colligation
-from .conjugacy import TriColligation, random_tri, tri_charfun, tri_elimination_matrix, tri_product
-from .doublecoset import dc_charfun, dc_elimination_matrix
+from .colligation import Colligation, colligation_realization, product, random_colligation
+from .conjugacy import TriColligation, random_tri, tri_product, tri_realization
+from .doublecoset import dc_realization
 from .errors import ColligationError, DocumentError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
+from .multi import MultiColligation, multi_product, multi_realization, random_multi
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -176,9 +176,9 @@ class KindSpec:
     object; ``random(alpha, inner, arity, seed)`` draws one (slot dimension
     and slot count for ``tri``).  ``variables`` names the arguments in order
     and ``argument_dim(payload)`` is the size of a matrix argument (None for
-    the scalar ``z``).  ``charfun(payload, arguments, tol)`` evaluates the
-    characteristic function and ``system(payload, arguments, tol)`` builds
-    the eliminated system that is singular on the eigensurface.
+    the scalar ``z``, whose kind has no eigensurface).  ``realize(payload,
+    tol)`` builds the :class:`~colligations.realization.Realization` that
+    evaluates the characteristic function and its eliminated system.
     """
 
     payload_type: type
@@ -188,13 +188,11 @@ class KindSpec:
     product: Callable
     variables: tuple[str, ...]
     argument_dim: Callable | None
-    charfun: Callable
-    system: Callable | None
+    realize: Callable
 
 
-# The evaluation entries (emit, charfun, system) call through this module's
-# globals, so a wrapper bound to those names at run time (a profiler's, say)
-# sees every call.
+# The emit and realize entries call through this module's globals, so a
+# wrapper bound to those names at run time (a profiler's, say) sees every call.
 _MULTI = KindSpec(
     payload_type=MultiColligation,
     parse=_parse_family,
@@ -207,8 +205,7 @@ _MULTI = KindSpec(
     product=multi_product,
     variables=("S",),
     argument_dim=lambda mc: mc.arity,
-    charfun=lambda mc, args, tol: multi_charfun(mc, *args, tol),
-    system=lambda mc, args, tol: elimination_matrix(mc, *args),
+    realize=lambda mc, tol: multi_realization(mc),
 )
 KIND_TABLE = {
     "colligation": KindSpec(
@@ -219,8 +216,7 @@ KIND_TABLE = {
         product=product,
         variables=("z",),
         argument_dim=None,
-        charfun=lambda col, args, tol: charfun_z(col, *args, tol),
-        system=None,
+        realize=lambda col, tol: colligation_realization(col),
     ),
     "multi": _MULTI,
     "tri": KindSpec(
@@ -231,15 +227,13 @@ KIND_TABLE = {
         product=tri_product,
         variables=("S",),
         argument_dim=lambda tc: tc.slots,
-        charfun=lambda tc, args, tol: tri_charfun(tc, *args, tol),
-        system=lambda tc, args, tol: tri_elimination_matrix(tc, *args),
+        realize=lambda tc, tol: tri_realization(tc),
     ),
     # The multi family, read with the two-argument function.
     "doublecoset": dataclasses.replace(
         _MULTI,
         variables=("S", "R"),
-        charfun=lambda fam, args, tol: dc_charfun(fam, *args, tol),
-        system=lambda fam, args, tol: dc_elimination_matrix(fam, *args, tol),
+        realize=lambda fam, tol: dc_realization(fam, tol),
     ),
 }
 KINDS = tuple(KIND_TABLE)

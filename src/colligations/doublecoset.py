@@ -15,21 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .colligation import _act_inner
-from .errors import ArityMismatch, NearSingular, NotUnitary, OnEigensurface
+from .errors import ArityMismatch, NotUnitary, OnEigensurface
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_argument,
+    block_diag,
     op_norm,
     require_real_orthogonal,
     sigma_extremes,
-    solve,
 )
-from .multi import MultiColligation, multi_product, random_multi
+from .multi import MultiColligation, multi_product, multi_realization, random_multi
+from .realization import Realization, charvalue, system
 
 __all__ = [
     "DoubleCosetFamily",
@@ -40,6 +40,7 @@ __all__ = [
     "dc_charfun",
     "dc_charfun_system",
     "dc_elimination_matrix",
+    "dc_realization",
     "dc_dilation_check",
     "indefinite_form",
     "skew_form",
@@ -86,29 +87,30 @@ def _check_arguments(fam: DoubleCosetFamily, s, r):
     return _check_argument(s, fam.arity, "argument S"), _check_argument(r, fam.arity, "argument R")
 
 
-def _tilde_blocks(fam: DoubleCosetFamily, tol: Tolerances):
+def dc_realization(fam: DoubleCosetFamily, tol: Tolerances = DEFAULT_TOLERANCES) -> Realization:
+    """The blocks of the core system (the ``"SR"`` form).
+
+    The transposed inverses of the members, and their cross-check, are
+    computed here once.
+    """
     tildes = [transpose_inverse(g.matrix, tol) for g in fam.members]
-    al = fam.alpha
-    at = block_diag(*(t[:al, :al] for t in tildes)).astype(complex)
-    bt = block_diag(*(t[:al, al:] for t in tildes)).astype(complex)
-    ct = block_diag(*(t[al:, :al] for t in tildes)).astype(complex)
-    dt = block_diag(*(t[al:, al:] for t in tildes)).astype(complex)
-    return at, bt, ct, dt
+    al, na, nm = fam.alpha, fam.arity * fam.alpha, fam.arity * fam.inner
+    plus = multi_realization(fam)
+    at = block_diag(*(t[:al, :al] for t in tildes))
+    bt = block_diag(*(t[:al, al:] for t in tildes))
+    ct = block_diag(*(t[al:, :al] for t in tildes))
+    dt = block_diag(*(t[al:, al:] for t in tildes))
+    zeros = np.zeros((na, na))
+    a = np.block([[plus.a, zeros], [zeros, at]])
+    rhs = np.block([[plus.c, np.zeros((nm, na))], [np.zeros((nm, na)), ct]])
+    return Realization("SR", a, plus.b, rhs, plus.d, fam.inner, bt, dt)
 
 
 def dc_elimination_matrix(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Core system on (x_plus, y_minus) after the coupled variables are
     substituted away: ``[[-D, S x I], [-Dt (R x I), I]]``."""
     s, r = _check_arguments(fam, s, r)
-    _, _, _, dt = _tilde_blocks(fam, tol)
-    return _core(fam, s, np.kron(r, np.eye(fam.inner)), dt)
-
-
-def _core(fam: DoubleCosetFamily, s, big_r, dt) -> np.ndarray:
-    m = fam.inner
-    big_s = np.kron(s, np.eye(m))
-    big_d = block_diag(*(g.d for g in fam.members)).astype(complex)
-    return np.block([[-big_d, big_s], [-(dt @ big_r), np.eye(fam.arity * m)]])
+    return system(dc_realization(fam, tol), [s[None], r[None]])[0]
 
 
 def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
@@ -118,28 +120,7 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     coordinates (through the transposed inverses) second.
     """
     s, r = _check_arguments(fam, s, r)
-    n, al, m = fam.arity, fam.alpha, fam.inner
-    na, nm = n * al, n * m
-    big_a = block_diag(*(g.a for g in fam.members)).astype(complex)
-    big_b = block_diag(*(g.b for g in fam.members)).astype(complex)
-    big_c = block_diag(*(g.c for g in fam.members)).astype(complex)
-    at, bt, ct, dt = _tilde_blocks(fam, tol)
-    big_r = np.kron(r, np.eye(m))
-    core = _core(fam, s, big_r, dt)
-    rhs = np.block(
-        [
-            [big_c, np.zeros((nm, na))],
-            [np.zeros((nm, na)), ct],
-        ]
-    )
-    try:
-        sol, smin = solve(core, rhs, tol)
-    except NearSingular as err:
-        raise OnEigensurface(err.sigma_min, "arguments lie on the eigensurface") from None
-    x_plus = sol[:nm, :]
-    top = np.hstack([big_a, np.zeros((na, na))]) + big_b @ x_plus
-    bottom = np.hstack([np.zeros((na, na)), at]) + (bt @ big_r) @ x_plus
-    return CharValue(np.vstack([top, bottom]), smin)
+    return charvalue(dc_realization(fam, tol), (s, r), tol, OnEigensurface, "arguments lie on the eigensurface")
 
 
 def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -224,12 +205,8 @@ def dc_dilation_check(
     if np.any(lam == 0):
         raise ValueError("dilation scalars must be nonzero")
     eye_a = np.eye(fam.alpha)
-    lam_big = block_diag(
-        np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a)
-    ).astype(complex)
-    lam_big_inv = block_diag(
-        np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a)
-    ).astype(complex)
+    lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
+    lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
     chi = dc_charfun(fam, s, r, tol).value
     left = lam_big @ chi @ lam_big_inv
     scaled_s = lam[:, None] * s * lam[None, :]
@@ -241,7 +218,7 @@ def dc_dilation_check(
 def indefinite_form(arity: int, alpha: int) -> np.ndarray:
     """Hermitian form ``diag(+I, -I)`` on the doubled exposed space."""
     eye = np.eye(arity * alpha)
-    return block_diag(eye, -eye).astype(complex)
+    return block_diag(eye, -eye)
 
 
 def skew_form(arity: int, alpha: int) -> np.ndarray:

@@ -20,8 +20,10 @@ __all__ = [
     "TOLERANCE_PROFILES",
     "tolerances_from_profile",
     "CharValue",
+    "block_diag",
     "op_norm",
     "sigma_extremes",
+    "guarded_solve",
     "solve",
     "kernel",
     "orthonormal_columns",
@@ -118,6 +120,18 @@ def _check_argument(s, n: int, name: str = "argument") -> np.ndarray:
     return a
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Complex block-diagonal matrix with the given 2-D blocks in order."""
+    blocks = [np.asarray(b) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
+    row = col = 0
+    for b in blocks:
+        out[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row += b.shape[0]
+        col += b.shape[1]
+    return out
+
+
 def op_norm(m) -> float:
     """Largest singular value of ``m`` (0.0 for an empty matrix)."""
     a = _as_complex(m)
@@ -133,6 +147,25 @@ def sigma_extremes(m) -> tuple[float, float]:
         return 0.0, 0.0
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[-1]), float(s[0])
+
+
+def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Solve a stack of square systems through one stacked SVD, guarded per system.
+
+    ``systems`` is ``(k, N, N)`` and finite, ``rhs`` one ``(N, q)`` right-hand
+    side for all of them.  Returns ``(x, sigma_min, passed)``: system ``i`` passes
+    when ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x`` holds the
+    solutions of the passing systems in order.  Only those are solved, so a
+    singular system costs no division by zero.
+    """
+    u, s, vh = np.linalg.svd(systems)
+    passed = s[:, -1] > tol.surface_guard * s[:, 0]
+    x = _adjoint(vh[passed]) @ ((_adjoint(u[passed]) @ rhs) / s[passed, :, None])
+    return x, s[:, -1], passed
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
 
 def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -155,13 +188,10 @@ def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
     if rows == 0:
         x = np.zeros_like(b)
         return (x[:, 0] if vector_rhs else x), 0.0
-    u, s, vh = np.linalg.svd(a)
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax == 0.0 or smin <= tol.surface_guard * smax:
-        raise NearSingular(smin, "linear system is singular or nearly so")
-    x = vh.conj().T @ ((u.conj().T @ b) / s[:, None])
-    return (x[:, 0] if vector_rhs else x), smin
+    x, sigma, passed = guarded_solve(a[None], b, tol)
+    if not passed[0]:
+        raise NearSingular(sigma[0], "linear system is singular or nearly so")
+    return (x[0, :, 0] if vector_rhs else x[0]), float(sigma[0])
 
 
 def kernel(m, rtol: float) -> np.ndarray:

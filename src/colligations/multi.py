@@ -17,19 +17,19 @@ kept deliberately separate from the closed form as a cross-check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .colligation import Colligation, _act_inner, _random_colligation, product
-from .errors import AlphaMismatch, ArityMismatch, NearSingular, OnEigensurface
+from .errors import AlphaMismatch, ArityMismatch, OnEigensurface
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_argument,
+    block_diag,
     require_unitary,
     sigma_extremes,
-    solve,
 )
+from .realization import Realization, charvalue, system
 
 __all__ = [
     "MultiColligation",
@@ -38,6 +38,7 @@ __all__ = [
     "multi_product",
     "multi_charfun",
     "multi_charfun_system",
+    "multi_realization",
     "elimination_matrix",
     "eigensurface_det",
     "eigensurface_sigma",
@@ -93,19 +94,22 @@ def _random_multi(rng: np.random.Generator, alpha: int, inner: int, arity: int) 
     return MultiColligation(_random_colligation(rng, alpha, inner) for _ in range(arity))
 
 
-def _blocks(mc: MultiColligation):
-    big_a = block_diag(*(g.a for g in mc.members)).astype(complex)
-    big_b = block_diag(*(g.b for g in mc.members)).astype(complex)
-    big_c = block_diag(*(g.c for g in mc.members)).astype(complex)
-    big_d = block_diag(*(g.d for g in mc.members)).astype(complex)
-    return big_a, big_b, big_c, big_d
+def multi_realization(mc: MultiColligation) -> Realization:
+    """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form)."""
+    return Realization(
+        "S",
+        block_diag(*(g.a for g in mc.members)),
+        block_diag(*(g.b for g in mc.members)),
+        block_diag(*(g.c for g in mc.members)),
+        block_diag(*(g.d for g in mc.members)),
+        mc.inner,
+    )
 
 
 def elimination_matrix(mc: MultiColligation, s) -> np.ndarray:
     """The eliminated inner system ``kron(S, I) - blockdiag(d_j)``."""
     s = _check_argument(s, mc.arity)
-    big_d = block_diag(*(g.d for g in mc.members)).astype(complex)
-    return np.kron(s, np.eye(mc.inner)) - big_d
+    return system(multi_realization(mc), [s[None]])[0]
 
 
 def eigensurface_det(mc: MultiColligation, s) -> complex:
@@ -121,13 +125,7 @@ def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
     s = _check_argument(s, mc.arity)
-    big_a, big_b, big_c, big_d = _blocks(mc)
-    elim = np.kron(s, np.eye(mc.inner)) - big_d
-    try:
-        xsol, smin = solve(elim, big_c, tol)
-    except NearSingular as err:
-        raise OnEigensurface(err.sigma_min, "argument lies on the eigensurface") from None
-    return CharValue(big_a + big_b @ xsol, smin)
+    return charvalue(multi_realization(mc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
 
 
 def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -1,0 +1,137 @@
+"""One realization per characteristic function, evaluated in batches.
+
+Every construction in the package has a characteristic function of the form
+
+    chi(S) = A + B (S x I_m - D)^{-1} C,
+
+and a :class:`Realization` holds its blocks, built once per document.  Three
+forms cover the four document kinds:
+
+``"z"``
+    one variable (colligations): the system is ``1 - z D`` and the value
+    ``A + z (B X)``, the case ``S = 1/z`` written without the division;
+``"S"``
+    one matrix argument (multi and tri): the system is ``kron(S, I_m) - D``
+    and the value ``A + B X``;
+``"SR"``
+    the double-coset pair: the 2nm core system
+    ``[[-D, kron(S, I_m)], [-(Dt kron(R, I_m)), I]]`` with right-hand side
+    ``C = [[c, 0], [0, ct]]``; with ``X+`` the top half of the solution the
+    value is ``A + [B X+ ; (Bt kron(R, I_m)) X+]``.
+
+:func:`system` stacks the eliminated systems of ``k`` arguments and
+:func:`evaluate` solves them through one stacked SVD, guarded per point.
+Each step is the operation the one-point formula uses, in the same order, on
+operands of the same layout, so a value does not depend on the batch it was
+computed in.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, guarded_solve
+
+__all__ = ["Realization", "system", "evaluate", "surface_indicators", "charvalue"]
+
+
+@dataclass(frozen=True)
+class Realization:
+    """The blocks of one characteristic function (see the module docstring).
+
+    ``m`` is the inner size that a matrix argument is Kronecker-multiplied
+    with; ``bt`` and ``dt`` are the transposed-inverse blocks of the
+    ``"SR"`` form, whose cross-check ran when they were built.
+    """
+
+    form: str
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    m: int = 1
+    bt: np.ndarray | None = None
+    dt: np.ndarray | None = None
+
+
+def system(real: Realization, args) -> np.ndarray:
+    """The eliminated systems at ``k`` stacked arguments, shape ``(k, N, N)``.
+
+    ``args`` holds one array per variable, each with a leading axis of
+    length ``k``: scalars ``(k,)`` for the ``"z"`` form, ``(k, n, n)``
+    matrices otherwise.
+    """
+    if real.form == "z":
+        (z,) = args
+        return np.eye(real.d.shape[0]) - z[:, None, None] * real.d
+    big_s = np.kron(args[0], np.eye(real.m))
+    if real.form == "S":
+        return big_s - real.d
+    nm = real.d.shape[0]
+    core = np.empty((len(big_s), 2 * nm, 2 * nm), dtype=complex)
+    core[:, :nm, :nm] = -real.d
+    core[:, :nm, nm:] = big_s
+    core[:, nm:, :nm] = -(real.dt @ np.kron(args[1], np.eye(real.m)))
+    core[:, nm:, nm:] = np.eye(nm)
+    return core
+
+
+def _value(real: Realization, args, x: np.ndarray) -> np.ndarray:
+    if real.form == "z":
+        return real.a + args[0][:, None, None] * (real.b @ x)
+    if real.form == "S":
+        return real.a + real.b @ x
+    x_plus = x[:, : real.d.shape[0], :]
+    big_r = np.kron(args[1], np.eye(real.m))
+    return real.a + np.concatenate([real.b @ x_plus, (real.bt @ big_r) @ x_plus], axis=1)
+
+
+def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Guarded values at ``k`` stacked arguments: ``(values, sigma_min, regular)``.
+
+    A point is regular when its system is finite, clears the guard
+    ``sigma_min > surface_guard * sigma_max`` and gives a finite value.
+    ``values[i]`` is meaningful only where ``regular[i]``; ``sigma_min[i]``
+    is NaN where the system is not finite.  Only the points that clear the
+    guard are solved (:func:`~colligations.linalg.guarded_solve`).
+    """
+    # Huge arguments overflow; the point's system or value is then not
+    # finite, which is reported per point rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        systems = system(real, args)
+        count = len(systems)
+        values = np.full((count, *real.a.shape), np.nan, dtype=complex)
+        sigma = np.full(count, np.nan)
+        regular = np.zeros(count, dtype=bool)
+        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
+        x, sigma[finite], passed = guarded_solve(systems[finite], real.c, tol)
+        rows = finite[passed]
+        values[rows] = _value(real, [arg[rows] for arg in args], x)
+        regular[rows] = np.isfinite(values[rows]).all(axis=(1, 2))
+    return values, sigma, regular
+
+
+def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant and smallest singular value of the systems at ``k`` stacked
+    arguments.  Both are NaN where a system is not finite, and a determinant
+    that overflows is not finite; as in :func:`evaluate`, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        systems = system(real, args)
+        count = len(systems)
+        dets = np.full(count, np.nan, dtype=complex)
+        sigma = np.full(count, np.nan)
+        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
+        sigma[finite] = np.linalg.svd(systems[finite], compute_uv=False)[:, -1]
+        dets[finite] = np.linalg.det(systems[finite])
+    return dets, sigma
+
+
+def charvalue(real: Realization, args, tol: Tolerances, error: type, message: str) -> CharValue:
+    """:func:`evaluate` at one point; a point that is not regular raises
+    ``error(sigma_min, message)``."""
+    values, sigma, regular = evaluate(real, [np.asarray(arg)[None] for arg in args], tol)
+    if not regular[0]:
+        raise error(sigma[0], message)
+    return CharValue(values[0], float(sigma[0]))

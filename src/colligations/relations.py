@@ -26,7 +26,7 @@ from .linalg import (
     orthonormal_columns,
     sigma_extremes,
 )
-from .multi import MultiColligation, _blocks
+from .multi import MultiColligation, multi_realization
 
 __all__ = [
     "LinearRelation",
@@ -268,7 +268,8 @@ def char_relation(
     if constraint.n != n:
         raise ArityMismatch(f"constraint has {constraint.n} slots, family has {n}")
     s, sigma = constraint.equations()
-    big_a, big_b, big_c, big_d = _blocks(mc)
+    real = multi_realization(mc)
+    big_a, big_b, big_c, big_d = real.a, real.b, real.c, real.d
     na, nm = n * al, n * m
     # Columns ordered (p, q, x, y).
     rows_q = np.hstack([-big_a, np.eye(na), -big_b, np.zeros((na, nm))])

@@ -20,12 +20,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import block_diag
 
 from .errors import BadSplit, NearPole, NearSingular, OnEigensurface
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    block_diag,
     haar_orthogonal,
     haar_unitary,
     op_norm,

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import colligations
+from colligations import cli
 from colligations.cli import main
 from colligations.colligation import Colligation, equivalent_probe, identity_colligation
 from colligations.documents import document_for, load_document, save_document
@@ -47,6 +53,15 @@ def records(out: str) -> list[dict]:
 
 def one_error_line(err: str) -> bool:
     return len([line for line in err.splitlines() if "error:" in line]) == 1 and "Traceback" not in err
+
+
+def strict_records(out: str) -> list[dict]:
+    """NDJSON records read by a parser that rejects NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return [json.loads(line, parse_constant=reject) for line in out.splitlines()]
 
 
 class TestValidate:
@@ -289,6 +304,21 @@ class TestRandom:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
+    @pytest.mark.parametrize("kind", ["colligation", "multi", "tri", "doublecoset"])
+    def test_negative_seed_is_a_usage_error(self, capsys, kind):
+        code, out, err = run(capsys, "random", kind, "--seed", -1)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    def test_dimensions_too_large_for_memory(self, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "random_document", no_memory)
+        code, out, err = run(capsys, "random", "multi", "--inner", 100000)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
 
 class TestBadNumbers:
     def test_huge_integer_point(self, capsys, swap_doc):
@@ -317,6 +347,52 @@ class TestBadNumbers:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
+    def test_negative_verify_seed(self, capsys):
+        code, out, err = run(capsys, "verify", "multi-oracle", "--trials", 1, "--seed", -1)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    def test_negative_grid_seed(self, capsys, swap_pair_doc):
+        grid = '{"type":"ball","count":2,"seed":-1}'
+        code, out, err = run(capsys, "eval", swap_pair_doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    @pytest.mark.parametrize("kind", ["colligation", "multi", "tri", "doublecoset"])
+    @pytest.mark.parametrize("command", ["eval", "surface"])
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_huge_point_writes_strict_json(self, capsys, tmp_path, kind, command, scale):
+        path = tmp_path / "doc.json"
+        assert run(capsys, "random", kind, "--seed", 3, "--out", path)[0] == 0
+        if kind == "colligation":
+            argv = ["--point", json.dumps([scale, scale])]
+        else:
+            point = json.dumps([[[scale, scale], [scale, -scale]], [[-scale, scale], [scale, scale]]])
+            argv = ["--point", point] + (["--fixed", point] if kind == "doublecoset" else [])
+        code, out, err = run(capsys, command, path, *argv)
+        if command == "surface" and kind == "colligation":
+            assert code == 3
+            return
+        assert code in (0, 4)
+        assert err == ""
+        (record,) = strict_records(out)
+        if command == "surface":
+            assert record["abs_det"] is None
+
+    def test_overflowing_segment_parameter(self, capsys, swap_doc):
+        grid = '{"type":"segment","base":0,"direction":1,"t_min":-1e308,"t_max":1e308,"resolution":3}'
+        code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    def test_overflowing_value_is_not_regular(self, capsys, swap_pair_doc):
+        # chi(S) = S^-1 for the swap pair; at S = 1e-310 I it exceeds the float range.
+        point = json.dumps([[[1e-310, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-310, 0.0]]])
+        code, out, err = run(capsys, "eval", swap_pair_doc, "--point", point)
+        assert (code, err) == (4, "")
+        (record,) = strict_records(out)
+        assert record["regular"] is False and record["value"] is None
+
 
 class TestTolerances:
     def test_unknown_profile_from_environment(self, capsys, swap_doc, monkeypatch):
@@ -337,3 +413,11 @@ class TestTolerances:
 
     def test_invalid_override_rejected(self, capsys, swap_doc):
         assert run(capsys, "validate", swap_doc, "--tol-unitarity", "2.0")[0] == 1
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    code = "import sys, colligations.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()

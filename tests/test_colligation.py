@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.linalg import block_diag
 
 from colligations.colligation import (
     Colligation,
@@ -17,7 +16,7 @@ from colligations.colligation import (
     unit_spectrum,
 )
 from colligations.errors import AlphaMismatch, BadSplit, NearPole, NotUnitary
-from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, unitarity_defect
+from colligations.linalg import DEFAULT_TOLERANCES, block_diag, haar_unitary, unitarity_defect
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.linalg import block_diag
 
 from colligations.colligation import identity_colligation, random_colligation
 from colligations.doublecoset import (
@@ -27,6 +26,7 @@ from colligations.errors import (
 )
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
+    block_diag,
     haar_orthogonal,
     haar_unitary,
     op_norm,

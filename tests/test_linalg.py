@@ -9,6 +9,7 @@ from colligations.linalg import (
     DEFAULT_TOLERANCES,
     TOLERANCE_PROFILES,
     Tolerances,
+    block_diag,
     haar_orthogonal,
     haar_unitary,
     kernel,
@@ -20,6 +21,24 @@ from colligations.linalg import (
     tolerances_from_profile,
     unitarity_defect,
 )
+
+
+class TestBlockDiag:
+    def test_matches_scipy(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(0)
+        blocks = [
+            rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+            -np.eye(1),
+            np.zeros((3, 1)),
+            rng.standard_normal((1, 2)),
+        ]
+        got = block_diag(*blocks)
+        want = scipy_linalg.block_diag(*blocks).astype(complex)
+        assert got.dtype == complex
+        assert got.shape == want.shape
+        npt.assert_array_equal(got, want)
+        npt.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
 
 
 class TestOpNorm:

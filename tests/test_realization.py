@@ -1,0 +1,221 @@
+"""The batched realization kernel: batch independence, agreement with the
+brute-force oracles at larger sizes, and accuracy next to the surface guard."""
+
+import json
+
+import numpy as np
+import pytest
+
+from colligations import cli
+from colligations.colligation import colligation_realization, random_colligation
+from colligations.conjugacy import random_tri, tri_charfun_system, tri_realization
+from colligations.documents import KIND_TABLE, random_document, save_document, matrix_to_json
+from colligations.doublecoset import dc_charfun_system, dc_realization
+from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, sample_ball, sigma_extremes
+from colligations.multi import multi_charfun_system, multi_realization, random_multi
+from colligations.realization import evaluate, system
+
+EPS = np.finfo(float).eps
+GUARD = DEFAULT_TOLERANCES.surface_guard
+# The oracles apply the guard to their own, larger systems; next to the
+# kernel's guard they are asked to solve regardless.
+ORACLE_TOL = Tolerances(surface_guard=1e-15)
+
+
+def _run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _ball(count, seed, radius):
+    return json.dumps({"type": "ball", "count": count, "seed": seed, "radius": radius})
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kernel-docs")
+    paths = {}
+    for kind in KIND_TABLE:
+        paths[kind] = root / f"{kind}.json"
+        save_document(random_document(kind, 5, alpha=2, inner=3, arity=3), paths[kind])
+    return paths
+
+
+def _sweeps(documents):
+    """(subcommand, argv) pairs over all four kinds; radius 3 mixes regular
+    and singular points, radius 0.9 keeps to the regular ball."""
+    fixed = json.dumps(matrix_to_json(sample_ball(np.random.default_rng(1), 3, 0.9)))
+    disc = json.dumps({"type": "disc", "resolution": 23, "radius": 1.4})
+    out = [("eval", [documents["colligation"], "--grid", disc])]
+    for kind in ("multi", "tri"):
+        for radius in (0.9, 3.0):
+            for command in ("eval", "surface"):
+                out.append((command, [documents[kind], "--grid", _ball(37, 2, radius)]))
+    for variable in ("S", "R"):
+        for command in ("eval", "surface"):
+            argv = [documents["doublecoset"], "--grid", _ball(37, 3, 3.0), "--fixed", fixed, "--variable", variable]
+            out.append((command, argv))
+    return out
+
+
+def test_chunk_size_does_not_change_bytes(capsys, monkeypatch, documents):
+    for command, argv in _sweeps(documents):
+        outputs = []
+        for entries in (1, 10**9):  # one point per chunk, then the whole grid
+            monkeypatch.setattr(cli, "_CHUNK_ENTRIES", entries)
+            code, out, err = _run(capsys, command, *argv, "--threads", 2)
+            assert code in (0, 4) and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1], (command, argv)
+        assert len(outputs[0].splitlines()) > 1
+
+
+def _stack(rng, count, n, radius):
+    return np.array([sample_ball(rng, n, radius) for _ in range(count)])
+
+
+def _rel(got, want):
+    return op_norm(got - want) / max(1.0, op_norm(want))
+
+
+LARGE = [(1, 16, 4), (2, 16, 2), (3, 5, 4), (2, 8, 3)]
+
+
+@pytest.mark.parametrize("alpha,inner,arity", LARGE)
+def test_multi_matches_oracle_at_larger_sizes(alpha, inner, arity):
+    mc = random_multi(alpha, inner, arity, seed=inner + arity)
+    args = _stack(np.random.default_rng(arity), 6, arity, 0.9)
+    values, sigma, regular = evaluate(multi_realization(mc), [args])
+    assert regular.all()
+    for s, value in zip(args, values):
+        assert _rel(value, multi_charfun_system(mc, s)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha,inner,arity", LARGE)
+def test_tri_matches_oracle_at_larger_sizes(alpha, inner, arity):
+    tc = random_tri(alpha, inner, arity, seed=inner + arity)
+    args = _stack(np.random.default_rng(arity), 6, arity, 0.9)
+    values, sigma, regular = evaluate(tri_realization(tc), [args])
+    assert regular.all()
+    for s, value in zip(args, values):
+        assert _rel(value, tri_charfun_system(tc, s)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha,inner,arity", LARGE)
+def test_doublecoset_matches_oracle_at_larger_sizes(alpha, inner, arity):
+    fam = random_multi(alpha, inner, arity, seed=inner + arity)
+    rng = np.random.default_rng(arity)
+    s_args, r_args = _stack(rng, 4, arity, 0.9), _stack(rng, 4, arity, 0.9)
+    values, sigma, regular = evaluate(dc_realization(fam), [s_args, r_args])
+    assert regular.all()
+    for s, r, value in zip(s_args, r_args, values):
+        assert _rel(value, dc_charfun_system(fam, s, r)) < 1e-9
+
+
+# --- next to the guard --------------------------------------------------------
+
+
+def _ratio(real, args):
+    smin, smax = sigma_extremes(system(real, [a[None] for a in args])[0])
+    return smin / smax
+
+
+def _near_guard(real, point, target):
+    """``point(delta)`` with ``delta`` set by bisection so that the relative
+    smallest singular value of the system lies just above ``target``."""
+    lo, hi = -40.0, 0.0  # log10(delta); the system is singular at delta = 0
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if _ratio(real, point(10.0**mid)) > target:
+            hi = mid
+        else:
+            lo = mid
+    return point(10.0**hi)
+
+
+def _higham_budget(real, args):
+    """Forward-error budget of a backward-stable solve, N * eps * kappa
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7), with
+    kappa the condition number of the N x N eliminated system."""
+    matrix = system(real, [a[None] for a in args])[0]
+    smin, smax = sigma_extremes(matrix)
+    return matrix.shape[0] * EPS * smax / smin
+
+
+def _direction(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g / op_norm(g)
+
+
+@pytest.mark.parametrize("factor", [1.5, 4.0, 30.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_colligation_next_to_the_guard(factor, seed):
+    col = random_colligation(2, 6, seed)
+    real = colligation_realization(col)
+    pole = 1.0 / np.linalg.eigvals(col.d)[0]
+    args = _near_guard(real, lambda delta: (np.array(pole + delta * 1j),), factor * GUARD)
+    values, sigma, regular = evaluate(real, [a[None] for a in args])
+    assert regular[0] and sigma[0] > 0.0
+    z = complex(args[0])
+    want = col.a + z * (col.b @ np.linalg.solve(np.eye(6) - z * col.d, col.c))
+    assert _rel(values[0], want) < _higham_budget(real, args)
+
+
+def _eigensurface_cases():
+    for seed in range(3):
+        for inner, arity in ((4, 2), (8, 4), (16, 2)):
+            yield seed, inner, arity
+
+
+@pytest.mark.parametrize("factor", [1.5, 30.0])
+@pytest.mark.parametrize("seed,inner,arity", list(_eigensurface_cases()))
+def test_matrix_kinds_next_to_the_guard(factor, seed, inner, arity):
+    """Arguments ``t I + delta G`` where ``t I`` lies on the eigensurface, for
+    the kernel and each oracle."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(arity)
+    g = _direction(rng, arity)
+
+    mc = random_multi(2, inner, arity, seed)
+    real = multi_realization(mc)
+    t = np.linalg.eigvals(real.d)[0]
+    (s,) = _near_guard(real, lambda delta: (t * eye + delta * g,), factor * GUARD)
+    values, _, regular = evaluate(real, [s[None]])
+    assert regular[0]
+    assert _rel(values[0], multi_charfun_system(mc, s, ORACLE_TOL)) < _higham_budget(real, (s,))
+
+    tc = random_tri(2, inner // 2, arity, seed)
+    real = tri_realization(tc)
+    t = np.linalg.eigvals(real.d)[0]
+    (s,) = _near_guard(real, lambda delta: (t * eye + delta * g,), factor * GUARD)
+    values, _, regular = evaluate(real, [s[None]])
+    assert regular[0]
+    assert _rel(values[0], tri_charfun_system(tc, s, ORACLE_TOL)) < _higham_budget(real, (s,))
+
+    real = dc_realization(mc)
+    r = sample_ball(rng, arity, 0.9)
+    # Singular when -D + t Dt (R x I) is: t is an eigenvalue of (Dt (R x I))^-1 D.
+    t = np.linalg.eigvals(np.linalg.solve(real.dt @ np.kron(r, np.eye(inner)), real.d))[0]
+    s, r = _near_guard(real, lambda delta: (t * eye + delta * g, r), factor * GUARD)
+    values, _, regular = evaluate(real, [s[None], r[None]])
+    assert regular[0]
+    assert _rel(values[0], dc_charfun_system(mc, s, r, ORACLE_TOL)) < _higham_budget(real, (s, r))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_guard_boundary_is_sharp(seed):
+    """Just under the guard a point is singular and keeps the sigma_min of
+    its system; just over it the point is regular."""
+    mc = random_multi(2, 4, 2, seed)
+    real = multi_realization(mc)
+    t = np.linalg.eigvals(real.d)[0]
+    g = _direction(np.random.default_rng(seed), 2)
+    under, over = (
+        _near_guard(real, lambda delta: (t * np.eye(2) + delta * g,), factor * GUARD)[0]
+        for factor in (0.25, 2.0)
+    )
+    values, sigma, regular = evaluate(real, [np.array([under, over])])
+    assert list(regular) == [False, True]
+    assert sigma[0] == np.linalg.svd(system(real, [under[None]])[0])[1][-1]
+    assert np.isnan(values[0]).all()
