@@ -33,6 +33,7 @@ from .errors import (
     NotOrthogonal,
     NotUnitary,
     OnEigensurface,
+    RetriesExhausted,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -144,6 +145,7 @@ __all__ = [
     "NotOrthogonal",
     "NotUnitary",
     "OnEigensurface",
+    "RetriesExhausted",
     "SuiteReport",
     "TOLERANCE_PROFILES",
     "Tolerances",

@@ -7,7 +7,8 @@ output bytes do not depend on the worker-thread count.
 
 Exit codes: 0 success; 1 parse error; 2 invariant violation; 3 mismatched
 kind, dimension, or unknown suite; 4 every grid point singular; 5 property
-failure in a verification suite.
+failure in a verification suite, or a suite that cannot run to a report under
+the given tolerances.
 """
 
 from __future__ import annotations
@@ -441,6 +442,9 @@ def _cmd_verify(args, tol: Tolerances) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_MISMATCH, str(exc)) from None
+    except ColligationError as exc:
+        # The tolerances leave the suite no usable draw or value to judge.
+        raise CliError(EXIT_PROPERTY, f"suite {args.suite}: {type(exc).__name__}: {exc}") from None
     with _open_out(args.out) as out:
         out.write(json.dumps(report.to_object(), sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK if report.passed else EXIT_PROPERTY
@@ -535,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list the registered suites")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn")
     p.add_argument("--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn")

@@ -25,6 +25,10 @@ class ArityMismatch(ColligationError):
     """Two operands do not share the same number of members or slots."""
 
 
+class RetriesExhausted(ColligationError):
+    """A randomized check drew no usable instance within its retry budget."""
+
+
 class _SingularSystem(ColligationError):
     """Base for errors that carry a smallest-singular-value certificate."""
 

@@ -3,7 +3,9 @@
 Each suite draws random instances from a seeded generator, measures a defect
 for one structural law, and compares it against an explicit budget.  A report
 lists the trials that exceeded their budget together with the seed that
-reproduces them.  Two kinds of suite deviate from the plain pattern:
+reproduces them.  A law that holds for every matrix-argument kind (multi,
+tri, doublecoset) is written once and registered per kind, realizing each
+drawn family once.  Two kinds of suite deviate from the plain pattern:
 
 * negative controls expect the measured identity to *fail* somewhere and
   report a problem only when it held everywhere;
@@ -13,6 +15,7 @@ reproduces them.  Two kinds of suite deviate from the plain pattern:
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import BadSplit, NearPole, NearSingular, OnEigensurface
+from .errors import BadSplit, NearPole, NearSingular, OnEigensurface, RetriesExhausted
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -52,7 +55,6 @@ from .multi import (
     diag_conjugation,
     eigensurface_det,
     eigensurface_sigma,
-    elimination_matrix,
     multi_charfun,
     multi_charfun_system,
     multi_conjugate,
@@ -71,25 +73,18 @@ from .relations import (
     signature_form,
     subspace_distance,
 )
-from .conjugacy import (
-    random_tri,
-    tri_charfun,
-    tri_charfun_system,
-    tri_conjugate,
-    tri_elimination_matrix,
-    tri_product,
-)
+from .conjugacy import random_tri, tri_charfun_system, tri_conjugate
 from .doublecoset import (
     adjoint_experiment,
-    dc_charfun,
     dc_charfun_system,
     dc_dilation_check,
-    dc_elimination_matrix,
     dc_equivalent,
     form_checks,
     indefinite_form,
     skew_form,
 )
+from .documents import KIND_TABLE, KindSpec
+from .realization import Realization, charvalue, system
 
 __all__ = [
     "CONTAINMENT_TOL",
@@ -248,7 +243,7 @@ def _retrying(draw):
             return draw()
         except _Retry:
             continue
-    raise RuntimeError("exhausted retries while drawing a regular instance")
+    raise RetriesExhausted("exhausted retries while drawing a regular instance")
 
 
 def _draw(rng: np.random.Generator, lo: int, hi: int) -> int:
@@ -283,25 +278,27 @@ def _boundary_point(rng, col, tol):
     return _retrying(draw)
 
 
-def _regular_arg(rng, n: int, system, payloads, radius):
-    """An ``n x n`` argument at which ``system`` is comfortably regular for
-    every listed payload."""
-
-    def draw():
-        s = sample_ball(rng, n, radius) if radius is not None else _complex_gauss(rng, n, n)
-        for payload in payloads:
-            _require_regular(system(payload, s))
-        return s
-
-    return _retrying(draw)
+def _system_at(real: Realization, args) -> np.ndarray:
+    """The eliminated system of ``real`` at the one point ``args``."""
+    return system(real, [arg[None] for arg in args])[0]
 
 
-def _regular_multi_arg(rng, mc, tol, radius=None, extra=()):
-    return _regular_arg(rng, mc.arity, elimination_matrix, (mc, *extra), radius)
+def _value(real: Realization, args, tol) -> np.ndarray:
+    """The characteristic value of ``real`` at the one point ``args``."""
+    return charvalue(real, args, tol, OnEigensurface, "argument lies on the eigensurface").value
 
 
-def _regular_tri_arg(rng, tc, tol, radius=None, extra=()):
-    return _regular_arg(rng, tc.slots, tri_elimination_matrix, (tc, *extra), radius)
+# Samplers of one ``n x n`` argument.
+def _gauss(rng, n: int) -> np.ndarray:
+    return _complex_gauss(rng, n, n)
+
+
+def _haar(rng, n: int) -> np.ndarray:
+    return haar_unitary(n, rng)
+
+
+def _ball(radius: float):
+    return lambda rng, n: sample_ball(rng, n, radius)
 
 
 def _symmetric_ball(rng, n: int) -> np.ndarray:
@@ -313,20 +310,24 @@ def _symmetric_ball(rng, n: int) -> np.ndarray:
     return sym * (rng.uniform(0.3, 0.9) / top)
 
 
-def _regular_dc_args(rng, fam, tol, radius=None, extra=(), symmetric=False, unitary=False):
+def _unit_sphere(rng, n: int) -> np.ndarray:
+    """Operator norm exactly 1, but not unitary."""
+    g = _complex_gauss(rng, n, n)
+    top = op_norm(g)
+    if top == 0.0:
+        raise _Retry
+    return g / top
+
+
+def _regular_args(rng, n: int, count: int, reals, sample=_gauss) -> list[np.ndarray]:
+    """``count`` drawn ``n x n`` arguments at which every listed realization
+    is comfortably regular."""
+
     def draw():
-        n = fam.arity
-        if unitary:
-            s, r = haar_unitary(n, rng), haar_unitary(n, rng)
-        elif symmetric:
-            s, r = _symmetric_ball(rng, n), _symmetric_ball(rng, n)
-        elif radius is not None:
-            s, r = sample_ball(rng, n, radius), sample_ball(rng, n, radius)
-        else:
-            s, r = _complex_gauss(rng, n, n), _complex_gauss(rng, n, n)
-        for f in (fam, *extra):
-            _require_regular(dc_elimination_matrix(f, s, r, tol))
-        return s, r
+        args = [sample(rng, n) for _ in range(count)]
+        for real in reals:
+            _require_regular(_system_at(real, args))
+        return args
 
     return _retrying(draw)
 
@@ -618,135 +619,230 @@ def _padding_invariance(rng, dims, tol):
     return TrialResult(max(worst, 0.0 if ok else 1.0), _budget(tol))
 
 
-# --- several-variable families ------------------------------------------------
+# --- laws over the matrix-argument kinds --------------------------------------
 
 
-def _multi_dims(rng, dims) -> tuple[int, int, int]:
-    return (
-        _draw(rng, 1, min(3, dims.max_alpha)),
-        _draw(rng, 1, min(4, dims.max_inner)),
-        _draw(rng, 1, min(3, dims.max_arity)),
-    )
+def _capped_dims(alpha: int, inner: int, arity: int):
+    """A dims drawer: exposed size, inner size and arity, each capped."""
+
+    def draw(rng, dims) -> tuple[int, int, int]:
+        return (
+            _draw(rng, 1, min(alpha, dims.max_alpha)),
+            _draw(rng, 1, min(inner, dims.max_inner)),
+            _draw(rng, 1, min(arity, dims.max_arity)),
+        )
+
+    return draw
 
 
-@_suite("multi-oracle", "the several-variable value matches the interleaved full-system solve")
-def _multi_oracle(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-    s = _regular_multi_arg(rng, mc, tol)
-    fast = multi_charfun(mc, s, tol).value
-    slow = multi_charfun_system(mc, s, tol)
-    return TrialResult(rel_defect(fast, slow), _budget(tol))
+_multi_dims = _capped_dims(3, 4, 3)
+_dc_dims = _capped_dims(2, 3, 2)
 
 
-@_suite("multi-rational", "entries are rational of the sharp degree along a generic line")
-def _multi_rational(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-    degree = arity * inner
-    row = _draw(rng, 0, arity * alpha - 1)
-    col = _draw(rng, 0, arity * alpha - 1)
-
-    def attempt():
-        base = _complex_gauss(rng, arity, arity)
-        direction = _complex_gauss(rng, arity, arity)
-        direction /= max(op_norm(direction), 1e-300)
-
-        def evaluate(t):
-            try:
-                return complex(multi_charfun(mc, base + t * direction, tol).value[row, col])
-            except OnEigensurface:
-                return None
-
-        worst = _rational_line_defect(rng, evaluate, degree)
-        if worst is None:
-            raise _Retry
-        return worst
-
-    return TrialResult(_retrying(attempt), RATIONAL_FIT_TOL)
+def _tri_dims(rng, dims) -> tuple[int, int, int]:
+    alpha = _draw(rng, 1, min(3, dims.max_alpha))
+    slot_dim = _draw(rng, 1, min(3, dims.max_inner))
+    slots = 2 if rng.uniform() < 0.7 or dims.max_arity < 3 else 3
+    return alpha, slot_dim, slots
 
 
-@_suite("multi-conjugation-invariant", "shared inner conjugation leaves the several-variable value unchanged")
-def _multi_conjugation_invariant(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-    other = multi_conjugate(mc, haar_unitary(inner, rng), tol)
-    s = _regular_multi_arg(rng, mc, tol, extra=(other,))
-    defect = rel_defect(multi_charfun(mc, s, tol).value, multi_charfun(other, s, tol).value)
-    return TrialResult(defect, _budget(tol))
+@dataclass(frozen=True)
+class _Kind:
+    """What the laws need of one matrix-argument kind beyond its
+    ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
+    cap of the multiplicative law, the brute-force oracle ``(fam, args,
+    tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
+    dilation check ``(fam, args, lam, tol) -> (left, right)``."""
+
+    spec: KindSpec
+    dims: Callable
+    inner_cap: int
+    oracle: Callable
+    equivalent: Callable
+    dilation: Callable | None = None
+
+    def family(self, rng, dims, tol):
+        """Draw dims and one family; return ``(family, realization, inner, arity)``."""
+        alpha, inner, arity = self.dims(rng, dims)
+        fam = self.spec.random(alpha, inner, arity, rng)
+        return fam, self.spec.realize(fam, tol), inner, arity
+
+    def args(self, rng, arity, reals, sample=_gauss) -> list[np.ndarray]:
+        return _regular_args(rng, arity, len(self.spec.variables), reals, sample)
 
 
-@_suite("multi-multiplicative", "slotwise products multiply the several-variable values")
-def _multi_multiplicative(rng, dims, tol):
-    alpha, _, arity = _multi_dims(rng, dims)
-    x = random_multi(alpha, _draw(rng, 1, min(4, dims.max_inner)), arity, rng)
-    y = random_multi(alpha, _draw(rng, 1, min(4, dims.max_inner)), arity, rng)
-    prod = multi_product(x, y, tol)
-    s = _regular_multi_arg(rng, prod, tol, extra=(x, y))
-    vx = multi_charfun(x, s, tol).value
-    vy = multi_charfun(y, s, tol).value
-    vp = multi_charfun(prod, s, tol).value
+# The oracle, equivalence and dilation entries call through this module's
+# globals, so a wrapper bound to those names at run time (a tracer's) sees them.
+_KINDS = {
+    "multi": _Kind(
+        KIND_TABLE["multi"],
+        _multi_dims,
+        4,
+        oracle=lambda fam, args, tol: multi_charfun_system(fam, *args, tol),
+        equivalent=lambda fam, inner, rng, tol: multi_conjugate(fam, haar_unitary(inner, rng), tol),
+        dilation=lambda fam, args, lam, tol: diag_conjugation(fam, *args, lam, tol),
+    ),
+    "tri": _Kind(
+        KIND_TABLE["tri"],
+        _tri_dims,
+        3,
+        oracle=lambda tc, args, tol: tri_charfun_system(tc, *args, tol),
+        equivalent=lambda tc, inner, rng, tol: tri_conjugate(tc, haar_unitary(inner, rng), tol),
+    ),
+    "doublecoset": _Kind(
+        KIND_TABLE["doublecoset"],
+        _dc_dims,
+        3,
+        oracle=lambda fam, args, tol: dc_charfun_system(fam, *args, tol),
+        equivalent=lambda fam, inner, rng, tol: dc_equivalent(
+            fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
+        ),
+        dilation=lambda fam, args, lam, tol: dc_dilation_check(fam, *args, lam, tol),
+    ),
+}
+
+
+# A law is a trial with the kind bound first (``functools.partial``).
+def _oracle(kind: _Kind, rng, dims, tol) -> TrialResult:
+    fam, real, _, arity = kind.family(rng, dims, tol)
+    args = kind.args(rng, arity, [real])
+    return TrialResult(rel_defect(_value(real, args, tol), kind.oracle(fam, args, tol)), _budget(tol))
+
+
+def _multiplicative(kind: _Kind, rng, dims, tol) -> TrialResult:
+    alpha, _, arity = kind.dims(rng, dims)
+    x = kind.spec.random(alpha, _draw(rng, 1, min(kind.inner_cap, dims.max_inner)), arity, rng)
+    y = kind.spec.random(alpha, _draw(rng, 1, min(kind.inner_cap, dims.max_inner)), arity, rng)
+    reals = [kind.spec.realize(fam, tol) for fam in (kind.spec.product(x, y, tol), x, y)]
+    args = kind.args(rng, arity, reals)
+    vp, vx, vy = (_value(real, args, tol) for real in reals)
     return TrialResult(rel_defect(vp, vx @ vy), _budget(tol))
 
 
-@_suite("multi-expanding", "values on the closed argument ball expand in every direction")
-def _multi_expanding(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-    s = _regular_multi_arg(rng, mc, tol, radius=0.95)
-    smin, _ = sigma_extremes(multi_charfun(mc, s, tol).value)
+def _invariant(kind: _Kind, rng, dims, tol) -> TrialResult:
+    fam, real, inner, arity = kind.family(rng, dims, tol)
+    reals = [real, kind.spec.realize(kind.equivalent(fam, inner, rng, tol), tol)]
+    args = kind.args(rng, arity, reals)
+    return TrialResult(rel_defect(*(_value(r, args, tol) for r in reals)), _budget(tol))
+
+
+def _expanding(kind: _Kind, rng, dims, tol) -> TrialResult:
+    _, real, _, arity = kind.family(rng, dims, tol)
+    smin, _ = sigma_extremes(_value(real, kind.args(rng, arity, [real], _ball(0.95)), tol))
     return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK)
 
 
-@_suite("multi-boundary-unitary", "unitary arguments give unitary several-variable values")
-def _multi_boundary_unitary(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
+def _boundary_unitary(kind: _Kind, rng, dims, tol) -> TrialResult:
+    _, real, _, arity = kind.family(rng, dims, tol)
+    value = _value(real, kind.args(rng, arity, [real], _haar), tol)
+    return TrialResult(unitarity_defect(value), _budget(tol))
+
+
+def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
+    fam, real, _, arity = kind.family(rng, dims, tol)
 
     def draw():
-        s = haar_unitary(arity, rng)
-        _require_regular(elimination_matrix(mc, s))
-        return s
-
-    s = _retrying(draw)
-    return TrialResult(unitarity_defect(multi_charfun(mc, s, tol).value), _budget(tol))
-
-
-@_suite("multi-reflection", "inverting the adjoint argument inverts the adjoint value")
-def _multi_reflection(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-
-    def draw():
-        s = sample_invertible(rng, arity)
-        _require_regular(s)
-        reflected = np.linalg.inv(s.conj().T)
-        _require_regular(elimination_matrix(mc, s))
-        _require_regular(elimination_matrix(mc, reflected))
-        value = multi_charfun(mc, s, tol).value
-        _require_regular(value)
-        return value, multi_charfun(mc, reflected, tol).value
-
-    value, reflected_value = _retrying(draw)
-    target = np.linalg.inv(value.conj().T)
-    return TrialResult(rel_defect(reflected_value, target), _budget(tol))
-
-
-@_suite("multi-dilation", "diagonal dilations conjugate the several-variable value")
-def _multi_dilation(rng, dims, tol):
-    alpha, inner, arity = _multi_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
-
-    def draw():
-        s = _regular_multi_arg(rng, mc, tol)
+        args = kind.args(rng, arity, [real])
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
         try:
-            return diag_conjugation(mc, s, lam, tol)
+            return kind.dilation(fam, args, lam, tol)
         except OnEigensurface:
             raise _Retry from None
 
     left, right = _retrying(draw)
     return TrialResult(rel_defect(left, right), _budget(tol))
+
+
+def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
+    """Each argument in turn moves along a random line, the others held."""
+    _, real, inner, arity = kind.family(rng, dims, tol)
+    degree = arity * inner
+    size = real.a.shape[0]
+    row, col = _draw(rng, 0, size - 1), _draw(rng, 0, size - 1)
+    count = len(kind.spec.variables)
+    worst = 0.0
+    for varied in range(count):
+
+        def attempt():
+            bases = [_complex_gauss(rng, arity, arity) for _ in range(count)]
+            direction = _complex_gauss(rng, arity, arity)
+            direction /= max(op_norm(direction), 1e-300)
+
+            def evaluate(t):
+                args = [b + t * direction if k == varied else b for k, b in enumerate(bases)]
+                try:
+                    return complex(_value(real, args, tol)[row, col])
+                except OnEigensurface:
+                    return None
+
+            fit = _rational_line_defect(rng, evaluate, degree)
+            if fit is None:
+                raise _Retry
+            return fit
+
+        worst = max(worst, _retrying(attempt))
+    return TrialResult(worst, RATIONAL_FIT_TOL)
+
+
+for _name, _describe, _law, _kind in [
+    ("multi-oracle", "the several-variable value matches the interleaved full-system solve",
+     _oracle, "multi"),
+    ("conjugacy-oracle", "the coupled-slot value matches the interleaved full-system solve",
+     _oracle, "tri"),
+    ("doublecoset-oracle", "the two-argument value matches the coupled full-system solve",
+     _oracle, "doublecoset"),
+    ("multi-multiplicative", "slotwise products multiply the several-variable values",
+     _multiplicative, "multi"),
+    ("conjugacy-multiplicative", "coupled-slot products multiply the transfer values",
+     _multiplicative, "tri"),
+    ("doublecoset-multiplicative", "paired products multiply the two-argument values",
+     _multiplicative, "doublecoset"),
+    ("multi-conjugation-invariant", "shared inner conjugation leaves the several-variable value unchanged",
+     _invariant, "multi"),
+    ("conjugacy-conjugation-invariant", "one shared slot conjugation leaves the value unchanged",
+     _invariant, "tri"),
+    ("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged",
+     _invariant, "doublecoset"),
+    ("multi-expanding", "values on the closed argument ball expand in every direction",
+     _expanding, "multi"),
+    ("conjugacy-expanding", "coupled-slot values on the closed argument ball expand",
+     _expanding, "tri"),
+    ("multi-boundary-unitary", "unitary arguments give unitary several-variable values",
+     _boundary_unitary, "multi"),
+    ("conjugacy-boundary-unitary", "unitary arguments give unitary coupled-slot values",
+     _boundary_unitary, "tri"),
+    ("multi-dilation", "diagonal dilations conjugate the several-variable value",
+     _dilation, "multi"),
+    ("doublecoset-dilation", "congruence dilations of the arguments conjugate the value",
+     _dilation, "doublecoset"),
+    ("multi-rational", "entries are rational of the sharp degree along a generic line",
+     _rational, "multi"),
+    ("doublecoset-rational", "entries are rational of the sharp degree along each argument line",
+     _rational, "doublecoset"),
+]:
+    _suite(_name, _describe)(functools.partial(_law, _KINDS[_kind]))
+
+
+# --- several-variable families ------------------------------------------------
+
+
+@_suite("multi-reflection", "inverting the adjoint argument inverts the adjoint value")
+def _multi_reflection(rng, dims, tol):
+    _, real, _, arity = _KINDS["multi"].family(rng, dims, tol)
+
+    def draw():
+        s = sample_invertible(rng, arity)
+        _require_regular(s)
+        reflected = np.linalg.inv(s.conj().T)
+        _require_regular(_system_at(real, [s]))
+        _require_regular(_system_at(real, [reflected]))
+        value = _value(real, [s], tol)
+        _require_regular(value)
+        return value, _value(real, [reflected], tol)
+
+    value, reflected_value = _retrying(draw)
+    target = np.linalg.inv(value.conj().T)
+    return TrialResult(rel_defect(reflected_value, target), _budget(tol))
 
 
 @_suite(
@@ -757,18 +853,8 @@ def _multi_dilation(rng, dims, tol):
 def _multi_boundary_inverse_experiment(rng, dims, tol):
     alpha, inner, _ = _multi_dims(rng, dims)
     arity = _draw(rng, 2, max(2, min(3, dims.max_arity)))
-    mc = random_multi(alpha, inner, arity, rng)
-
-    def draw():
-        g = _complex_gauss(rng, arity, arity)
-        top = op_norm(g)
-        if top == 0.0:
-            raise _Retry
-        s = g / top  # operator norm exactly 1, but not unitary
-        _require_regular(elimination_matrix(mc, s))
-        return multi_charfun(mc, s, tol).value
-
-    value = _retrying(draw)
+    real = KIND_TABLE["multi"].realize(random_multi(alpha, inner, arity, rng), tol)
+    value = _value(real, _regular_args(rng, arity, 1, [real], _unit_sphere), tol)
     smin, _ = sigma_extremes(value)
     detail = f"smin(value)-1={smin - 1.0:+.3e} unitarity={unitarity_defect(value):.3e}"
     return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK, detail)
@@ -820,11 +906,11 @@ def _single_vs_multi(rng, dims, tol):
     alpha = _draw(rng, 1, dims.max_alpha)
     inner = _draw(rng, 1, dims.max_inner)
     col = random_colligation(alpha, inner, rng)
-    mc = MultiColligation([col])
+    real = KIND_TABLE["multi"].realize(MultiColligation([col]), tol)
 
     def draw():
         s = rng.uniform(0.4, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        _require_regular(elimination_matrix(mc, np.array([[s]])))
+        _require_regular(_system_at(real, [np.array([[s]])]))
         try:
             single = charfun_z(col, 1.0 / s, tol).value
         except NearPole:
@@ -832,18 +918,13 @@ def _single_vs_multi(rng, dims, tol):
         return np.array([[s]]), single
 
     s, single = _retrying(draw)
-    return TrialResult(rel_defect(multi_charfun(mc, s, tol).value, single), _budget(tol))
+    return TrialResult(rel_defect(_value(real, [s], tol), single), _budget(tol))
 
 
 # --- relation-valued arguments ------------------------------------------------
 
 
-def _relation_dims(rng, dims) -> tuple[int, int, int]:
-    return (
-        _draw(rng, 1, min(2, dims.max_alpha)),
-        _draw(rng, 1, min(3, dims.max_inner)),
-        _draw(rng, 1, min(3, dims.max_arity)),
-    )
+_relation_dims = _capped_dims(2, 3, 3)
 
 
 @_suite("relation-compose", "relation composition matches matrix composition on graphs")
@@ -862,67 +943,62 @@ def _relation_compose(rng, dims, tol):
     return TrialResult(defect, GRAPH_TOL)
 
 
+def _containment(draw_constraint):
+    """Decorator: the containment law at a constraint drawn, with retries, by
+    ``draw_constraint(rng, arity, (prod, first, second), tol)``."""
+
+    def trial(rng, dims, tol):
+        alpha, _, arity = _relation_dims(rng, dims)
+        first = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
+        second = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
+        prod = multi_product(first, second, tol)
+        constraint = _retrying(lambda: draw_constraint(rng, arity, (prod, first, second), tol))
+        big = char_relation(prod, constraint, tol)
+        small = compose_relations(
+            char_relation(second, constraint, tol), char_relation(first, constraint, tol), tol
+        )
+        detail = f"dims big={big.dim} small={small.dim}"
+        return TrialResult(_containment_residual(big, small), CONTAINMENT_TOL, detail)
+
+    return trial
+
+
 @_suite("relation-containment", "the composed factor relations sit inside the product relation")
-def _relation_containment(rng, dims, tol):
-    alpha, _, arity = _relation_dims(rng, dims)
-    first = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-    second = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-    prod = multi_product(first, second, tol)
-
-    def draw():
-        try:
-            constraint = ConstraintSubspace.from_equations(
-                _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
-            )
-        except BadSplit:
-            raise _Retry from None
-        for fam in (prod, first, second):
-            if on_eigensurface(fam, constraint, tol):
-                raise _Retry
-        return constraint
-
-    constraint = _retrying(draw)
-    big = char_relation(prod, constraint, tol)
-    small = compose_relations(
-        char_relation(second, constraint, tol), char_relation(first, constraint, tol), tol
-    )
-    detail = f"dims big={big.dim} small={small.dim}"
-    return TrialResult(_containment_residual(big, small), CONTAINMENT_TOL, detail)
+@_containment
+def _relation_containment(rng, arity, families, tol):
+    try:
+        constraint = ConstraintSubspace.from_equations(
+            _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
+        )
+    except BadSplit:
+        raise _Retry from None
+    for fam in families:
+        if on_eigensurface(fam, constraint, tol):
+            raise _Retry
+    return constraint
 
 
 @_suite("relation-containment-surface", "the containment persists on the eigensurface")
-def _relation_containment_surface(rng, dims, tol):
-    alpha, _, arity = _relation_dims(rng, dims)
-    first = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-    second = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-    prod = multi_product(first, second, tol)
-
-    def draw():
-        member = _draw(rng, 0, arity - 1)
-        d = prod.members[member].d
-        values, vectors = np.linalg.eig(d)
-        idx = _draw(rng, 0, len(values) - 1)
-        mu, xi = values[idx], vectors[:, idx]
-        if np.linalg.norm(d @ xi - mu * xi) > 1e-10 * max(1.0, np.linalg.norm(d)):
-            raise _Retry
-        sigma = _complex_gauss(rng, arity, arity)
-        s = _complex_gauss(rng, arity, arity)
-        s[:, member] = -mu * sigma[:, member]
-        try:
-            constraint = ConstraintSubspace.from_equations(s, sigma, tol)
-        except BadSplit:
-            raise _Retry from None
-        if not on_eigensurface(prod, constraint, tol):
-            raise _Retry
-        return constraint
-
-    constraint = _retrying(draw)
-    big = char_relation(prod, constraint, tol)
-    small = compose_relations(
-        char_relation(second, constraint, tol), char_relation(first, constraint, tol), tol
-    )
-    detail = f"dims big={big.dim} small={small.dim}"
-    return TrialResult(_containment_residual(big, small), CONTAINMENT_TOL, detail)
+@_containment
+def _relation_containment_surface(rng, arity, families, tol):
+    prod = families[0]
+    member = _draw(rng, 0, arity - 1)
+    d = prod.members[member].d
+    values, vectors = np.linalg.eig(d)
+    idx = _draw(rng, 0, len(values) - 1)
+    mu, xi = values[idx], vectors[:, idx]
+    if np.linalg.norm(d @ xi - mu * xi) > 1e-10 * max(1.0, np.linalg.norm(d)):
+        raise _Retry
+    sigma = _complex_gauss(rng, arity, arity)
+    s = _complex_gauss(rng, arity, arity)
+    s[:, member] = -mu * sigma[:, member]
+    try:
+        constraint = ConstraintSubspace.from_equations(s, sigma, tol)
+    except BadSplit:
+        raise _Retry from None
+    if not on_eigensurface(prod, constraint, tol):
+        raise _Retry
+    return constraint
 
 
 @_suite("relation-definiteness", "a definite constraint subspace forces the opposite definiteness downstream")
@@ -958,9 +1034,10 @@ def _relation_definiteness(rng, dims, tol):
 def _relation_charfun_consistency(rng, dims, tol):
     alpha, inner, arity = _relation_dims(rng, dims)
     mc = random_multi(alpha, inner, arity, rng)
-    s = _regular_multi_arg(rng, mc, tol)
+    real = KIND_TABLE["multi"].realize(mc, tol)
+    (s,) = _regular_args(rng, arity, 1, [real])
     relation = char_relation(mc, ConstraintSubspace.graph_of(s, tol), tol)
-    graph = graph_relation(multi_charfun(mc, s, tol).value, tol)
+    graph = graph_relation(_value(real, [s], tol), tol)
     defect = subspace_distance(relation, graph)
     # The equation and basis presentations must cut out the same relation.
     rebuilt = ConstraintSubspace.from_basis(ConstraintSubspace.graph_of(s, tol).basis(), tol)
@@ -969,69 +1046,6 @@ def _relation_charfun_consistency(rng, dims, tol):
 
 
 # --- coupled-slot families ----------------------------------------------------
-
-
-def _tri_dims(rng, dims) -> tuple[int, int, int]:
-    alpha = _draw(rng, 1, min(3, dims.max_alpha))
-    slot_dim = _draw(rng, 1, min(3, dims.max_inner))
-    slots = 2 if rng.uniform() < 0.7 or dims.max_arity < 3 else 3
-    return alpha, slot_dim, slots
-
-
-@_suite("conjugacy-oracle", "the coupled-slot value matches the interleaved full-system solve")
-def _conjugacy_oracle(rng, dims, tol):
-    alpha, slot_dim, slots = _tri_dims(rng, dims)
-    tc = random_tri(alpha, slot_dim, slots, rng)
-    s = _regular_tri_arg(rng, tc, tol)
-    fast = tri_charfun(tc, s, tol).value
-    slow = tri_charfun_system(tc, s, tol)
-    return TrialResult(rel_defect(fast, slow), _budget(tol))
-
-
-@_suite("conjugacy-multiplicative", "coupled-slot products multiply the transfer values")
-def _conjugacy_multiplicative(rng, dims, tol):
-    alpha, _, slots = _tri_dims(rng, dims)
-    x = random_tri(alpha, _draw(rng, 1, min(3, dims.max_inner)), slots, rng)
-    y = random_tri(alpha, _draw(rng, 1, min(3, dims.max_inner)), slots, rng)
-    prod = tri_product(x, y, tol)
-    s = _regular_tri_arg(rng, prod, tol, extra=(x, y))
-    vx = tri_charfun(x, s, tol).value
-    vy = tri_charfun(y, s, tol).value
-    vp = tri_charfun(prod, s, tol).value
-    return TrialResult(rel_defect(vp, vx @ vy), _budget(tol))
-
-
-@_suite("conjugacy-expanding", "coupled-slot values on the closed argument ball expand")
-def _conjugacy_expanding(rng, dims, tol):
-    alpha, slot_dim, slots = _tri_dims(rng, dims)
-    tc = random_tri(alpha, slot_dim, slots, rng)
-    s = _regular_tri_arg(rng, tc, tol, radius=0.95)
-    smin, _ = sigma_extremes(tri_charfun(tc, s, tol).value)
-    return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK)
-
-
-@_suite("conjugacy-boundary-unitary", "unitary arguments give unitary coupled-slot values")
-def _conjugacy_boundary_unitary(rng, dims, tol):
-    alpha, slot_dim, slots = _tri_dims(rng, dims)
-    tc = random_tri(alpha, slot_dim, slots, rng)
-
-    def draw():
-        s = haar_unitary(slots, rng)
-        _require_regular(tri_elimination_matrix(tc, s))
-        return s
-
-    s = _retrying(draw)
-    return TrialResult(unitarity_defect(tri_charfun(tc, s, tol).value), _budget(tol))
-
-
-@_suite("conjugacy-conjugation-invariant", "one shared slot conjugation leaves the value unchanged")
-def _conjugacy_conjugation_invariant(rng, dims, tol):
-    alpha, slot_dim, slots = _tri_dims(rng, dims)
-    tc = random_tri(alpha, slot_dim, slots, rng)
-    other = tri_conjugate(tc, haar_unitary(slot_dim, rng), tol)
-    s = _regular_tri_arg(rng, tc, tol, extra=(other,))
-    defect = rel_defect(tri_charfun(tc, s, tol).value, tri_charfun(other, s, tol).value)
-    return TrialResult(defect, _budget(tol))
 
 
 @_suite(
@@ -1050,122 +1064,29 @@ def _conjugacy_dilation_control(rng, dims, tol):
     lam = np.empty(2, dtype=complex)
     lam[0] = rng.uniform(0.6, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     lam[1] = lam[0] * rng.uniform(1.5, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    real = KIND_TABLE["tri"].realize(tc, tol)
 
     def draw():
-        s = _regular_tri_arg(rng, tc, tol)
+        (s,) = _regular_args(rng, 2, 1, [real])
         scaled = (lam[:, None] * s) / lam[None, :]
-        _require_regular(tri_elimination_matrix(tc, scaled))
+        _require_regular(_system_at(real, [scaled]))
         return s, scaled
 
     s, scaled = _retrying(draw)
     # The value has a single exposed block, so the dilation candidate is plain
     # invariance; it holds exactly when the slots do not couple.
-    left = tri_charfun(tc, scaled, tol).value
-    right = tri_charfun(tc, s, tol).value
+    left = _value(real, [scaled], tol)
+    right = _value(real, [s], tol)
     return TrialResult(rel_defect(left, right), CONTROL_THRESHOLD)
 
 
 # --- paired families ----------------------------------------------------------
 
 
-def _dc_dims(rng, dims) -> tuple[int, int, int]:
-    return (
-        _draw(rng, 1, min(2, dims.max_alpha)),
-        _draw(rng, 1, min(3, dims.max_inner)),
-        _draw(rng, 1, min(2, dims.max_arity)),
-    )
-
-
-@_suite("doublecoset-oracle", "the two-argument value matches the coupled full-system solve")
-def _doublecoset_oracle(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    s, r = _regular_dc_args(rng, fam, tol)
-    fast = dc_charfun(fam, s, r, tol).value
-    slow = dc_charfun_system(fam, s, r, tol)
-    return TrialResult(rel_defect(fast, slow), _budget(tol))
-
-
-@_suite("doublecoset-rational", "entries are rational of the sharp degree along each argument line")
-def _doublecoset_rational(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    degree = arity * inner
-    size = 2 * arity * alpha
-    row, col = _draw(rng, 0, size - 1), _draw(rng, 0, size - 1)
-    worst = 0.0
-    for vary_first in (True, False):
-
-        def attempt():
-            base_s = _complex_gauss(rng, arity, arity)
-            base_r = _complex_gauss(rng, arity, arity)
-            direction = _complex_gauss(rng, arity, arity)
-            direction /= max(op_norm(direction), 1e-300)
-
-            def evaluate(t):
-                s = base_s + t * direction if vary_first else base_s
-                r = base_r if vary_first else base_r + t * direction
-                try:
-                    return complex(dc_charfun(fam, s, r, tol).value[row, col])
-                except OnEigensurface:
-                    return None
-
-            fit = _rational_line_defect(rng, evaluate, degree)
-            if fit is None:
-                raise _Retry
-            return fit
-
-        worst = max(worst, _retrying(attempt))
-    return TrialResult(worst, RATIONAL_FIT_TOL)
-
-
-@_suite("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged")
-def _doublecoset_equivalence(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    other = dc_equivalent(fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol)
-    s, r = _regular_dc_args(rng, fam, tol, extra=(other,))
-    defect = rel_defect(dc_charfun(fam, s, r, tol).value, dc_charfun(other, s, r, tol).value)
-    return TrialResult(defect, _budget(tol))
-
-
-@_suite("doublecoset-multiplicative", "paired products multiply the two-argument values")
-def _doublecoset_multiplicative(rng, dims, tol):
-    alpha, _, arity = _dc_dims(rng, dims)
-    x = random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
-    y = random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
-    prod = multi_product(x, y, tol)
-    s, r = _regular_dc_args(rng, prod, tol, extra=(x, y))
-    vx = dc_charfun(x, s, r, tol).value
-    vy = dc_charfun(y, s, r, tol).value
-    vp = dc_charfun(prod, s, r, tol).value
-    return TrialResult(rel_defect(vp, vx @ vy), _budget(tol))
-
-
-@_suite("doublecoset-dilation", "congruence dilations of the arguments conjugate the value")
-def _doublecoset_dilation(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-
-    def draw():
-        s, r = _regular_dc_args(rng, fam, tol)
-        lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(
-            1j * rng.uniform(0.0, 2.0 * np.pi, size=arity)
-        )
-        try:
-            return dc_dilation_check(fam, s, r, lam, tol)
-        except OnEigensurface:
-            raise _Retry from None
-
-    left, right = _retrying(draw)
-    return TrialResult(rel_defect(left, right), _budget(tol))
-
-
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    s, r = _regular_dc_args(rng, fam, tol, radius=0.9)
+    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
+    s, r = _regular_args(rng, arity, 2, [real], _ball(0.9))
     report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8)
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
@@ -1173,40 +1094,35 @@ def _doublecoset_form_increase(rng, dims, tol):
 
 @_suite("doublecoset-pseudo-unitary", "unitary arguments preserve the split form")
 def _doublecoset_pseudo_unitary(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    s, r = _regular_dc_args(rng, fam, tol, unitary=True)
-    chi = dc_charfun(fam, s, r, tol).value
-    form = indefinite_form(arity, alpha)
+    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
+    chi = _value(real, _regular_args(rng, arity, 2, [real], _haar), tol)
+    form = indefinite_form(fam.arity, fam.alpha)
     defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
 
 
 @_suite("doublecoset-transpose", "transposing both arguments inverts the skew-transposed value")
 def _doublecoset_transpose(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
+    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        s, r = _regular_dc_args(rng, fam, tol)
-        _require_regular(dc_elimination_matrix(fam, s.T, r.T, tol))
-        chi = dc_charfun(fam, s, r, tol).value
+        s, r = _regular_args(rng, arity, 2, [real])
+        _require_regular(_system_at(real, [s.T, r.T]))
+        chi = _value(real, [s, r], tol)
         _require_regular(chi)
-        return chi, dc_charfun(fam, s.T, r.T, tol).value
+        return chi, _value(real, [s.T, r.T], tol)
 
     chi, transposed = _retrying(draw)
-    skew = skew_form(arity, alpha)
+    skew = skew_form(fam.arity, fam.alpha)
     target = -skew @ np.linalg.inv(chi.T) @ skew
     return TrialResult(rel_defect(transposed, target), _budget(tol))
 
 
 @_suite("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form")
 def _doublecoset_symplectic(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
-    s, r = _regular_dc_args(rng, fam, tol, symmetric=True)
-    chi = dc_charfun(fam, s, r, tol).value
-    skew = skew_form(arity, alpha)
+    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
+    chi = _value(real, _regular_args(rng, arity, 2, [real], _symmetric_ball), tol)
+    skew = skew_form(fam.arity, fam.alpha)
     defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
 
@@ -1217,11 +1133,10 @@ def _doublecoset_symplectic(rng, dims, tol):
     aggregate=_observational,
 )
 def _doublecoset_adjoint_experiment(rng, dims, tol):
-    alpha, inner, arity = _dc_dims(rng, dims)
-    fam = random_multi(alpha, inner, arity, rng)
+    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        s, r = _regular_dc_args(rng, fam, tol)
+        s, r = _regular_args(rng, arity, 2, [real])
         try:
             return adjoint_experiment(fam, s, r, tol)
         except (OnEigensurface, NearSingular):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -274,7 +275,25 @@ class TestVerify:
     def test_list_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
         assert code == 0
-        assert len(out.splitlines()) >= 40
+        # Pins every suite name and description of the registry.
+        assert len(out.splitlines()) == 43
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "9521649e83addf3ca36a1f1e0a73ba38d886b11de5ba5141b5a18d74fb25c3e7"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("multi-oracle", "--tol-surface-guard", 0.5),
+            ("charfun-reflection", "--tol-surface-guard", 0.9),
+            ("doublecoset-oracle", "--tol-residual", 1e-300),
+            ("relation-containment", "--tol-rank", 0.9),
+        ],
+    )
+    def test_suite_that_cannot_finish_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv[:1], "--trials", 2, *argv[1:])
+        assert (code, out) == (5, "")
+        assert one_error_line(err)
+        assert argv[0] in err
 
     def test_suite_name_required(self, capsys):
         assert run(capsys, "verify")[0] == 3
@@ -341,7 +360,7 @@ class TestBadNumbers:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
-    @pytest.mark.parametrize("flag", ["--max-alpha", "--max-inner", "--max-arity"])
+    @pytest.mark.parametrize("flag", ["--max-alpha", "--max-inner", "--max-arity", "--trials"])
     def test_non_positive_verify_bound(self, capsys, flag):
         code, out, err = run(capsys, "verify", "multi-oracle", "--trials", 1, flag, 0)
         assert (code, out) == (1, "")

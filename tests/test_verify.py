@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from colligations.verify import Dims, list_suites, run_suite
+from colligations import doublecoset
+from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
 
 class TestRegistry:
@@ -63,3 +65,20 @@ class TestReports:
         assert not failing.passed
         assert [f["seed"] for f in failing.failures] == [5, 6, 7]
         assert all({"trial", "seed", "defect", "budget"} <= set(f) for f in failing.failures)
+
+
+class TestRealizations:
+    def test_doublecoset_family_is_realized_once(self, monkeypatch):
+        # Each member's transpose-inverse cross-check runs when its family is
+        # realized, so more calls than members means a family realized twice.
+        calls = []
+        original = doublecoset.transpose_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(doublecoset, "transpose_inverse", counted)
+        run_suite("doublecoset-rational", trials=1, seed=0)
+        _, _, members = _dc_dims(np.random.default_rng(0), Dims())
+        assert 0 < len(calls) <= members
