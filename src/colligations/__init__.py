@@ -119,9 +119,20 @@ from .documents import (
     random_document,
     save_document,
 )
-from .verify import Dims, SuiteReport, list_suites, run_suite
-
 __version__ = "0.1.0"
+
+# The verification suites load on first use (PEP 562), so that importing the
+# package, or running a command other than ``verify``, does not pay for them.
+_FROM_VERIFY = ("Dims", "SuiteReport", "list_suites", "run_suite")
+
+
+def __getattr__(name):
+    if name in _FROM_VERIFY:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlphaMismatch",

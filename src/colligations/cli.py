@@ -20,9 +20,10 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import ColligationError, DocumentError
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    sample_ball,
+    sample_balls,
     sample_disc,
     tolerances_from_profile,
 )
@@ -46,7 +47,6 @@ from .documents import (
     random_document,
 )
 from .realization import evaluate, surface_indicators
-from .verify import Dims, list_suites, run_suite
 
 __all__ = ["main"]
 
@@ -210,14 +210,10 @@ def _check_shape(doc: Document, argument, what: str) -> None:
 
 
 def _stacker(doc: Document, variable: str, fixed):
-    """``chunk -> arguments`` for the kernel: the chunk's arguments stacked,
-    and for a two-argument kind the held-fixed matrix in the other slot."""
-
-    def stacked(chunk):
-        return np.array([argument for _, argument in chunk], dtype=complex)
-
+    """``arguments -> kernel arguments``: the stacked varied arguments, and for
+    a two-argument kind the held-fixed matrix in the other slot."""
     if len(KIND_TABLE[doc.kind].variables) == 1:
-        return lambda chunk: (stacked(chunk),)
+        return lambda varied: (varied,)
     if fixed is None:
         other = "R" if variable == "S" else "S"
         raise CliError(
@@ -225,8 +221,7 @@ def _stacker(doc: Document, variable: str, fixed):
             f"a {doc.kind} document takes two arguments; give --fixed with the {other} matrix",
         )
 
-    def arguments(chunk):
-        varied = stacked(chunk)
+    def arguments(varied):
         held = np.broadcast_to(fixed, varied.shape)
         return (varied, held) if variable == "S" else (held, varied)
 
@@ -240,30 +235,68 @@ def _realize(doc: Document, tol: Tolerances):
         raise CliError(EXIT_MISMATCH, str(exc)) from None
 
 
-def _finite_or_none(x: float):
-    return x if math.isfinite(x) else None
-
-
 def _scalar_json(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _grid_arguments(spec: GridSpec, doc: Document) -> list[tuple[object, object]]:
-    """The (point label, argument) list in the deterministic output order."""
+@dataclass(frozen=True)
+class _Points:
+    """The points of one sweep, made a chunk at a time.
+
+    ``label`` is the %-template of one point's label in a record.
+    ``chunks(size)`` yields ``(labels, arguments)`` for up to ``size`` points
+    in output order: one tuple of label values per point, and the arguments
+    stacked along a leading axis.
+    """
+
+    label: str
+    chunks: Callable
+
+
+def _one_point(label, argument) -> _Points:
+    text = json.dumps(label, separators=(",", ":"), allow_nan=False)
+    return _Points("%s", lambda size: iter([([(text,)], np.array([argument], dtype=complex))]))
+
+
+def _disc_lattice(resolution: int, radius: float, size: int):
+    """The points of a disc grid in output order, as complex arrays taken
+    from ``size`` lattice points at a time (empty ones are skipped).
+
+    The lattice is row-major, the imaginary part per row and the real part
+    per column, with coordinates ``-radius + 2.0 * radius * i / (res - 1)``
+    (0.0 for one row).  A point is kept when ``abs(z) <= radius * (1 +
+    1e-12)``; the modulus is ``np.hypot``, and any point within a few ulps
+    of that bound is tested again with Python's ``abs``.
+    """
+    if resolution > 1:
+        axis = -radius + 2.0 * radius * np.arange(resolution, dtype=float) / (resolution - 1)
+    else:
+        axis = np.zeros(1)
+    bound = radius * (1.0 + 1e-12)
+    for start in range(0, resolution * resolution, size):
+        rows, cols = np.divmod(np.arange(start, min(start + size, resolution * resolution)), resolution)
+        z = np.empty(len(rows), dtype=complex)
+        z.real, z.imag = axis[cols], axis[rows]
+        modulus = np.hypot(z.real, z.imag)
+        inside = modulus <= bound
+        for k in np.flatnonzero(np.abs(modulus - bound) <= 1e-15 * bound):
+            inside[k] = abs(complex(z[k])) <= bound
+        if inside.any():
+            yield z[inside]
+
+
+def _grid_points(spec: GridSpec, doc: Document) -> _Points:
+    """The grid's points; any error in the grid is raised here, before a chunk is made."""
     scalar = _argument_dim(doc) is None
     if spec.kind == "disc":
         if not scalar:
             raise CliError(EXIT_MISMATCH, "disc grids apply to one-variable documents only")
-        res, radius = spec.resolution, spec.radius
-        points = []
-        for i in range(res):  # row-major: imaginary part per row, real part per column
-            im = -radius + 2.0 * radius * i / (res - 1) if res > 1 else 0.0
-            for j in range(res):
-                re = -radius + 2.0 * radius * j / (res - 1) if res > 1 else 0.0
-                z = complex(re, im)
-                if abs(z) <= radius * (1.0 + 1e-12):
-                    points.append((_scalar_json(z), z))
-        return points
+
+        def disc(size):
+            for z in _disc_lattice(spec.resolution, spec.radius, size):
+                yield np.stack([z.real, z.imag], axis=1).tolist(), z
+
+        return _Points("[%r,%r]", disc)
     if spec.kind == "segment":
         base = _parse_argument(spec.base, scalar, "grid base")
         direction = _parse_argument(spec.direction, scalar, "grid direction")
@@ -271,27 +304,83 @@ def _grid_arguments(spec: GridSpec, doc: Document) -> list[tuple[object, object]
             _check_shape(doc, base, "grid base")
             _check_shape(doc, direction, "grid direction")
         steps = spec.resolution
-        ts = [
-            spec.t_min + (spec.t_max - spec.t_min) * (k / (steps - 1) if steps > 1 else 0.0)
-            for k in range(steps)
-        ]
-        if not all(cmath.isfinite(t) for t in ts):
+
+        def ts(start, stop):
+            for k in range(start, stop):
+                yield spec.t_min + (spec.t_max - spec.t_min) * (k / (steps - 1) if steps > 1 else 0.0)
+
+        if not all(cmath.isfinite(t) for t in ts(0, steps)):
             raise CliError(EXIT_PARSE, "grid: the segment parameter overflows a float")
-        return [(_scalar_json(t), base + t * direction) for t in ts]
-    rng = np.random.default_rng(spec.seed)
-    points = []
-    for index in range(spec.count):
-        if scalar:
-            argument: object = sample_disc(rng, spec.radius)
-        else:
-            argument = sample_ball(rng, _argument_dim(doc), spec.radius)
-        points.append((index, argument))
-    return points
+
+        def segment(size):
+            for start in range(0, steps, size):
+                part = list(ts(start, min(start + size, steps)))
+                arguments = np.array([base + t * direction for t in part], dtype=complex)
+                yield [_scalar_json(t) for t in part], arguments
+
+        return _Points("[%r,%r]", segment)
+
+    def ball(size):
+        rng = np.random.default_rng(spec.seed)
+        for start in range(0, spec.count, size):
+            count = min(size, spec.count - start)
+            if scalar:
+                arguments = np.array([sample_disc(rng, spec.radius) for _ in range(count)], dtype=complex)
+            else:
+                arguments = sample_balls(rng, count, _argument_dim(doc), spec.radius)
+            yield [(index,) for index in range(start, start + count)], arguments
+
+    return _Points("%d", ball)
 
 
-def _emit_records(records, out) -> None:
-    for record in records:
-        out.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+# --- records ------------------------------------------------------------------
+#
+# Records are written straight from the kernel's arrays with one %-template
+# per record shape, keys in sorted order; the bytes are those of
+# ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.  Floats go
+# through ``float.__repr__``, as in ``json``; a field that may be null uses
+# ``%s``, which writes a float as ``%r`` does.
+
+
+def _nullable(x: np.ndarray) -> list:
+    """``x.tolist()`` with ``"null"`` in place of every non-finite entry."""
+    out = x.tolist()
+    for i in np.flatnonzero(~np.isfinite(x)):
+        out[i] = "null"
+    return out
+
+
+def _abs_json(det: complex):
+    try:
+        size = abs(det)
+    except OverflowError:
+        return "null"
+    return size if math.isfinite(size) else "null"
+
+
+def _eval_text(label: str, labels, values, sigma, regular) -> str:
+    count, rows, cols = values.shape
+    row = "[" + ",".join(["[%r,%r]"] * cols) + "]"
+    value = "[" + ",".join([row] * rows) + "]"
+    ok = '{"point":' + label + ',"regular":true,"sigma_min":%s,"value":' + value + "}\n"
+    not_ok = '{"point":' + label + ',"regular":false,"sigma_min":%s,"value":null}\n'
+    flat = values.view(float).reshape(count, -1).tolist()
+    return "".join(
+        ok % (*point, s, *v) if r else not_ok % (*point, s)
+        for point, v, s, r in zip(labels, flat, _nullable(sigma), regular.tolist())
+    )
+
+
+def _surface_text(label: str, labels, dets, sigma) -> str:
+    record = '{"abs_det":%s,"point":' + label + ',"sigma_min":%s}\n'
+    return "".join(
+        record % (_abs_json(d), *point, s) for point, d, s in zip(labels, dets.tolist(), _nullable(sigma))
+    )
+
+
+def _emit_records(out, text, *parts) -> None:
+    """Format one chunk's records with ``text`` and write them."""
+    out.write(text(*parts))
 
 
 def _open_out(path: str | None):
@@ -301,21 +390,38 @@ def _open_out(path: str | None):
 
 
 def _map_ordered(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """``map(fn, items)`` with up to ``threads`` calls at once; results come
+    in order, and at most ``threads`` of them are held."""
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def _sweep(args, fn, points, real) -> list[dict]:
-    """Map ``fn`` over chunks of the labelled points and write the records in order."""
+def _sweep(args, points: _Points, real, kernel, text):
+    """Run ``kernel`` on the points a chunk at a time and write each chunk's
+    records (``text``) in order; yields each chunk's kernel outputs once
+    written.  The output opens when the first chunk is asked for."""
     order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
     size = max(1, _CHUNK_ENTRIES // order**2)
-    chunks = [points[i : i + size] for i in range(0, len(points), size)]
-    records = [record for part in _map_ordered(fn, chunks, args.threads) for record in part]
+
+    def work(chunk):
+        labels, arguments = chunk
+        return labels, kernel(arguments)
+
     with _open_out(args.out) as out:
-        _emit_records(records, out)
-    return records
+        for labels, outputs in _map_ordered(work, points.chunks(size), args.threads):
+            _emit_records(out, text, points.label, labels, *outputs)
+            yield outputs
 
 
 # --- subcommands --------------------------------------------------------------
@@ -340,7 +446,7 @@ def _cmd_product(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _eval_points(args, doc: Document, scalar: bool):
+def _eval_points(args, doc: Document, scalar: bool) -> _Points:
     if (args.point is None) == (args.grid is None):
         raise CliError(EXIT_PARSE, "give exactly one of --point or --grid")
     if args.point is not None:
@@ -348,13 +454,8 @@ def _eval_points(args, doc: Document, scalar: bool):
         argument = _parse_argument(obj, scalar, "--point")
         if not scalar:
             _check_shape(doc, argument, "--point")
-        label = _scalar_json(argument) if scalar else matrix_to_json(argument)
-        return [(label, argument)]
-    spec = _parse_grid(_parse_json(args.grid, "--grid"))
-    points = _grid_arguments(spec, doc)
-    if points and not scalar:
-        _check_shape(doc, points[0][1], "grid argument")
-    return points
+        return _one_point(_scalar_json(argument) if scalar else matrix_to_json(argument), argument)
+    return _grid_points(_parse_grid(_parse_json(args.grid, "--grid")), doc)
 
 
 def _fixed_argument(args, doc: Document):
@@ -372,29 +473,13 @@ def _cmd_eval(args, tol: Tolerances) -> int:
     stack = _stacker(doc, variable, _fixed_argument(args, doc))
     real = _realize(doc, tol)
 
-    def evaluate_chunk(chunk):
-        values, sigma, regular = evaluate(real, stack(chunk), tol)
-        return [
-            {
-                "point": label,
-                "value": matrix_to_json(values[i]) if regular[i] else None,
-                "sigma_min": _finite_or_none(float(sigma[i])),
-                "regular": bool(regular[i]),
-            }
-            for i, (label, _) in enumerate(chunk)
-        ]
+    def kernel(arguments):
+        return evaluate(real, stack(arguments), tol)
 
-    records = _sweep(args, evaluate_chunk, points, real)
-    if records and not any(record["regular"] for record in records):
-        return EXIT_ALL_SINGULAR
-    return EXIT_OK
-
-
-def _abs_or_none(det: complex):
-    try:
-        return _finite_or_none(abs(det))
-    except OverflowError:
-        return None
+    seen = regular = False
+    for _, _, flags in _sweep(args, points, real, kernel, _eval_text):
+        seen, regular = True, regular or bool(flags.any())
+    return EXIT_ALL_SINGULAR if seen and not regular else EXIT_OK
 
 
 def _cmd_surface(args, tol: Tolerances) -> int:
@@ -408,22 +493,17 @@ def _cmd_surface(args, tol: Tolerances) -> int:
     points = _eval_points(args, doc, scalar=False)
     real = _realize(doc, tol)
 
-    def sample_chunk(chunk):
-        dets, sigma = surface_indicators(real, stack(chunk))
-        return [
-            {
-                "point": label,
-                "abs_det": _abs_or_none(complex(dets[i])),
-                "sigma_min": _finite_or_none(float(sigma[i])),
-            }
-            for i, (label, _) in enumerate(chunk)
-        ]
+    def kernel(arguments):
+        return surface_indicators(real, stack(arguments))
 
-    _sweep(args, sample_chunk, points, real)
+    for _ in _sweep(args, points, real, kernel, _surface_text):
+        pass
     return EXIT_OK
 
 
 def _cmd_verify(args, tol: Tolerances) -> int:
+    from .verify import Dims, list_suites, run_suite
+
     if args.list:
         for suite in list_suites():
             print(f"{suite.name}: {suite.describe}")

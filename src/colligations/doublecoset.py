@@ -119,8 +119,14 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     Block order: plus coordinates (through the members) first, minus
     coordinates (through the transposed inverses) second.
     """
+    s, r = _check_arguments(fam, s, r)  # before the realization's cross-check, which may raise
+    return _charvalue(fam, dc_realization(fam, tol), s, r, tol)
+
+
+def _charvalue(fam: DoubleCosetFamily, real: Realization, s, r, tol: Tolerances) -> CharValue:
+    """:func:`dc_charfun` through the family's realization ``real``."""
     s, r = _check_arguments(fam, s, r)
-    return charvalue(dc_realization(fam, tol), (s, r), tol, OnEigensurface, "arguments lie on the eigensurface")
+    return charvalue(real, (s, r), tol, OnEigensurface, "arguments lie on the eigensurface")
 
 
 def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -183,7 +189,7 @@ def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TO
 
 
 def dc_dilation_check(
-    fam: DoubleCosetFamily, s, r, lam, tol: Tolerances = DEFAULT_TOLERANCES
+    fam: DoubleCosetFamily, s, r, lam, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity for two arguments.
 
@@ -197,6 +203,8 @@ def dc_dilation_check(
     transfer matrix by ``diag(mu, nu)`` while sending the arguments to
     ``mu S nu^{-1}`` and ``nu R mu^{-1}``; this is the ``nu = mu^{-1}``
     slice, the one that keeps symmetric ``S`` symmetric.)
+
+    ``real`` is the family's :func:`dc_realization`, built here if not given.
     """
     s, r = _check_arguments(fam, s, r)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -204,14 +212,15 @@ def dc_dilation_check(
         raise ArityMismatch(f"need {fam.arity} scalars, got {lam.shape[0]}")
     if np.any(lam == 0):
         raise ValueError("dilation scalars must be nonzero")
+    real = real or dc_realization(fam, tol)
     eye_a = np.eye(fam.alpha)
     lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
     lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
-    chi = dc_charfun(fam, s, r, tol).value
+    chi = _charvalue(fam, real, s, r, tol).value
     left = lam_big @ chi @ lam_big_inv
     scaled_s = lam[:, None] * s * lam[None, :]
     scaled_r = r / lam[:, None] / lam[None, :]
-    right = dc_charfun(fam, scaled_s, scaled_r, tol).value
+    right = _charvalue(fam, real, scaled_s, scaled_r, tol).value
     return left, right
 
 
@@ -252,11 +261,16 @@ def form_checks(
     tol: Tolerances = DEFAULT_TOLERANCES,
     seed: int = 0,
     samples: int = 8,
+    real: Realization | None = None,
 ) -> FormReport:
-    """Evaluate the indefinite-form laws of the two-argument function."""
+    """Evaluate the indefinite-form laws of the two-argument function.
+
+    ``real`` is the family's :func:`dc_realization`, built here if not given.
+    """
     s, r = _check_arguments(fam, s, r)
+    real = real or dc_realization(fam, tol)
     n, al = fam.arity, fam.alpha
-    chi = dc_charfun(fam, s, r, tol).value
+    chi = _charvalue(fam, real, s, r, tol).value
     jm = indefinite_form(n, al)
     js = skew_form(n, al)
     chi_norm = op_norm(chi)
@@ -280,7 +294,7 @@ def form_checks(
     if _is_symmetric(s, tol) and _is_symmetric(r, tol):
         symplectic = op_norm(chi.T @ js @ chi - js)
 
-    chi_t = dc_charfun(fam, s.T, r.T, tol).value
+    chi_t = _charvalue(fam, real, s.T, r.T, tol).value
     # Transpose with respect to the skew form, then invert: (js^-1 chi^T js)^-1.
     js_inv = -js
     target = js_inv @ np.linalg.inv(chi.T) @ js
@@ -305,7 +319,7 @@ def _is_symmetric(m, tol: Tolerances) -> bool:
 
 
 def adjoint_experiment(
-    fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES
+    fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
 ) -> dict[str, float]:
     """Compare two sign conventions for the indefinite-adjoint reflection law.
 
@@ -313,18 +327,21 @@ def adjoint_experiment(
     candidate identity is chi(box(S)^{-1}, box(R)^{-1}) = box(chi)^{-1}, read
     either with box on scalars acting as plain conjugate-transpose or with an
     extra sign.  Returns the relative defect of each reading; this is an
-    experiment, not an assertion.
+    experiment, not an assertion.  ``real`` is the family's
+    :func:`dc_realization`, built here if not given.
     """
     s, r = _check_arguments(fam, s, r)
-    chi = dc_charfun(fam, s, r, tol).value
+    real = real or dc_realization(fam, tol)
+    chi = _charvalue(fam, real, s, r, tol).value
     jm = indefinite_form(fam.arity, fam.alpha)
     target = np.linalg.inv(jm @ chi.conj().T @ jm)
     scale = max(1.0, op_norm(target))
     out = {}
     for label, sign in (("conjugate-transpose", 1.0), ("negated-conjugate-transpose", -1.0)):
         try:
-            cand = dc_charfun(
+            cand = _charvalue(
                 fam,
+                real,
                 np.linalg.inv(sign * s.conj().T),
                 np.linalg.inv(sign * r.conj().T),
                 tol,

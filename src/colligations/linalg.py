@@ -159,9 +159,12 @@ def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAUL
     singular system costs no division by zero.
     """
     u, s, vh = np.linalg.svd(systems)
-    passed = s[:, -1] > tol.surface_guard * s[:, 0]
-    x = _adjoint(vh[passed]) @ ((_adjoint(u[passed]) @ rhs) / s[passed, :, None])
-    return x, s[:, -1], passed
+    sigma_min = s[:, -1]
+    passed = sigma_min > tol.surface_guard * s[:, 0]
+    if not passed.all():
+        u, s, vh = u[passed], s[passed], vh[passed]
+    x = _adjoint(vh) @ ((_adjoint(u) @ rhs) / s[:, :, None])
+    return x, sigma_min, passed
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -308,11 +311,29 @@ def sample_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:
 
 def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     """Random ``dim x dim`` matrix with operator norm at most ``radius``."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    top = op_norm(g)
-    if top == 0.0:
-        return np.zeros((dim, dim), dtype=complex)
-    return (radius * rng.uniform(0.05, 1.0) / top) * g
+    return sample_balls(rng, 1, dim, radius)[0]
+
+
+def sample_balls(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    """``count`` successive :func:`sample_ball` draws, stacked ``(count, dim, dim)``.
+
+    Each point draws a complex Gaussian matrix ``g`` and then, unless ``g``
+    is zero, a scale in ``[0.05, 1)``; the point is ``radius * scale / |g|
+    * g``.  The draws run point by point in that order, and the operator
+    norms come from one stacked SVD.
+    """
+    g = np.empty((count, dim, dim), dtype=complex)
+    scale = np.zeros(count)
+    for k in range(count):
+        g[k] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if g[k].any():  # only the zero matrix has operator norm 0
+            scale[k] = rng.uniform(0.05, 1.0)
+    top = np.linalg.svd(g, compute_uv=False)[:, 0] if dim else np.zeros(count)
+    zero = top == 0.0
+    top[zero] = 1.0
+    points = (radius * scale / top)[:, None, None] * g
+    points[zero] = 0.0
+    return points
 
 
 def sample_invertible(

@@ -124,8 +124,13 @@ def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
 
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
+    return _charvalue(mc, multi_realization(mc), s, tol)
+
+
+def _charvalue(mc: MultiColligation, real: Realization, s, tol: Tolerances) -> CharValue:
+    """:func:`multi_charfun` through the family's realization ``real``."""
     s = _check_argument(s, mc.arity)
-    return charvalue(multi_realization(mc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
+    return charvalue(real, (s,), tol, OnEigensurface, "argument lies on the eigensurface")
 
 
 def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -186,13 +191,14 @@ def multi_product(x: MultiColligation, y: MultiColligation, tol: Tolerances = DE
 
 
 def diag_conjugation(
-    mc: MultiColligation, s, lam, tol: Tolerances = DEFAULT_TOLERANCES
+    mc: MultiColligation, s, lam, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity.
 
     Returns ``(chi(lam S lam^{-1}), Lam chi(S) Lam^{-1})`` where ``lam`` is a
     vector of nonzero scalars, acting diagonally on the argument and
-    block-diagonally (``lam_j I_alpha``) on the value.
+    block-diagonally (``lam_j I_alpha``) on the value.  ``real`` is the
+    family's :func:`multi_realization`, built here if not given.
     """
     s = _check_argument(s, mc.arity)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -200,9 +206,10 @@ def diag_conjugation(
         raise ArityMismatch(f"need {mc.arity} scalars, got {lam.shape[0]}")
     if np.any(lam == 0):
         raise ValueError("dilation scalars must be nonzero")
+    real = real or multi_realization(mc)
     scaled = (lam[:, None] * s) / lam[None, :]
-    left = multi_charfun(mc, scaled, tol).value
+    left = _charvalue(mc, real, scaled, tol).value
     lam_big = np.kron(np.diag(lam), np.eye(mc.alpha))
     lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(mc.alpha))
-    right = lam_big @ multi_charfun(mc, s, tol).value @ lam_big_inv
+    right = lam_big @ _charvalue(mc, real, s, tol).value @ lam_big_inv
     return left, right

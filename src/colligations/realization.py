@@ -101,12 +101,19 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
     # finite, which is reported per point rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         systems = system(real, args)
+        finite = np.isfinite(systems).all(axis=(1, 2))
+        all_finite = finite.all()
+        x, sigma_finite, passed = guarded_solve(systems if all_finite else systems[finite], real.c, tol)
+        if all_finite and passed.all():
+            # Every point is solved: no selection, no copies.
+            values = _value(real, args, x)
+            return values, sigma_finite, np.isfinite(values).all(axis=(1, 2))
         count = len(systems)
         values = np.full((count, *real.a.shape), np.nan, dtype=complex)
         sigma = np.full(count, np.nan)
         regular = np.zeros(count, dtype=bool)
-        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
-        x, sigma[finite], passed = guarded_solve(systems[finite], real.c, tol)
+        finite = np.flatnonzero(finite)
+        sigma[finite] = sigma_finite
         rows = finite[passed]
         values[rows] = _value(real, [arg[rows] for arg in args], x)
         regular[rows] = np.isfinite(values[rows]).all(axis=(1, 2))

@@ -652,7 +652,7 @@ class _Kind:
     ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
     cap of the multiplicative law, the brute-force oracle ``(fam, args,
     tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
-    dilation check ``(fam, args, lam, tol) -> (left, right)``."""
+    dilation check ``(fam, real, args, lam, tol) -> (left, right)``."""
 
     spec: KindSpec
     dims: Callable
@@ -680,7 +680,7 @@ _KINDS = {
         4,
         oracle=lambda fam, args, tol: multi_charfun_system(fam, *args, tol),
         equivalent=lambda fam, inner, rng, tol: multi_conjugate(fam, haar_unitary(inner, rng), tol),
-        dilation=lambda fam, args, lam, tol: diag_conjugation(fam, *args, lam, tol),
+        dilation=lambda fam, real, args, lam, tol: diag_conjugation(fam, *args, lam, tol, real),
     ),
     "tri": _Kind(
         KIND_TABLE["tri"],
@@ -697,7 +697,7 @@ _KINDS = {
         equivalent=lambda fam, inner, rng, tol: dc_equivalent(
             fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
         ),
-        dilation=lambda fam, args, lam, tol: dc_dilation_check(fam, *args, lam, tol),
+        dilation=lambda fam, real, args, lam, tol: dc_dilation_check(fam, *args, lam, tol, real),
     ),
 }
 
@@ -745,7 +745,7 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
         args = kind.args(rng, arity, [real])
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
         try:
-            return kind.dilation(fam, args, lam, tol)
+            return kind.dilation(fam, real, args, lam, tol)
         except OnEigensurface:
             raise _Retry from None
 
@@ -1087,7 +1087,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
 def _doublecoset_form_increase(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
     s, r = _regular_args(rng, arity, 2, [real], _ball(0.9))
-    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8)
+    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, real=real)
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
 
@@ -1138,7 +1138,7 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
     def draw():
         s, r = _regular_args(rng, arity, 2, [real])
         try:
-            return adjoint_experiment(fam, s, r, tol)
+            return adjoint_experiment(fam, s, r, tol, real)
         except (OnEigensurface, NearSingular):
             raise _Retry from None
 

@@ -440,3 +440,16 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr.decode()
+
+
+def test_import_does_not_load_verify():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    code = (
+        "import sys, colligations.cli\n"
+        "assert 'colligations.verify' not in sys.modules\n"
+        "import colligations\n"
+        "assert colligations.run_suite.__module__ == 'colligations.verify'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()

@@ -71,6 +71,24 @@ def test_chunk_size_does_not_change_bytes(capsys, monkeypatch, documents):
         assert len(outputs[0].splitlines()) > 1
 
 
+def test_all_regular_batch_takes_the_bits_of_the_selecting_path():
+    # A batch whose points all clear the guard skips the selection; one
+    # non-finite argument more sends the same points through it.
+    rng = np.random.default_rng(6)
+    fam = random_multi(2, 3, 3, 6)
+    cases = [
+        (colligation_realization(random_colligation(2, 3, 6)), [0.5 * np.exp(2j * np.pi * rng.uniform(size=9))]),
+        (multi_realization(fam), [_stack(rng, 9, 3, 0.9)]),
+        (dc_realization(fam), [_stack(rng, 9, 3, 0.9), _stack(rng, 9, 3, 0.9)]),
+    ]
+    for real, args in cases:
+        mixed = [np.concatenate([arg, np.full((1, *arg.shape[1:]), np.inf)]) for arg in args]
+        fast, slow = evaluate(real, args), evaluate(real, mixed)
+        assert fast[2].all() and not slow[2][-1]
+        for got, want in zip(fast, slow):
+            assert got.tobytes() == want[:-1].tobytes()
+
+
 def _stack(rng, count, n, radius):
     return np.array([sample_ball(rng, n, radius) for _ in range(count)])
 

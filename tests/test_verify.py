@@ -82,3 +82,21 @@ class TestRealizations:
         run_suite("doublecoset-rational", trials=1, seed=0)
         _, _, members = _dc_dims(np.random.default_rng(0), Dims())
         assert 0 < len(calls) <= members
+
+    @pytest.mark.parametrize(
+        "suite", ["doublecoset-dilation", "doublecoset-form-increase", "doublecoset-adjoint-experiment"]
+    )
+    def test_family_helpers_take_the_trial_realization(self, monkeypatch, suite):
+        # The dilation, form and adjoint helpers evaluate through the
+        # realization the trial built, so no member is realized twice.
+        calls = []
+        original = doublecoset.transpose_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(doublecoset, "transpose_inverse", counted)
+        run_suite(suite, trials=1, seed=0)
+        _, _, members = _dc_dims(np.random.default_rng(0), Dims())
+        assert 0 < len(calls) <= members
