@@ -5,10 +5,10 @@ Subcommands: ``validate`` | ``product`` | ``eval`` | ``surface`` | ``verify``
 NDJSON with one record per line in a deterministic row-major order, so the
 output bytes do not depend on the worker-thread count.
 
-Exit codes: 0 success; 1 parse error; 2 invariant violation; 3 mismatched
-kind, dimension, or unknown suite; 4 every grid point singular; 5 property
-failure in a verification suite, or a suite that cannot run to a report under
-the given tolerances.
+Exit codes: 0 success; 1 parse error or an ``--out`` that cannot be written;
+2 invariant violation; 3 mismatched kind, dimension, or unknown suite; 4 every
+grid point singular; 5 property failure in a verification suite, or a suite
+that cannot run to a report under the given tolerances.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,17 +209,21 @@ def _check_shape(doc: Document, argument, what: str) -> None:
         raise CliError(EXIT_MISMATCH, f"{what}: expected a {n}x{n} matrix, got {argument.shape}")
 
 
-def _stacker(doc: Document, variable: str, fixed):
+def _stacker(doc: Document, variable: str, fixed_text: str | None):
     """``arguments -> kernel arguments``: the stacked varied arguments, and for
-    a two-argument kind the held-fixed matrix in the other slot."""
+    a two-argument kind the ``--fixed`` matrix held in the other slot."""
     if len(KIND_TABLE[doc.kind].variables) == 1:
+        if fixed_text is not None:
+            raise CliError(EXIT_MISMATCH, f"--fixed does not apply: a {doc.kind} document takes one argument")
         return lambda varied: (varied,)
-    if fixed is None:
+    if fixed_text is None:
         other = "R" if variable == "S" else "S"
         raise CliError(
             EXIT_MISMATCH,
             f"a {doc.kind} document takes two arguments; give --fixed with the {other} matrix",
         )
+    fixed = _parse_matrix(_parse_json(fixed_text, "--fixed"), "--fixed")
+    _check_shape(doc, fixed, "--fixed")
 
     def arguments(varied):
         held = np.broadcast_to(fixed, varied.shape)
@@ -383,10 +387,20 @@ def _emit_records(out, text, *parts) -> None:
     out.write(text(*parts))
 
 
+@contextmanager
 def _open_out(path: str | None):
+    """The ``--out`` file, or stdout; a file that cannot be opened or written
+    is a usage error."""
     if path in (None, "-"):
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _map_ordered(fn, items, threads: int):
@@ -458,19 +472,11 @@ def _eval_points(args, doc: Document, scalar: bool) -> _Points:
     return _grid_points(_parse_grid(_parse_json(args.grid, "--grid")), doc)
 
 
-def _fixed_argument(args, doc: Document):
-    if args.fixed is None:
-        return None
-    fixed = _parse_matrix(_parse_json(args.fixed, "--fixed"), "--fixed")
-    _check_shape(doc, fixed, "--fixed")
-    return fixed
-
-
 def _cmd_eval(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
     variable = _variable_for(doc, args.variable)
     points = _eval_points(args, doc, scalar=_argument_dim(doc) is None)
-    stack = _stacker(doc, variable, _fixed_argument(args, doc))
+    stack = _stacker(doc, variable, args.fixed)
     real = _realize(doc, tol)
 
     def kernel(arguments):
@@ -484,12 +490,9 @@ def _cmd_eval(args, tol: Tolerances) -> int:
 
 def _cmd_surface(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
-    scalar = _argument_dim(doc) is None
-    variable = None if scalar else _variable_for(doc, args.variable)
-    fixed = _fixed_argument(args, doc)
-    if scalar:
+    if _argument_dim(doc) is None:
         raise CliError(EXIT_MISMATCH, f"a {doc.kind} document has no eigensurface to sample")
-    stack = _stacker(doc, variable, fixed)
+    stack = _stacker(doc, _variable_for(doc, args.variable), args.fixed)
     points = _eval_points(args, doc, scalar=False)
     real = _realize(doc, tol)
 
@@ -518,7 +521,6 @@ def _cmd_verify(args, tol: Tolerances) -> int:
             seed=args.seed,
             dims=dims,
             tol=tol,
-            threads=args.threads,
         )
     except ValueError as exc:
         raise CliError(EXIT_MISMATCH, str(exc)) from None
@@ -573,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=os.cpu_count() or 1,
-        help="worker threads over chunks of grid points or trials (default: machine cores);"
+        help="worker threads over chunks of grid points (default: machine cores);"
         " output bytes are identical regardless",
     )
     output = argparse.ArgumentParser(add_help=False)
@@ -614,9 +616,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", default=None, help="the held-fixed matrix for two-argument documents")
     p.set_defaults(handler=_cmd_surface)
 
-    p = sub.add_parser(
-        "verify", parents=[tol_flags, output, threaded], help="run a randomized property suite"
-    )
+    p = sub.add_parser("verify", parents=[tol_flags, output], help="run a randomized property suite")
     p.add_argument("suite", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list the registered suites")
     p.add_argument("--trials", type=_positive_int, default=200)
@@ -624,6 +624,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn")
     p.add_argument("--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn")
     p.add_argument("--max-arity", type=_positive_int, default=3, help="largest family arity drawn")
+    p.add_argument(
+        "--threads",
+        type=_positive_int,
+        help="ignored, as trials run in order; accepted so that existing command lines still run",
+    )
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("random", parents=[tol_flags, output], help="emit a seeded random document")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -183,12 +182,9 @@ def run_suite(
     seed: int = 0,
     dims: Dims | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    threads: int | None = None,
 ) -> SuiteReport:
-    """Run one suite; trial ``t`` draws from a generator seeded ``seed + t``.
-
-    Results do not depend on ``threads``; it only sets the worker count.
-    """
+    """Run one suite's trials in order; trial ``t`` draws from a generator
+    seeded ``seed + t`` alone, so any one trial reproduces from its seed."""
     try:
         suite = _SUITES[name]
     except KeyError:
@@ -198,15 +194,7 @@ def run_suite(
         raise ValueError(f"trials must be positive, got {trials}")
     bounds = dims if dims is not None else Dims()
 
-    def one(trial: int) -> TrialResult:
-        rng = np.random.default_rng(seed + trial)
-        return suite.run_trial(rng, bounds, tol)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, trials)) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(t) for t in range(trials)]
+    results = [suite.run_trial(np.random.default_rng(seed + t), bounds, tol) for t in range(trials)]
 
     if suite.aggregate is not None:
         failures = suite.aggregate(results, seed)

@@ -25,12 +25,11 @@ from colligations.verify import run_suite
 
 _T0 = time.monotonic()
 TRIALS = 200
-THREADS = 4
 DEFECT_BUDGET = 1e-8
 
 
 def _run(names: list[str]) -> tuple[dict[str, int], float]:
-    reports = [run_suite(name, trials=TRIALS, seed=0, threads=THREADS) for name in names]
+    reports = [run_suite(name, trials=TRIALS, seed=0) for name in names]
     bad = {report.suite: len(report.failures) for report in reports if report.failures}
     worst = max(report.max_defect for report in reports)
     return bad, worst

@@ -213,6 +213,19 @@ class TestEval:
         assert code == 0
         assert records(out)[0]["regular"] is True
 
+    @pytest.mark.parametrize(
+        "kind, command",
+        [("colligation", "eval"), ("multi", "eval"), ("multi", "surface"), ("tri", "eval"), ("tri", "surface")],
+    )
+    def test_fixed_is_rejected_for_one_argument_kinds(self, capsys, tmp_path, kind, command):
+        path = tmp_path / "doc.json"
+        assert run(capsys, "random", kind, "--seed", 1, "--out", path)[0] == 0
+        point = "0.5" if kind == "colligation" else json.dumps(np.zeros((2, 2, 2)).tolist())
+        fixed = json.dumps(np.zeros((2, 2, 2)).tolist())
+        code, out, err = run(capsys, command, path, "--point", point, "--fixed", fixed)
+        assert (code, out) == (3, "")
+        assert one_error_line(err)
+
 
 class TestSurface:
     def test_segment_determinant_profile(self, capsys, swap_pair_doc):
@@ -298,6 +311,12 @@ class TestVerify:
     def test_suite_name_required(self, capsys):
         assert run(capsys, "verify")[0] == 3
 
+    def test_threads_flag_is_accepted_and_changes_nothing(self, capsys):
+        argv = ("verify", "doublecoset-oracle", "--trials", 6, "--seed", 4)
+        results = [run(capsys, *argv, *extra) for extra in ((), ("--threads", 1), ("--threads", 4))]
+        assert results[0][0] == 0
+        assert results[0] == results[1] == results[2]
+
 
 class TestRandom:
     def test_deterministic_bytes(self, capsys):
@@ -337,6 +356,41 @@ class TestRandom:
         code, out, err = run(capsys, "random", "multi", "--inner", 100000)
         assert (code, out) == (1, "")
         assert one_error_line(err)
+
+
+_DIAGONAL_POINT = json.dumps([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
+
+
+def _writing_argv(command: str, doc: str) -> list:
+    """A small run of ``command`` that succeeds when its output can be written."""
+    return {
+        "random": ["random", "multi"],
+        "product": ["product", doc, doc],
+        "eval": ["eval", doc, "--point", _DIAGONAL_POINT],
+        "surface": ["surface", doc, "--point", _DIAGONAL_POINT],
+        "verify": ["verify", "multi-oracle", "--trials", 1],
+    }[command]
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["random", "product", "eval", "surface", "verify"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent", "/dev/full"])
+    def test_is_one_error_line(self, capsys, tmp_path, swap_pair_doc, command, target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full on this system")
+        out_path = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "out"}.get(target, target)
+        code, out, err = run(capsys, *_writing_argv(command, swap_pair_doc), "--out", out_path)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+        assert "--out" in err
+
+    def test_broken_pipe_still_exits_zero(self, capsys, tmp_path, monkeypatch):
+        def broken_pipe(*args, **kwargs):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "emit_document", broken_pipe)
+        code, _, err = run(capsys, "random", "multi", "--out", tmp_path / "doc.json")
+        assert (code, err) == (0, "")
 
 
 class TestBadNumbers:
@@ -437,6 +491,18 @@ class TestTolerances:
 def test_import_does_not_load_scipy():
     src = str(Path(colligations.__file__).resolve().parents[1])
     code = "import sys, colligations.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def test_verify_runs_without_a_thread_pool():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    code = (
+        "import sys, colligations.cli\n"
+        "assert colligations.cli.main(['verify', 'doublecoset-oracle', '--trials', '2']) == 0\n"
+        "sys.exit('concurrent.futures' in sys.modules)\n"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr.decode()

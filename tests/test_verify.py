@@ -39,11 +39,6 @@ class TestReports:
         second = run_suite("charfun-multiplicative", trials=6, seed=3)
         assert first.to_object() == second.to_object()
 
-    def test_thread_count_does_not_change_the_report(self):
-        serial = run_suite("doublecoset-oracle", trials=6, seed=4, threads=1)
-        parallel = run_suite("doublecoset-oracle", trials=6, seed=4, threads=4)
-        assert serial.to_object() == parallel.to_object()
-
     def test_different_seed_changes_defects(self):
         first = run_suite("multi-oracle", trials=4, seed=1)
         second = run_suite("multi-oracle", trials=4, seed=100)
