@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -389,18 +389,25 @@ def _emit_records(out, text, *parts) -> None:
 
 @contextmanager
 def _open_out(path: str | None):
-    """The ``--out`` file, or stdout; a file that cannot be opened or written
-    is a usage error."""
-    if path in (None, "-"):
-        yield sys.stdout
-        return
+    """The ``--out`` file, or stdout; an output that cannot be opened or
+    written is a usage error.  It is flushed before it is left, so a write
+    error at the flush is one too."""
+    to_stdout = path in (None, "-")
     try:
-        with open(path, "w", encoding="utf-8") as out:
+        with nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="utf-8") as out:
             yield out
-    except BrokenPipeError:
-        raise
+            out.flush()
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"--out {path}: {exc.strerror or exc}") from None
+        if to_stdout:
+            # What stdout still holds would fail again at the interpreter's
+            # final flush; send it to the null device instead.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        name = "stdout" if to_stdout else f"--out {path}"
+        raise CliError(EXIT_PARSE, f"{name}: {exc.strerror or exc}") from None
 
 
 def _map_ordered(fn, items, threads: int):
@@ -508,8 +515,8 @@ def _cmd_verify(args, tol: Tolerances) -> int:
     from .verify import Dims, list_suites, run_suite
 
     if args.list:
-        for suite in list_suites():
-            print(f"{suite.name}: {suite.describe}")
+        with _open_out(None) as out:
+            out.write("".join(f"{suite.name}: {suite.describe}\n" for suite in list_suites()))
         return EXIT_OK
     if args.suite is None:
         raise CliError(EXIT_MISMATCH, "give a suite name (or --list to see them)")

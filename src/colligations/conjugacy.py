@@ -116,39 +116,22 @@ def tri_conjugate(tc: TriColligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -
     return TriColligation(big @ tc.matrix @ big.conj().T, tc.alpha, tc.slot_dim, tc.slots, tol)
 
 
-def _embed_left(tc: TriColligation, extra: int) -> np.ndarray:
-    # The left factor of the product: original blocks in the first half of
-    # each enlarged slot, identity on the second half.
+def _embed(tc: TriColligation, lead: int, trail: int) -> np.ndarray:
+    # One factor of the product: every slot widened by ``lead + trail``, the
+    # original blocks at offset ``lead`` of each widened slot, identity elsewhere.
     al, p, n = tc.alpha, tc.slot_dim, tc.slots
-    w = p + extra
+    w = lead + p + trail
     out = np.zeros((al + n * w, al + n * w), dtype=complex)
     out[:al, :al] = tc.a
     for i in range(n):
         ri = al + i * w
-        out[ri : ri + p, :al] = tc.c(i)
-        out[:al, ri : ri + p] = tc.b(i)
-        out[ri + p : ri + w, ri + p : ri + w] = np.eye(extra)
+        rows = slice(ri + lead, ri + lead + p)
+        out[ri : ri + w, ri : ri + w] = np.eye(w)
+        out[rows, :al] = tc.c(i)
+        out[:al, rows] = tc.b(i)
         for j in range(n):
-            rj = al + j * w
-            out[ri : ri + p, rj : rj + p] = tc.d(i, j)
-    return out
-
-
-def _embed_right(tc: TriColligation, extra: int) -> np.ndarray:
-    # The right factor: identity on the first half of each enlarged slot,
-    # original blocks on the second half.
-    al, p, n = tc.alpha, tc.slot_dim, tc.slots
-    w = extra + p
-    out = np.zeros((al + n * w, al + n * w), dtype=complex)
-    out[:al, :al] = tc.a
-    for i in range(n):
-        ri = al + i * w
-        out[ri : ri + extra, ri : ri + extra] = np.eye(extra)
-        out[ri + extra : ri + w, :al] = tc.c(i)
-        out[:al, ri + extra : ri + w] = tc.b(i)
-        for j in range(n):
-            rj = al + j * w
-            out[ri + extra : ri + w, rj + extra : rj + w] = tc.d(i, j)
+            rj = al + j * w + lead
+            out[rows, rj : rj + p] = tc.d(i, j)
     return out
 
 
@@ -158,8 +141,8 @@ def tri_product(x: TriColligation, y: TriColligation, tol: Tolerances = DEFAULT_
         raise AlphaMismatch(f"exposed dimensions differ: {x.alpha} vs {y.alpha}")
     if x.slots != y.slots:
         raise ArityMismatch(f"slot counts differ: {x.slots} vs {y.slots}")
-    left = _embed_left(x, y.slot_dim)
-    right = _embed_right(y, x.slot_dim)
+    left = _embed(x, 0, y.slot_dim)
+    right = _embed(y, x.slot_dim, 0)
     return TriColligation(left @ right, x.alpha, x.slot_dim + y.slot_dim, x.slots, tol)
 
 

@@ -41,6 +41,7 @@ from .linalg import (
 from .colligation import (
     Colligation,
     charfun_z,
+    colligation_realization,
     conjugate_inner,
     equivalent_probe,
     pad,
@@ -83,7 +84,7 @@ from .doublecoset import (
     skew_form,
 )
 from .documents import KIND_TABLE, KindSpec
-from .realization import Realization, charvalue, system
+from . import realization
 
 __all__ = [
     "CONTAINMENT_TOL",
@@ -222,7 +223,7 @@ class _Retry(Exception):
 
 
 _ATTEMPTS = 64
-_SIGMA_FLOOR = 1e-3  # relative smallest singular value for "comfortably regular"
+_FLOOR = Tolerances(surface_guard=1e-3)  # relative smallest singular value for "comfortably regular"
 
 
 def _retrying(draw):
@@ -249,31 +250,37 @@ def _budget(tol: Tolerances) -> float:
     return 10.0 * tol.residual_tol
 
 
-def _require_regular(system: np.ndarray) -> None:
-    smin, smax = sigma_extremes(system)
-    if smax == 0.0 or smin < _SIGMA_FLOOR * smax:
+def _require_regular(matrix: np.ndarray) -> None:
+    smin, smax = sigma_extremes(matrix)
+    if smax == 0.0 or smin < _FLOOR.surface_guard * smax:
         raise _Retry
 
 
-def _boundary_point(rng, col, tol):
-    """A unit-circle point where the colligation is comfortably regular."""
+def _evaluate(reals, args, tol, error=OnEigensurface, message="argument lies on the eigensurface") -> list:
+    """Each listed realization's value at the one point ``args``, from one
+    kernel call each.  A point where one is not comfortably regular is drawn
+    again (:class:`_Retry`); where only a surface guard in ``tol`` above the
+    floor rejects it, ``error(sigma_min, message)`` takes the value's place,
+    for :func:`_value` to raise where the law uses the value."""
+    point = [np.asarray(arg)[None] for arg in args]
+    guard = tol if tol.surface_guard > _FLOOR.surface_guard else _FLOOR
+    outcomes = []
+    for real in reals:
+        values, sigma, regular = realization.evaluate(real, point, guard)
+        if regular[0]:
+            outcomes.append(values[0])
+        elif guard is tol and realization.evaluate(real, point, _FLOOR)[2][0]:
+            outcomes.append(error(sigma[0], message))
+        else:
+            raise _Retry
+    return outcomes
 
-    def draw():
-        z = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        _require_regular(np.eye(col.inner, dtype=complex) - z * col.d)
-        return z, charfun_z(col, z, tol)
 
-    return _retrying(draw)
-
-
-def _system_at(real: Realization, args) -> np.ndarray:
-    """The eliminated system of ``real`` at the one point ``args``."""
-    return system(real, [arg[None] for arg in args])[0]
-
-
-def _value(real: Realization, args, tol) -> np.ndarray:
-    """The characteristic value of ``real`` at the one point ``args``."""
-    return charvalue(real, args, tol, OnEigensurface, "argument lies on the eigensurface").value
+def _value(outcome) -> np.ndarray:
+    """A value from :func:`_evaluate`, or the error held in its place raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # Samplers of one ``n x n`` argument.
@@ -307,15 +314,14 @@ def _unit_sphere(rng, n: int) -> np.ndarray:
     return g / top
 
 
-def _regular_args(rng, n: int, count: int, reals, sample=_gauss) -> list[np.ndarray]:
+def _regular_args(rng, n: int, count: int, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
     """``count`` drawn ``n x n`` arguments at which every listed realization
-    is comfortably regular."""
+    is comfortably regular, and the realizations' values there (see
+    :func:`_evaluate`)."""
 
     def draw():
         args = [sample(rng, n) for _ in range(count)]
-        for real in reals:
-            _require_regular(_system_at(real, args))
-        return args
+        return args, _evaluate(reals, args, tol)
 
     return _retrying(draw)
 
@@ -376,16 +382,15 @@ def _pole_ray_points(lam) -> tuple[list[complex], list[float]]:
 def _rational_line_defect(rng, evaluate, degree):
     """Worst held-out error of a degree-bounded rational fit along a line.
 
-    ``evaluate(t)`` returns a sample or None where the function is singular.
-    Returns None when too few samples survive; the caller then retries with a
-    fresh line.
+    ``evaluate(ts)`` returns one sample per parameter, None where the function
+    is singular.  Returns None when too few samples survive; the caller then
+    retries with a fresh line.
     """
     count = 2 * (degree + 1) + 8
     offset = rng.uniform(0.0, 1.0)
     train = 0.7 * np.exp(2j * np.pi * (np.arange(count) + offset) / count)
     rows = []
-    for t in train:
-        f = evaluate(t)
+    for t, f in zip(train, evaluate(train)):
         if f is None:
             continue
         powers = t ** np.arange(degree + 1)
@@ -400,8 +405,7 @@ def _rational_line_defect(rng, evaluate, degree):
         return None
     holdout = 0.55 * np.exp(2j * np.pi * (np.arange(10) + rng.uniform(0.0, 1.0)) / 10)
     worst, used = 0.0, 0
-    for t in holdout:
-        f = evaluate(t)
+    for t, f in zip(holdout, evaluate(holdout)):
         q = complex(npoly.polyval(t, den))
         if f is None or abs(q) < 1e-8 * den_scale:
             continue
@@ -499,8 +503,14 @@ def _charfun_contractive(rng, dims, tol):
 @_suite("charfun-boundary-unitary", "transfer values on the unit circle are unitary")
 def _charfun_boundary_unitary(rng, dims, tol):
     col = random_colligation(_draw(rng, 1, dims.max_alpha), _draw(rng, 1, dims.max_inner), rng)
-    _, value = _boundary_point(rng, col, tol)
-    return TrialResult(unitarity_defect(value.value), _budget(tol))
+    reals = [colligation_realization(col)]
+
+    def draw():
+        z = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        (value,) = _evaluate(reals, [z], tol, NearPole, f"argument z={z} lies at or near a pole")
+        return _value(value)
+
+    return TrialResult(unitarity_defect(_retrying(draw)), _budget(tol))
 
 
 @_suite("charfun-reflection", "reflecting the point across the circle inverts the adjoint value")
@@ -655,8 +665,8 @@ class _Kind:
         fam = self.spec.random(alpha, inner, arity, rng)
         return fam, self.spec.realize(fam, tol), inner, arity
 
-    def args(self, rng, arity, reals, sample=_gauss) -> list[np.ndarray]:
-        return _regular_args(rng, arity, len(self.spec.variables), reals, sample)
+    def args(self, rng, arity, reals, tol, sample=_gauss):
+        return _regular_args(rng, arity, len(self.spec.variables), reals, tol, sample)
 
 
 # The oracle, equivalence and dilation entries call through this module's
@@ -693,8 +703,8 @@ _KINDS = {
 # A law is a trial with the kind bound first (``functools.partial``).
 def _oracle(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, _, arity = kind.family(rng, dims, tol)
-    args = kind.args(rng, arity, [real])
-    return TrialResult(rel_defect(_value(real, args, tol), kind.oracle(fam, args, tol)), _budget(tol))
+    args, (chi,) = kind.args(rng, arity, [real], tol)
+    return TrialResult(rel_defect(_value(chi), kind.oracle(fam, args, tol)), _budget(tol))
 
 
 def _multiplicative(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -702,35 +712,36 @@ def _multiplicative(kind: _Kind, rng, dims, tol) -> TrialResult:
     x = kind.spec.random(alpha, _draw(rng, 1, min(kind.inner_cap, dims.max_inner)), arity, rng)
     y = kind.spec.random(alpha, _draw(rng, 1, min(kind.inner_cap, dims.max_inner)), arity, rng)
     reals = [kind.spec.realize(fam, tol) for fam in (kind.spec.product(x, y, tol), x, y)]
-    args = kind.args(rng, arity, reals)
-    vp, vx, vy = (_value(real, args, tol) for real in reals)
+    _, outcomes = kind.args(rng, arity, reals, tol)
+    vp, vx, vy = (_value(outcome) for outcome in outcomes)
     return TrialResult(rel_defect(vp, vx @ vy), _budget(tol))
 
 
 def _invariant(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, inner, arity = kind.family(rng, dims, tol)
     reals = [real, kind.spec.realize(kind.equivalent(fam, inner, rng, tol), tol)]
-    args = kind.args(rng, arity, reals)
-    return TrialResult(rel_defect(*(_value(r, args, tol) for r in reals)), _budget(tol))
+    _, outcomes = kind.args(rng, arity, reals, tol)
+    return TrialResult(rel_defect(*(_value(outcome) for outcome in outcomes)), _budget(tol))
 
 
 def _expanding(kind: _Kind, rng, dims, tol) -> TrialResult:
     _, real, _, arity = kind.family(rng, dims, tol)
-    smin, _ = sigma_extremes(_value(real, kind.args(rng, arity, [real], _ball(0.95)), tol))
+    _, (chi,) = kind.args(rng, arity, [real], tol, _ball(0.95))
+    smin, _ = sigma_extremes(_value(chi))
     return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK)
 
 
 def _boundary_unitary(kind: _Kind, rng, dims, tol) -> TrialResult:
     _, real, _, arity = kind.family(rng, dims, tol)
-    value = _value(real, kind.args(rng, arity, [real], _haar), tol)
-    return TrialResult(unitarity_defect(value), _budget(tol))
+    _, (chi,) = kind.args(rng, arity, [real], tol, _haar)
+    return TrialResult(unitarity_defect(_value(chi)), _budget(tol))
 
 
 def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, _, arity = kind.family(rng, dims, tol)
 
     def draw():
-        args = kind.args(rng, arity, [real])
+        args, _ = kind.args(rng, arity, [real], tol)
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
         try:
             return kind.dilation(fam, real, args, lam, tol)
@@ -756,12 +767,10 @@ def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
             direction = _complex_gauss(rng, arity, arity)
             direction /= max(op_norm(direction), 1e-300)
 
-            def evaluate(t):
-                args = [b + t * direction if k == varied else b for k, b in enumerate(bases)]
-                try:
-                    return complex(_value(real, args, tol)[row, col])
-                except OnEigensurface:
-                    return None
+            def evaluate(ts):
+                points = [[b + t * direction if k == varied else b for k, b in enumerate(bases)] for t in ts]
+                values, _, regular = realization.evaluate(real, [np.stack(arg) for arg in zip(*points)], tol)
+                return [complex(v) if ok else None for v, ok in zip(values[:, row, col], regular)]
 
             fit = _rational_line_defect(rng, evaluate, degree)
             if fit is None:
@@ -822,11 +831,10 @@ def _multi_reflection(rng, dims, tol):
         s = sample_invertible(rng, arity)
         _require_regular(s)
         reflected = np.linalg.inv(s.conj().T)
-        _require_regular(_system_at(real, [s]))
-        _require_regular(_system_at(real, [reflected]))
-        value = _value(real, [s], tol)
+        (value,), (reflected_value,) = (_evaluate([real], [arg], tol) for arg in (s, reflected))
+        value = _value(value)
         _require_regular(value)
-        return value, _value(real, [reflected], tol)
+        return value, _value(reflected_value)
 
     value, reflected_value = _retrying(draw)
     target = np.linalg.inv(value.conj().T)
@@ -842,7 +850,8 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
     alpha, inner, _ = _multi_dims(rng, dims)
     arity = _draw(rng, 2, max(2, min(3, dims.max_arity)))
     real = KIND_TABLE["multi"].realize(random_multi(alpha, inner, arity, rng), tol)
-    value = _value(real, _regular_args(rng, arity, 1, [real], _unit_sphere), tol)
+    _, (value,) = _regular_args(rng, arity, 1, [real], tol, _unit_sphere)
+    value = _value(value)
     smin, _ = sigma_extremes(value)
     detail = f"smin(value)-1={smin - 1.0:+.3e} unitarity={unitarity_defect(value):.3e}"
     return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK, detail)
@@ -898,15 +907,15 @@ def _single_vs_multi(rng, dims, tol):
 
     def draw():
         s = rng.uniform(0.4, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        _require_regular(_system_at(real, [np.array([[s]])]))
+        (value,) = _evaluate([real], [np.array([[s]])], tol)
         try:
             single = charfun_z(col, 1.0 / s, tol).value
         except NearPole:
             raise _Retry from None
-        return np.array([[s]]), single
+        return value, single
 
-    s, single = _retrying(draw)
-    return TrialResult(rel_defect(_value(real, [s], tol), single), _budget(tol))
+    value, single = _retrying(draw)
+    return TrialResult(rel_defect(_value(value), single), _budget(tol))
 
 
 # --- relation-valued arguments ------------------------------------------------
@@ -1023,9 +1032,9 @@ def _relation_charfun_consistency(rng, dims, tol):
     alpha, inner, arity = _relation_dims(rng, dims)
     mc = random_multi(alpha, inner, arity, rng)
     real = KIND_TABLE["multi"].realize(mc, tol)
-    (s,) = _regular_args(rng, arity, 1, [real])
+    (s,), (chi,) = _regular_args(rng, arity, 1, [real], tol)
     relation = char_relation(mc, ConstraintSubspace.graph_of(s, tol), tol)
-    graph = graph_relation(_value(real, [s], tol), tol)
+    graph = graph_relation(_value(chi), tol)
     defect = subspace_distance(relation, graph)
     # The equation and basis presentations must cut out the same relation.
     rebuilt = ConstraintSubspace.from_basis(ConstraintSubspace.graph_of(s, tol).basis(), tol)
@@ -1055,17 +1064,14 @@ def _conjugacy_dilation_control(rng, dims, tol):
     real = KIND_TABLE["tri"].realize(tc, tol)
 
     def draw():
-        (s,) = _regular_args(rng, 2, 1, [real])
+        (s,), right = _regular_args(rng, 2, 1, [real], tol)
         scaled = (lam[:, None] * s) / lam[None, :]
-        _require_regular(_system_at(real, [scaled]))
-        return s, scaled
+        return _evaluate([real], [scaled], tol) + right
 
-    s, scaled = _retrying(draw)
+    left, right = _retrying(draw)
     # The value has a single exposed block, so the dilation candidate is plain
     # invariance; it holds exactly when the slots do not couple.
-    left = _value(real, [scaled], tol)
-    right = _value(real, [s], tol)
-    return TrialResult(rel_defect(left, right), CONTROL_THRESHOLD)
+    return TrialResult(rel_defect(_value(left), _value(right)), CONTROL_THRESHOLD)
 
 
 # --- paired families ----------------------------------------------------------
@@ -1074,7 +1080,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    s, r = _regular_args(rng, arity, 2, [real], _ball(0.9))
+    (s, r), _ = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
     report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, real=real)
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
@@ -1083,7 +1089,8 @@ def _doublecoset_form_increase(rng, dims, tol):
 @_suite("doublecoset-pseudo-unitary", "unitary arguments preserve the split form")
 def _doublecoset_pseudo_unitary(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    chi = _value(real, _regular_args(rng, arity, 2, [real], _haar), tol)
+    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _haar)
+    chi = _value(chi)
     form = indefinite_form(fam.arity, fam.alpha)
     defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
@@ -1094,11 +1101,11 @@ def _doublecoset_transpose(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        s, r = _regular_args(rng, arity, 2, [real])
-        _require_regular(_system_at(real, [s.T, r.T]))
-        chi = _value(real, [s, r], tol)
+        (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
+        (transposed,) = _evaluate([real], [s.T, r.T], tol)
+        chi = _value(chi)
         _require_regular(chi)
-        return chi, _value(real, [s.T, r.T], tol)
+        return chi, _value(transposed)
 
     chi, transposed = _retrying(draw)
     skew = skew_form(fam.arity, fam.alpha)
@@ -1109,7 +1116,8 @@ def _doublecoset_transpose(rng, dims, tol):
 @_suite("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form")
 def _doublecoset_symplectic(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    chi = _value(real, _regular_args(rng, arity, 2, [real], _symmetric_ball), tol)
+    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _symmetric_ball)
+    chi = _value(chi)
     skew = skew_form(fam.arity, fam.alpha)
     defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
@@ -1124,7 +1132,7 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        s, r = _regular_args(rng, arity, 2, [real])
+        (s, r), _ = _regular_args(rng, arity, 2, [real], tol)
         try:
             return adjoint_experiment(fam, s, r, tol, real)
         except (OnEigensurface, NearSingular):

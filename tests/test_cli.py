@@ -308,6 +308,26 @@ class TestVerify:
         assert one_error_line(err)
         assert argv[0] in err
 
+    @pytest.mark.parametrize(
+        "suite, guard, code",
+        [
+            ("multi-multiplicative", 0.03, 5),
+            ("doublecoset-pseudo-unitary", 0.1, 5),
+            ("single-vs-multi", 0.3, 0),
+        ],
+    )
+    def test_surface_guard_above_the_draw_floor(self, capsys, suite, guard, code):
+        # Draws are kept where the relative sigma_min clears 1e-3; a stricter
+        # guard rejects a kept draw only where the law uses its value, after
+        # the draw's own retry checks (single-vs-multi retries on a pole of
+        # the one-variable side first).
+        got, out, err = run(capsys, "verify", suite, "--trials", 30, "--seed", 0, "--tol-surface-guard", guard)
+        assert got == code
+        if code == 5:
+            assert out == ""
+            assert one_error_line(err)
+            assert "OnEigensurface" in err
+
     def test_suite_name_required(self, capsys):
         assert run(capsys, "verify")[0] == 3
 
@@ -391,6 +411,40 @@ class TestUnwritableOut:
         monkeypatch.setattr(cli, "emit_document", broken_pipe)
         code, _, err = run(capsys, "random", "multi", "--out", tmp_path / "doc.json")
         assert (code, err) == (0, "")
+
+
+def _cli_process(stdout, *argv) -> subprocess.CompletedProcess:
+    """The command line in a subprocess whose stdout is buffered, so that a
+    short output reaches ``stdout`` only when it is flushed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(colligations.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "colligations.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
+class TestStdoutWriteErrors:
+    @pytest.mark.parametrize(
+        "argv", [("random", "multi"), ("verify", "--list"), ("verify", "multi-oracle", "--trials", "1")]
+    )
+    def test_full_device_is_one_error_line(self, argv):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            result = _cli_process(full, *argv)
+        assert result.returncode == 1, result.stderr
+        assert one_error_line(result.stderr)
+        assert "stdout" in result.stderr
+
+    def test_closed_pipe_exits_zero(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = _cli_process(write, "verify", "--list")
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 class TestBadNumbers:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from colligations import doublecoset
+from colligations import doublecoset, realization
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
 
@@ -95,3 +95,18 @@ class TestRealizations:
         run_suite(suite, trials=1, seed=0)
         _, _, members = _dc_dims(np.random.default_rng(0), Dims())
         assert 0 < len(calls) <= members
+
+    @pytest.mark.parametrize("suite, most", [("multi-rational", 2), ("doublecoset-rational", 4)])
+    def test_rational_lines_are_evaluated_in_batches(self, monkeypatch, suite, most):
+        # Each line's training points and its holdout points go through one
+        # kernel call each, one line per argument.
+        calls = []
+        original = realization.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(realization, "evaluate", counted)
+        run_suite(suite, trials=1, seed=0)
+        assert 0 < len(calls) <= most

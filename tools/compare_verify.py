@@ -1,0 +1,77 @@
+"""Compare every ``verify`` suite between two source trees.
+
+Usage (from the repository root)::
+
+    python3 tools/compare_verify.py SRC_A SRC_B [--trials N] [--seeds S ...] [--tol-NAME X ...]
+
+``SRC_A`` and ``SRC_B`` are directories holding the ``colligations``
+package, such as ``src`` of two checkouts.  Each tree runs in one
+subprocess, which imports the package from that directory and runs
+``verify --list`` and then every suite it lists at every seed through
+``colligations.cli.main`` in process, with the given trial count and any
+``--tol-*`` overrides.  The exit code, stdout and stderr of each run are
+compared; the runs that differ (or that only one tree has) are printed, and
+the exit code is 1 if there are any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+# Runs in the child: argv[1] is the JSON list ``[trials, seeds, tol_flags]``.
+_WORKER = """\
+import contextlib, io, json, sys
+from colligations.cli import main
+from colligations.verify import list_suites
+
+trials, seeds, tol_flags = json.loads(sys.argv[1])
+runs = [["verify", "--list"]] + [
+    ["verify", suite.name, "--trials", str(trials), "--seed", str(seed), *tol_flags]
+    for seed in seeds
+    for suite in list_suites()
+]
+results = []
+for argv in runs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([" ".join(argv[1:]), code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _run(src: str, spec: list) -> dict:
+    """``{label: [exit code, stdout, stderr]}`` of every run in the tree ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER, json.dumps(spec)], env=env, capture_output=True, text=True, check=True
+    )
+    return {label: result for label, *result in json.loads(done.stdout)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a")
+    parser.add_argument("src_b")
+    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args, tol_flags = parser.parse_known_args(argv)
+    if len(tol_flags) % 2 or any(not flag.startswith("--tol-") for flag in tol_flags[::2]):
+        parser.error(f"expected --tol-NAME X pairs, got {tol_flags}")
+
+    spec = [args.trials, args.seeds, tol_flags]
+    first, second = (_run(src, spec) for src in (args.src_a, args.src_b))
+    labels = list(first) + [label for label in second if label not in first]
+    differ = [label for label in labels if first.get(label) != second.get(label)]
+    for label in differ:
+        print(f"differs: {label}")
+    print(f"{len(labels) - len(differ)} of {len(labels)} runs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
