@@ -109,78 +109,6 @@ def _parse_matrix(obj, what: str) -> np.ndarray:
         raise CliError(EXIT_PARSE, str(exc)) from None
 
 
-def _parse_argument(obj, scalar: bool, what: str):
-    return _parse_scalar(obj, what) if scalar else _parse_matrix(obj, what)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """One evaluation grid: a disc lattice, a line segment, or a random ball."""
-
-    kind: str
-    resolution: int = 1
-    radius: float = 1.0
-    base: object = None
-    direction: object = None
-    t_min: complex = 0j
-    t_max: complex = 0j
-    count: int = 1
-    seed: int = 0
-
-
-def _parse_grid(obj) -> GridSpec:
-    if not isinstance(obj, dict):
-        raise CliError(EXIT_PARSE, "grid: expected a JSON object")
-    kind = obj.get("type")
-    known = {
-        "disc": {"resolution"} | {"radius"},
-        "segment": {"base", "direction", "t_min", "t_max", "resolution"},
-        "ball": {"count"} | {"seed", "radius"},
-    }
-    if kind not in known:
-        raise CliError(EXIT_PARSE, "grid: type must be one of disc, segment, ball")
-    extra = set(obj) - known[kind] - {"type"}
-    if extra:
-        raise CliError(EXIT_PARSE, f"grid: unknown keys {sorted(extra)} for type {kind!r}")
-
-    def natural(key, default=None):
-        value = obj.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise CliError(EXIT_PARSE, f"grid: {key} must be a positive integer")
-        return value
-
-    def positive(key, default):
-        value = obj.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CliError(EXIT_PARSE, f"grid: {key} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if not (math.isfinite(value) and value > 0.0):
-            raise CliError(EXIT_PARSE, f"grid: {key} must be positive and finite")
-        return value
-
-    if kind == "disc":
-        return GridSpec("disc", resolution=natural("resolution"), radius=positive("radius", 1.0))
-    if kind == "segment":
-        for key in ("base", "direction", "t_min", "t_max"):
-            if key not in obj:
-                raise CliError(EXIT_PARSE, f"grid: segment needs {key}")
-        return GridSpec(
-            "segment",
-            resolution=natural("resolution"),
-            base=obj["base"],
-            direction=obj["direction"],
-            t_min=_parse_scalar(obj["t_min"], "grid t_min"),
-            t_max=_parse_scalar(obj["t_max"], "grid t_max"),
-        )
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise CliError(EXIT_PARSE, "grid: seed must be a non-negative integer")
-    return GridSpec("ball", count=natural("count"), seed=seed, radius=positive("radius", 1.0))
-
-
 # --- evaluation plumbing ------------------------------------------------------
 
 
@@ -203,10 +131,18 @@ def _argument_dim(doc: Document) -> int | None:
     return None if dim is None else dim(doc.payload)
 
 
-def _check_shape(doc: Document, argument, what: str) -> None:
+def _arguments(doc: Document, *given) -> list:
+    """Each ``(obj, what)`` as an argument of the document: a scalar, or a
+    matrix of the document's argument size.  Every one is parsed before any
+    size is checked."""
     n = _argument_dim(doc)
-    if n is not None and argument.shape != (n, n):
-        raise CliError(EXIT_MISMATCH, f"{what}: expected a {n}x{n} matrix, got {argument.shape}")
+    if n is None:
+        return [_parse_scalar(obj, what) for obj, what in given]
+    matrices = [_parse_matrix(obj, what) for obj, what in given]
+    for matrix, (_, what) in zip(matrices, given):
+        if matrix.shape != (n, n):
+            raise CliError(EXIT_MISMATCH, f"{what}: expected a {n}x{n} matrix, got {matrix.shape}")
+    return matrices
 
 
 def _stacker(doc: Document, variable: str, fixed_text: str | None):
@@ -222,8 +158,7 @@ def _stacker(doc: Document, variable: str, fixed_text: str | None):
             EXIT_MISMATCH,
             f"a {doc.kind} document takes two arguments; give --fixed with the {other} matrix",
         )
-    fixed = _parse_matrix(_parse_json(fixed_text, "--fixed"), "--fixed")
-    _check_shape(doc, fixed, "--fixed")
+    (fixed,) = _arguments(doc, (_parse_json(fixed_text, "--fixed"), "--fixed"))
 
     def arguments(varied):
         held = np.broadcast_to(fixed, varied.shape)
@@ -289,29 +224,64 @@ def _disc_lattice(resolution: int, radius: float, size: int):
             yield z[inside]
 
 
-def _grid_points(spec: GridSpec, doc: Document) -> _Points:
-    """The grid's points; any error in the grid is raised here, before a chunk is made."""
-    scalar = _argument_dim(doc) is None
-    if spec.kind == "disc":
-        if not scalar:
+_GRID_KEYS = {
+    "disc": {"type", "resolution", "radius"},
+    "segment": {"type", "base", "direction", "t_min", "t_max", "resolution"},
+    "ball": {"type", "count", "seed", "radius"},
+}
+
+
+def _grid_points(obj, doc: Document) -> _Points:
+    """The points of a ``--grid``: a disc lattice, a line segment, or a random
+    ball.  Any error in the grid is raised here, before a chunk is made."""
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_PARSE, "grid: expected a JSON object")
+    kind = obj.get("type")
+    if not isinstance(kind, str) or kind not in _GRID_KEYS:
+        raise CliError(EXIT_PARSE, "grid: type must be one of disc, segment, ball")
+    extra = set(obj) - _GRID_KEYS[kind]
+    if extra:
+        raise CliError(EXIT_PARSE, f"grid: unknown keys {sorted(extra)} for type {kind!r}")
+
+    def natural(key):
+        value = obj.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise CliError(EXIT_PARSE, f"grid: {key} must be a positive integer")
+        return value
+
+    def positive(key):
+        value = obj.get(key, 1.0)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise CliError(EXIT_PARSE, f"grid: {key} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value > 0.0):
+            raise CliError(EXIT_PARSE, f"grid: {key} must be positive and finite")
+        return value
+
+    if kind == "disc":
+        resolution, radius = natural("resolution"), positive("radius")
+        if _argument_dim(doc) is not None:
             raise CliError(EXIT_MISMATCH, "disc grids apply to one-variable documents only")
 
         def disc(size):
-            for z in _disc_lattice(spec.resolution, spec.radius, size):
+            for z in _disc_lattice(resolution, radius, size):
                 yield np.stack([z.real, z.imag], axis=1).tolist(), z
 
         return _Points("[%r,%r]", disc)
-    if spec.kind == "segment":
-        base = _parse_argument(spec.base, scalar, "grid base")
-        direction = _parse_argument(spec.direction, scalar, "grid direction")
-        if not scalar:
-            _check_shape(doc, base, "grid base")
-            _check_shape(doc, direction, "grid direction")
-        steps = spec.resolution
+    if kind == "segment":
+        for key in ("base", "direction", "t_min", "t_max"):
+            if key not in obj:
+                raise CliError(EXIT_PARSE, f"grid: segment needs {key}")
+        steps = natural("resolution")
+        t_min, t_max = (_parse_scalar(obj[key], f"grid {key}") for key in ("t_min", "t_max"))
+        base, direction = _arguments(doc, (obj["base"], "grid base"), (obj["direction"], "grid direction"))
 
         def ts(start, stop):
             for k in range(start, stop):
-                yield spec.t_min + (spec.t_max - spec.t_min) * (k / (steps - 1) if steps > 1 else 0.0)
+                yield t_min + (t_max - t_min) * (k / (steps - 1) if steps > 1 else 0.0)
 
         if not all(cmath.isfinite(t) for t in ts(0, steps)):
             raise CliError(EXIT_PARSE, "grid: the segment parameter overflows a float")
@@ -323,16 +293,20 @@ def _grid_points(spec: GridSpec, doc: Document) -> _Points:
                 yield [_scalar_json(t) for t in part], arguments
 
         return _Points("[%r,%r]", segment)
+    seed = obj.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise CliError(EXIT_PARSE, "grid: seed must be a non-negative integer")
+    count, radius, n = natural("count"), positive("radius"), _argument_dim(doc)
 
     def ball(size):
-        rng = np.random.default_rng(spec.seed)
-        for start in range(0, spec.count, size):
-            count = min(size, spec.count - start)
-            if scalar:
-                arguments = np.array([sample_disc(rng, spec.radius) for _ in range(count)], dtype=complex)
+        rng = np.random.default_rng(seed)
+        for start in range(0, count, size):
+            part = min(size, count - start)
+            if n is None:
+                arguments = np.array([sample_disc(rng, radius) for _ in range(part)], dtype=complex)
             else:
-                arguments = sample_balls(rng, count, _argument_dim(doc), spec.radius)
-            yield [(index,) for index in range(start, start + count)], arguments
+                arguments = sample_balls(rng, part, n, radius)
+            yield [(index,) for index in range(start, start + part)], arguments
 
     return _Points("%d", ball)
 
@@ -467,22 +441,20 @@ def _cmd_product(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _eval_points(args, doc: Document, scalar: bool) -> _Points:
+def _eval_points(args, doc: Document) -> _Points:
     if (args.point is None) == (args.grid is None):
         raise CliError(EXIT_PARSE, "give exactly one of --point or --grid")
     if args.point is not None:
-        obj = _parse_json(args.point, "--point")
-        argument = _parse_argument(obj, scalar, "--point")
-        if not scalar:
-            _check_shape(doc, argument, "--point")
-        return _one_point(_scalar_json(argument) if scalar else matrix_to_json(argument), argument)
-    return _grid_points(_parse_grid(_parse_json(args.grid, "--grid")), doc)
+        (argument,) = _arguments(doc, (_parse_json(args.point, "--point"), "--point"))
+        label = _scalar_json(argument) if isinstance(argument, complex) else matrix_to_json(argument)
+        return _one_point(label, argument)
+    return _grid_points(_parse_json(args.grid, "--grid"), doc)
 
 
 def _cmd_eval(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
     variable = _variable_for(doc, args.variable)
-    points = _eval_points(args, doc, scalar=_argument_dim(doc) is None)
+    points = _eval_points(args, doc)
     stack = _stacker(doc, variable, args.fixed)
     real = _realize(doc, tol)
 
@@ -500,7 +472,7 @@ def _cmd_surface(args, tol: Tolerances) -> int:
     if _argument_dim(doc) is None:
         raise CliError(EXIT_MISMATCH, f"a {doc.kind} document has no eigensurface to sample")
     stack = _stacker(doc, _variable_for(doc, args.variable), args.fixed)
-    points = _eval_points(args, doc, scalar=False)
+    points = _eval_points(args, doc)
     real = _realize(doc, tol)
 
     def kernel(arguments):
@@ -672,13 +644,17 @@ def _resolve_tolerances(args) -> Tolerances:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse reserves status 2 for usage errors; this tool reports
-        # invariant violations there, so usage problems map to the parse code.
-        code = exc.code if isinstance(exc.code, int) else 0
-        return EXIT_PARSE if code == 2 else code
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # --help leaves its text in stdout's buffer; flush it as every
+            # command's output is flushed.  argparse reserves status 2 for
+            # usage errors; this tool reports invariant violations there, so
+            # usage problems map to the parse code.
+            with _open_out(None):
+                pass
+            code = exc.code if isinstance(exc.code, int) else 0
+            return EXIT_PARSE if code == 2 else code
         tol = _resolve_tolerances(args)
         return args.handler(args, tol)
     except CliError as exc:

@@ -21,6 +21,7 @@ from .errors import ArityMismatch, BadSplit
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    block_diag,
     kernel,
     op_norm,
     orthonormal_columns,
@@ -231,16 +232,12 @@ class ConstraintSubspace:
 def _surface_system(mc: MultiColligation, constraint: ConstraintSubspace) -> np.ndarray:
     # Stacked system on (x, y): inner dynamics y_j = d_j x_j plus the
     # slotwise-lifted constraint equations.
-    n, m = mc.arity, mc.inner
-    if constraint.n != n:
-        raise ArityMismatch(f"constraint has {constraint.n} slots, family has {n}")
+    if constraint.n != mc.arity:
+        raise ArityMismatch(f"constraint has {constraint.n} slots, family has {mc.arity}")
     s, sigma = constraint.equations()
-    big_d = np.zeros((n * m, n * m), dtype=complex)
-    for j, g in enumerate(mc.members):
-        big_d[j * m : (j + 1) * m, j * m : (j + 1) * m] = g.d
-    eye_nm = np.eye(n * m)
-    top = np.hstack([-big_d, eye_nm])
-    bottom = np.hstack([np.kron(s, np.eye(m)), np.kron(sigma, np.eye(m))])
+    eye_m = np.eye(mc.inner)
+    top = np.hstack([-block_diag(*(g.d for g in mc.members)), np.eye(mc.arity * mc.inner)])
+    bottom = np.hstack([np.kron(s, eye_m), np.kron(sigma, eye_m)])
     return np.vstack([top, bottom])
 
 
@@ -264,24 +261,19 @@ def char_relation(
     the exposed coordinates (p, q).  Off the eigensurface this is the graph
     of the characteristic function; on it the relation is still defined.
     """
-    n, al, m = mc.arity, mc.alpha, mc.inner
-    if constraint.n != n:
-        raise ArityMismatch(f"constraint has {constraint.n} slots, family has {n}")
-    s, sigma = constraint.equations()
+    lower = _surface_system(mc, constraint)
     real = multi_realization(mc)
-    big_a, big_b, big_c, big_d = real.a, real.b, real.c, real.d
-    na, nm = n * al, n * m
-    # Columns ordered (p, q, x, y).
-    rows_q = np.hstack([-big_a, np.eye(na), -big_b, np.zeros((na, nm))])
-    rows_y = np.hstack([-big_c, np.zeros((nm, na)), -big_d, np.eye(nm)])
-    rows_l = np.hstack(
+    na, nm = mc.arity * mc.alpha, mc.arity * mc.inner
+    # Columns ordered (p, q, x, y): the output rows q = A p + B x, then the
+    # (x, y) system with y = C p + D x.
+    exposed = np.zeros((2 * nm, 2 * na), dtype=complex)
+    exposed[:nm, :na] = -real.c
+    system = np.vstack(
         [
-            np.zeros((nm, 2 * na)),
-            np.kron(s, np.eye(m)),
-            np.kron(sigma, np.eye(m)),
+            np.hstack([-real.a, np.eye(na), -real.b, np.zeros((na, nm))]),
+            np.hstack([exposed, lower]),
         ]
     )
-    system = np.vstack([rows_q, rows_y, rows_l])
     solutions = kernel(system, tol.rank_tol)
     basis = orthonormal_columns(solutions[: 2 * na, :], tol.rank_tol)
     return LinearRelation(na, na, basis, tol)

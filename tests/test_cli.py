@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import colligations
 from colligations import cli
 from colligations.cli import main
 from colligations.colligation import Colligation, equivalent_probe, identity_colligation
-from colligations.documents import document_for, load_document, save_document
+from colligations.documents import KINDS, document_for, emit_document, load_document, random_document, save_document
 from colligations.multi import MultiColligation
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -212,6 +216,24 @@ class TestEval:
         code, out, _ = run(capsys, "eval", path, "--point", point, "--fixed", point)
         assert code == 0
         assert records(out)[0]["regular"] is True
+
+    @pytest.mark.parametrize("kind", [[1], {}, None, 3])
+    def test_grid_type_must_be_a_name(self, capsys, swap_doc, kind):
+        grid = json.dumps({"type": kind, "resolution": 3})
+        code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    def test_segment_parses_both_ends_before_checking_shapes(self, capsys, swap_pair_doc):
+        # A base of the wrong size is a mismatch (3), but only once the
+        # direction has parsed: a direction that is not a matrix is a parse error.
+        grid = json.dumps(
+            {"type": "segment", "base": [[[0.5, 0.0]]], "direction": "x", "t_min": 0, "t_max": 1, "resolution": 2}
+        )
+        code, out, err = run(capsys, "eval", swap_pair_doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+        assert "grid direction" in err
 
     @pytest.mark.parametrize(
         "kind, command",
@@ -426,7 +448,14 @@ def _cli_process(stdout, *argv) -> subprocess.CompletedProcess:
 
 class TestStdoutWriteErrors:
     @pytest.mark.parametrize(
-        "argv", [("random", "multi"), ("verify", "--list"), ("verify", "multi-oracle", "--trials", "1")]
+        "argv",
+        [
+            ("random", "multi"),
+            ("verify", "--list"),
+            ("verify", "multi-oracle", "--trials", "1"),
+            ("--help",),
+            ("verify", "--help"),
+        ],
     )
     def test_full_device_is_one_error_line(self, argv):
         if not os.path.exists("/dev/full"):
@@ -437,13 +466,21 @@ class TestStdoutWriteErrors:
         assert one_error_line(result.stderr)
         assert "stdout" in result.stderr
 
-    def test_closed_pipe_exits_zero(self):
+    @staticmethod
+    def _into_closed_pipe(*argv) -> subprocess.CompletedProcess:
         read, write = os.pipe()
         os.close(read)
         try:
-            result = _cli_process(write, "verify", "--list")
+            return _cli_process(write, *argv)
         finally:
             os.close(write)
+
+    def test_closed_pipe_exits_zero(self):
+        result = self._into_closed_pipe("verify", "--list")
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_closed_pipe_after_help_exits_zero(self):
+        result = self._into_closed_pipe("--help")
         assert (result.returncode, result.stderr) == (0, "")
 
 
@@ -519,6 +556,99 @@ class TestBadNumbers:
         assert (code, err) == (4, "")
         (record,) = strict_records(out)
         assert record["regular"] is False and record["value"] is None
+
+
+# --- fuzzing main() -----------------------------------------------------------
+
+_GRID_WORDS = ["type", "resolution", "radius", "base", "direction", "t_min", "t_max", "count", "seed"]
+_floats = st.floats(min_value=-2.0, max_value=2.0)
+_pairs = st.lists(_floats, min_size=2, max_size=2)
+# Mostly 2x2, the argument size of the documents fuzzed.
+_matrices = st.sampled_from([2, 2, 1, 3]).flatmap(
+    lambda n: st.lists(st.lists(_pairs, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+# Integers stay small so that any grid that parses has few points.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | _matrices
+    | st.sampled_from(["disc", "segment", "ball", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_GRID_WORDS), inner, max_size=4),
+    max_leaves=10,
+)
+# Every grid key is optional, and a value that fits it is drawn often.
+_grids = st.fixed_dictionaries(
+    {"type": st.sampled_from(["disc", "segment", "ball"]) | _json_values},
+    optional={key: st.integers(1, 4) | _matrices | _json_values for key in _GRID_WORDS[1:]},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding one seeded document of each kind, ``KIND.json``."""
+    path = tmp_path_factory.mktemp("fuzz")
+    for kind in KINDS:
+        (path / f"{kind}.json").write_text(emit_document(random_document(kind, 1)))
+    return path
+
+
+def _key_paths(obj, prefix=()):
+    """The path of every key of every object nested in ``obj`` through objects."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzzMain:
+    """Any input ends in a documented exit code, with one ``error:`` line for
+    a failure, and never in an exception out of ``main``."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @example(kind="colligation", command="eval", argument=("--grid", '{"type":[1]}'), fixed=None)
+    @example(kind="multi", command="surface", argument=("--grid", '{"type":{}}'), fixed=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        command=st.sampled_from(["eval", "surface"]),
+        argument=st.tuples(st.just("--grid"), (_grids | _json_values).map(json.dumps))
+        | st.tuples(st.just("--point"), (_matrices | _floats | _json_values).map(json.dumps)),
+        fixed=st.none() | (_matrices | _json_values).map(json.dumps),
+    )
+    def test_eval_and_surface(self, fuzz_dir, kind, command, argument, fixed):
+        argv = [command, str(fuzz_dir / f"{kind}.json"), "--threads", "1", *argument]
+        if fixed is not None:
+            argv += ["--fixed", fixed]
+        code, err = _run_quietly(argv)
+        assert code in range(6)
+        if code not in (0, 4):
+            assert one_error_line(err), err
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        command=st.sampled_from(["validate", "product"]),
+        data=st.data(),
+        value=_json_values,
+    )
+    def test_document_with_one_key_replaced(self, fuzz_dir, kind, command, data, value):
+        doc = json.loads((fuzz_dir / f"{kind}.json").read_text())
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(doc))))
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        fuzzed = fuzz_dir / "fuzzed.json"
+        fuzzed.write_text(json.dumps(doc))
+        argv = ["validate", fuzzed] if command == "validate" else ["product", fuzzed, fuzz_dir / f"{kind}.json"]
+        code, err = _run_quietly([str(a) for a in argv])
+        assert code in range(6)
+        if code not in (0, 4):
+            assert one_error_line(err), err
 
 
 class TestTolerances:
