@@ -11,17 +11,19 @@ float literals -- so parse/emit round-trips are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from .colligation import Colligation, colligation_realization, product, random_colligation
-from .conjugacy import TriColligation, random_tri, tri_product, tri_realization
-from .doublecoset import dc_realization
 from .errors import ColligationError, DocumentError
 from .linalg import DEFAULT_TOLERANCES, Tolerances
-from .multi import MultiColligation, multi_product, multi_realization, random_multi
+
+if TYPE_CHECKING:
+    from .colligation import Colligation
+    from .conjugacy import TriColligation
+    from .multi import MultiColligation
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -42,7 +44,7 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-Payload = Union[Colligation, MultiColligation, TriColligation]
+Payload = Union["Colligation", "MultiColligation", "TriColligation"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,6 +140,8 @@ def _parse_dims(obj, what: str, keys: tuple[str, ...]) -> list[int]:
 
 
 def _parse_colligation(obj, what: str, tol: Tolerances) -> Colligation:
+    from .colligation import Colligation
+
     alpha, inner = _parse_dims(obj, what, ("alpha", "inner", "matrix"))
     matrix = matrix_from_json(obj["matrix"], what)
     if matrix.shape != (alpha + inner, alpha + inner):
@@ -146,6 +150,9 @@ def _parse_colligation(obj, what: str, tol: Tolerances) -> Colligation:
 
 
 def _parse_family(obj, what: str, tol: Tolerances) -> MultiColligation:
+    from .colligation import Colligation
+    from .multi import MultiColligation
+
     alpha, inner = _parse_dims(obj, what, ("alpha", "inner", "members"))
     raw = obj["members"]
     if not isinstance(raw, list) or not raw:
@@ -160,6 +167,8 @@ def _parse_family(obj, what: str, tol: Tolerances) -> MultiColligation:
 
 
 def _parse_tri(obj, what: str, tol: Tolerances) -> TriColligation:
+    from .conjugacy import TriColligation
+
     alpha, slot_dim, slots = _parse_dims(obj, what, ("alpha", "p", "slots", "matrix"))
     matrix = matrix_from_json(obj["matrix"], what)
     size = alpha + slots * slot_dim
@@ -179,9 +188,10 @@ class KindSpec:
     the scalar ``z``, whose kind has no eigensurface).  ``realize(payload,
     tol)`` builds the :class:`~colligations.realization.Realization` that
     evaluates the characteristic function and its eliminated system.
+    ``payload_type()`` is the payload class.
     """
 
-    payload_type: type
+    payload_type: Callable
     parse: Callable
     emit: Callable
     random: Callable
@@ -191,49 +201,55 @@ class KindSpec:
     realize: Callable
 
 
-# The emit and realize entries call through this module's globals, so a
-# wrapper bound to those names at run time (a profiler's, say) sees every call.
+def _module(name: str):
+    """The package module ``name``, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+# A document loads only its own kind's modules, when an entry first needs
+# them.  The entries call through the kind module's attributes, so a wrapper
+# bound to those names at run time (a profiler's, say) sees every call.
 _MULTI = KindSpec(
-    payload_type=MultiColligation,
+    payload_type=lambda: _module("multi").MultiColligation,
     parse=_parse_family,
     emit=lambda mc: {
         "alpha": mc.alpha,
         "inner": mc.inner,
         "members": [matrix_to_json(member.matrix) for member in mc.members],
     },
-    random=random_multi,
-    product=multi_product,
+    random=lambda alpha, inner, arity, seed: _module("multi").random_multi(alpha, inner, arity, seed),
+    product=lambda x, y, tol: _module("multi").multi_product(x, y, tol),
     variables=("S",),
     argument_dim=lambda mc: mc.arity,
-    realize=lambda mc, tol: multi_realization(mc),
+    realize=lambda mc, tol: _module("multi").multi_realization(mc),
 )
 KIND_TABLE = {
     "colligation": KindSpec(
-        payload_type=Colligation,
+        payload_type=lambda: _module("colligation").Colligation,
         parse=_parse_colligation,
         emit=lambda col: {"alpha": col.alpha, "inner": col.inner, "matrix": matrix_to_json(col.matrix)},
-        random=lambda alpha, inner, arity, seed: random_colligation(alpha, inner, seed),
-        product=product,
+        random=lambda alpha, inner, arity, seed: _module("colligation").random_colligation(alpha, inner, seed),
+        product=lambda x, y, tol: _module("colligation").product(x, y, tol),
         variables=("z",),
         argument_dim=None,
-        realize=lambda col, tol: colligation_realization(col),
+        realize=lambda col, tol: _module("colligation").colligation_realization(col),
     ),
     "multi": _MULTI,
     "tri": KindSpec(
-        payload_type=TriColligation,
+        payload_type=lambda: _module("conjugacy").TriColligation,
         parse=_parse_tri,
         emit=lambda tc: {"alpha": tc.alpha, "p": tc.slot_dim, "slots": tc.slots, "matrix": matrix_to_json(tc.matrix)},
-        random=random_tri,
-        product=tri_product,
+        random=lambda alpha, slot_dim, slots, seed: _module("conjugacy").random_tri(alpha, slot_dim, slots, seed),
+        product=lambda x, y, tol: _module("conjugacy").tri_product(x, y, tol),
         variables=("S",),
         argument_dim=lambda tc: tc.slots,
-        realize=lambda tc, tol: tri_realization(tc),
+        realize=lambda tc, tol: _module("conjugacy").tri_realization(tc),
     ),
     # The multi family, read with the two-argument function.
     "doublecoset": dataclasses.replace(
         _MULTI,
         variables=("S", "R"),
-        realize=lambda fam, tol: dc_realization(fam, tol),
+        realize=lambda fam, tol: _module("doublecoset").dc_realization(fam, tol),
     ),
 }
 KINDS = tuple(KIND_TABLE)
@@ -306,7 +322,7 @@ def document_for(payload: Payload, seed: int | None = None) -> Document:
     family becomes a ``multi`` document.
     """
     for kind, spec in KIND_TABLE.items():
-        if isinstance(payload, spec.payload_type):
+        if isinstance(payload, spec.payload_type()):
             return _new_document(kind, payload, seed)
     raise TypeError(f"not a document payload: {type(payload).__name__}")
 

@@ -189,7 +189,13 @@ def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TO
 
 
 def dc_dilation_check(
-    fam: DoubleCosetFamily, s, r, lam, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
+    fam: DoubleCosetFamily,
+    s,
+    r,
+    lam,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    real: Realization | None = None,
+    chi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity for two arguments.
 
@@ -204,7 +210,8 @@ def dc_dilation_check(
     ``mu S nu^{-1}`` and ``nu R mu^{-1}``; this is the ``nu = mu^{-1}``
     slice, the one that keeps symmetric ``S`` symmetric.)
 
-    ``real`` is the family's :func:`dc_realization`, built here if not given.
+    ``real`` is the family's :func:`dc_realization` and ``chi`` its value at
+    ``(S, R)``; each is computed here if not given.
     """
     s, r = _check_arguments(fam, s, r)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -216,7 +223,8 @@ def dc_dilation_check(
     eye_a = np.eye(fam.alpha)
     lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
     lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
-    chi = _charvalue(fam, real, s, r, tol).value
+    if chi is None:
+        chi = _charvalue(fam, real, s, r, tol).value
     left = lam_big @ chi @ lam_big_inv
     scaled_s = lam[:, None] * s * lam[None, :]
     scaled_r = r / lam[:, None] / lam[None, :]
@@ -262,15 +270,18 @@ def form_checks(
     seed: int = 0,
     samples: int = 8,
     real: Realization | None = None,
+    chi: np.ndarray | None = None,
 ) -> FormReport:
     """Evaluate the indefinite-form laws of the two-argument function.
 
-    ``real`` is the family's :func:`dc_realization`, built here if not given.
+    ``real`` is the family's :func:`dc_realization` and ``chi`` its value at
+    ``(S, R)``; each is computed here if not given.
     """
     s, r = _check_arguments(fam, s, r)
     real = real or dc_realization(fam, tol)
     n, al = fam.arity, fam.alpha
-    chi = _charvalue(fam, real, s, r, tol).value
+    if chi is None:
+        chi = _charvalue(fam, real, s, r, tol).value
     jm = indefinite_form(n, al)
     js = skew_form(n, al)
     chi_norm = op_norm(chi)
@@ -319,7 +330,12 @@ def _is_symmetric(m, tol: Tolerances) -> bool:
 
 
 def adjoint_experiment(
-    fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
+    fam: DoubleCosetFamily,
+    s,
+    r,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    real: Realization | None = None,
+    chi: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Compare two sign conventions for the indefinite-adjoint reflection law.
 
@@ -328,11 +344,13 @@ def adjoint_experiment(
     either with box on scalars acting as plain conjugate-transpose or with an
     extra sign.  Returns the relative defect of each reading; this is an
     experiment, not an assertion.  ``real`` is the family's
-    :func:`dc_realization`, built here if not given.
+    :func:`dc_realization` and ``chi`` its value at ``(S, R)``; each is
+    computed here if not given.
     """
     s, r = _check_arguments(fam, s, r)
     real = real or dc_realization(fam, tol)
-    chi = _charvalue(fam, real, s, r, tol).value
+    if chi is None:
+        chi = _charvalue(fam, real, s, r, tol).value
     jm = indefinite_form(fam.arity, fam.alpha)
     target = np.linalg.inv(jm @ chi.conj().T @ jm)
     scale = max(1.0, op_norm(target))

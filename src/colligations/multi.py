@@ -191,14 +191,20 @@ def multi_product(x: MultiColligation, y: MultiColligation, tol: Tolerances = DE
 
 
 def diag_conjugation(
-    mc: MultiColligation, s, lam, tol: Tolerances = DEFAULT_TOLERANCES, real: Realization | None = None
+    mc: MultiColligation,
+    s,
+    lam,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    real: Realization | None = None,
+    chi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity.
 
     Returns ``(chi(lam S lam^{-1}), Lam chi(S) Lam^{-1})`` where ``lam`` is a
     vector of nonzero scalars, acting diagonally on the argument and
     block-diagonally (``lam_j I_alpha``) on the value.  ``real`` is the
-    family's :func:`multi_realization`, built here if not given.
+    family's :func:`multi_realization` and ``chi`` its value at ``S``; each
+    is computed here if not given.
     """
     s = _check_argument(s, mc.arity)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -211,5 +217,7 @@ def diag_conjugation(
     left = _charvalue(mc, real, scaled, tol).value
     lam_big = np.kron(np.diag(lam), np.eye(mc.alpha))
     lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(mc.alpha))
-    right = lam_big @ _charvalue(mc, real, s, tol).value @ lam_big_inv
+    if chi is None:
+        chi = _charvalue(mc, real, s, tol).value
+    right = lam_big @ chi @ lam_big_inv
     return left, right

@@ -224,6 +224,7 @@ class _Retry(Exception):
 
 _ATTEMPTS = 64
 _FLOOR = Tolerances(surface_guard=1e-3)  # relative smallest singular value for "comfortably regular"
+_ON_SURFACE = "argument lies on the eigensurface"  # the message of a value held as an error
 
 
 def _retrying(draw):
@@ -256,7 +257,7 @@ def _require_regular(matrix: np.ndarray) -> None:
         raise _Retry
 
 
-def _evaluate(reals, args, tol, error=OnEigensurface, message="argument lies on the eigensurface") -> list:
+def _evaluate(reals, args, tol, error=OnEigensurface, message=_ON_SURFACE) -> list:
     """Each listed realization's value at the one point ``args``, from one
     kernel call each.  A point where one is not comfortably regular is drawn
     again (:class:`_Retry`); where only a surface guard in ``tol`` above the
@@ -314,14 +315,16 @@ def _unit_sphere(rng, n: int) -> np.ndarray:
     return g / top
 
 
-def _regular_args(rng, n: int, count: int, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
+def _regular_args(
+    rng, n: int, count: int, reals, tol, sample=_gauss, message=_ON_SURFACE
+) -> tuple[list[np.ndarray], list]:
     """``count`` drawn ``n x n`` arguments at which every listed realization
     is comfortably regular, and the realizations' values there (see
     :func:`_evaluate`)."""
 
     def draw():
         args = [sample(rng, n) for _ in range(count)]
-        return args, _evaluate(reals, args, tol)
+        return args, _evaluate(reals, args, tol, message=message)
 
     return _retrying(draw)
 
@@ -650,7 +653,8 @@ class _Kind:
     ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
     cap of the multiplicative law, the brute-force oracle ``(fam, args,
     tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
-    dilation check ``(fam, real, args, lam, tol) -> (left, right)``."""
+    dilation check ``(fam, real, args, chi, lam, tol) -> (left, right)``,
+    given the value ``chi`` at ``args``."""
 
     spec: KindSpec
     dims: Callable
@@ -678,7 +682,7 @@ _KINDS = {
         4,
         oracle=lambda fam, args, tol: multi_charfun_system(fam, *args, tol),
         equivalent=lambda fam, inner, rng, tol: multi_conjugate(fam, haar_unitary(inner, rng), tol),
-        dilation=lambda fam, real, args, lam, tol: diag_conjugation(fam, *args, lam, tol, real),
+        dilation=lambda fam, real, args, chi, lam, tol: diag_conjugation(fam, *args, lam, tol, real, chi),
     ),
     "tri": _Kind(
         KIND_TABLE["tri"],
@@ -695,7 +699,7 @@ _KINDS = {
         equivalent=lambda fam, inner, rng, tol: dc_equivalent(
             fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
         ),
-        dilation=lambda fam, real, args, lam, tol: dc_dilation_check(fam, *args, lam, tol, real),
+        dilation=lambda fam, real, args, chi, lam, tol: dc_dilation_check(fam, *args, lam, tol, real, chi),
     ),
 }
 
@@ -741,10 +745,10 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, _, arity = kind.family(rng, dims, tol)
 
     def draw():
-        args, _ = kind.args(rng, arity, [real], tol)
+        args, (chi,) = kind.args(rng, arity, [real], tol)
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
         try:
-            return kind.dilation(fam, real, args, lam, tol)
+            return kind.dilation(fam, real, args, _value(chi), lam, tol)
         except OnEigensurface:
             raise _Retry from None
 
@@ -1080,8 +1084,9 @@ def _conjugacy_dilation_control(rng, dims, tol):
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    (s, r), _ = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
-    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, real=real)
+    # A value held as an error carries the message form_checks gives its own.
+    (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9), "arguments lie on the eigensurface")
+    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, real=real, chi=_value(chi))
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
 
@@ -1132,9 +1137,9 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        (s, r), _ = _regular_args(rng, arity, 2, [real], tol)
+        (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
         try:
-            return adjoint_experiment(fam, s, r, tol, real)
+            return adjoint_experiment(fam, s, r, tol, real, _value(chi))
         except (OnEigensurface, NearSingular):
             raise _Retry from None
 

@@ -224,6 +224,37 @@ class TestEval:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
+    def test_negative_exponent_point_is_attached_with_equals(self, capsys, swap_doc):
+        # argparse takes "-1e5" for an option; "--point=-1e5" passes it as a value.
+        code, out, err = run(capsys, "eval", swap_doc, "--point=-1e5")
+        assert (code, err) == (0, "")
+        (record,) = records(out)
+        assert record["point"] == [-1e5, 0.0] and record["value"] == [[[-1e5, 0.0]]]
+        code, out, err = run(capsys, "eval", swap_doc, "--point", "-1e5")
+        assert (code, out) == (1, "") and one_error_line(err)
+
+    @pytest.mark.parametrize("resolution, radius", [(5, 1.7e308), (2, 1e308), (100, 1e307)])
+    def test_disc_lattice_that_overflows_is_rejected(self, capsys, swap_doc, resolution, radius):
+        # 2.0 * radius * (resolution - 1) is not finite: the lattice would
+        # hold inf and NaN coordinates and sweep none or part of the disc.
+        grid = json.dumps({"type": "disc", "resolution": resolution, "radius": radius})
+        code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "error: grid: the disc lattice overflows a float" in err
+
+    @pytest.mark.parametrize(
+        "resolution, radius, points",
+        [
+            (3, 4e307, [[0.0, -4e307], [-4e307, 0.0], [0.0, 0.0], [4e307, 0.0], [0.0, 4e307]]),
+            (1, 1.7e308, [[0.0, 0.0]]),
+        ],
+    )
+    def test_disc_lattice_of_a_finite_span_is_swept(self, capsys, swap_doc, resolution, radius, points):
+        grid = json.dumps({"type": "disc", "resolution": resolution, "radius": radius})
+        code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
+        assert (code, err) == (0, "")
+        assert [record["point"] for record in records(out)] == points
+
     def test_segment_parses_both_ends_before_checking_shapes(self, capsys, swap_pair_doc):
         # A base of the wrong size is a mismatch (3), but only once the
         # direction has parsed: a direction that is not a matrix is a parse error.
@@ -444,6 +475,14 @@ def _cli_process(stdout, *argv) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "colligations.cli", *argv],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
+
+
+def test_module_entry_point_reports_sweep_errors(swap_doc):
+    # Under ``python -m colligations.cli`` an error raised in the sweep module
+    # is still one that main reports.
+    result = _cli_process(subprocess.PIPE, "eval", swap_doc, "--point", "[1, 2, 3]")
+    assert result.returncode == 1 and one_error_line(result.stderr)
+    assert "error: --point: expected a number or an [re, im] pair" in result.stderr
 
 
 class TestStdoutWriteErrors:
@@ -672,34 +711,98 @@ class TestTolerances:
         assert run(capsys, "validate", swap_doc, "--tol-unitarity", "2.0")[0] == 1
 
 
-def test_import_does_not_load_scipy():
+def _in_fresh_process(code: str, *argv) -> str:
+    """Stdout of ``python -c code argv...`` importing the package under test;
+    the process must exit 0."""
     src = str(Path(colligations.__file__).resolve().parents[1])
-    code = "import sys, colligations.cli; sys.exit('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
-    assert result.returncode == 0, result.stderr.decode()
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_does_not_load_scipy():
+    _in_fresh_process("import sys, colligations.cli; sys.exit('scipy' in sys.modules)")
 
 
 def test_verify_runs_without_a_thread_pool():
-    src = str(Path(colligations.__file__).resolve().parents[1])
-    code = (
+    _in_fresh_process(
         "import sys, colligations.cli\n"
         "assert colligations.cli.main(['verify', 'doublecoset-oracle', '--trials', '2']) == 0\n"
         "sys.exit('concurrent.futures' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
-    assert result.returncode == 0, result.stderr.decode()
 
 
 def test_import_does_not_load_verify():
-    src = str(Path(colligations.__file__).resolve().parents[1])
-    code = (
+    _in_fresh_process(
         "import sys, colligations.cli\n"
         "assert 'colligations.verify' not in sys.modules\n"
         "import colligations\n"
         "assert colligations.run_suite.__module__ == 'colligations.verify'\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
-    assert result.returncode == 0, result.stderr.decode()
+
+
+# Modules of the package each command loads, beyond those every command
+# loads (the package and what importing the cli loads).  A case runs its
+# command lines in order in one process and checks the set after each; a
+# word "@KIND" stands for a document of that kind.
+_CLI_MODULES = {f"colligations{name}" for name in ("", ".cli", ".documents", ".errors", ".linalg")}
+_KIND_MODULES = {
+    "colligation": {"colligation", "realization"},
+    "multi": {"colligation", "multi", "realization"},
+    "tri": {"conjugacy", "realization"},
+    "doublecoset": {"colligation", "multi", "realization"},
+}
+_BALL = '{"type":"ball","count":2,"radius":0.5}'
+_POINT = "[[[0.1,0.0],[0.0,0.0]],[[0.0,0.0],[0.1,0.0]]]"
+_COMMAND_CASES = {
+    **{
+        f"validate-random-product-{kind}": (
+            [["validate", f"@{kind}"], ["random", kind], ["product", f"@{kind}", f"@{kind}"]],
+            modules,
+        )
+        for kind, modules in _KIND_MODULES.items()
+    },
+    "eval-colligation": (
+        [["eval", "@colligation", "--grid", '{"type":"disc","resolution":3}']],
+        {"sweeps"} | _KIND_MODULES["colligation"],
+    ),
+    "eval-tri": ([["eval", "@tri", "--grid", _BALL]], {"sweeps"} | _KIND_MODULES["tri"]),
+    "eval-doublecoset": (
+        [["eval", "@doublecoset", "--point", _POINT, "--fixed", _POINT]],
+        {"sweeps", "doublecoset"} | _KIND_MODULES["doublecoset"],
+    ),
+    "surface-multi": ([["surface", "@multi", "--grid", _BALL]], {"sweeps"} | _KIND_MODULES["multi"]),
+    "verify": (
+        [["verify", "multi-oracle", "--trials", "1"]],
+        {"colligation", "multi", "conjugacy", "doublecoset", "realization", "relations", "verify"},
+    ),
+}
+_LOADED = """\
+import contextlib, io, json, sys
+from colligations.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([code, sorted(name for name in sys.modules if name.startswith("colligations"))])
+print(json.dumps(loaded))
+"""
+
+
+def test_import_of_the_package_loads_no_module():
+    code = "import sys, colligations\nprint(sorted(name for name in sys.modules if name.startswith('colligations')))"
+    assert _in_fresh_process(code) == "['colligations']\n"
+
+
+@pytest.mark.parametrize("case", sorted(_COMMAND_CASES))
+def test_command_loads_only_its_modules(tmp_path, case):
+    runs, modules = _COMMAND_CASES[case]
+    documents = {}
+    for kind in KINDS:
+        documents[f"@{kind}"] = str(tmp_path / f"{kind}.json")
+        save_document(random_document(kind, seed=1), documents[f"@{kind}"])
+    runs = [[documents.get(word, word) for word in argv] for argv in runs]
+    want = sorted(_CLI_MODULES | {f"colligations.{name}" for name in modules})
+    for argv, (code, loaded) in zip(runs, json.loads(_in_fresh_process(_LOADED, json.dumps(runs))), strict=True):
+        assert (code, loaded) == (0, want), argv

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from colligations import cli
+from colligations import cli, sweeps
 from colligations.colligation import colligation_realization, random_colligation
 from colligations.conjugacy import random_tri, tri_charfun_system, tri_realization
 from colligations.documents import KIND_TABLE, random_document, save_document, matrix_to_json
@@ -63,7 +63,7 @@ def test_chunk_size_does_not_change_bytes(capsys, monkeypatch, documents):
     for command, argv in _sweeps(documents):
         outputs = []
         for entries in (1, 10**9):  # one point per chunk, then the whole grid
-            monkeypatch.setattr(cli, "_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(sweeps, "_CHUNK_ENTRIES", entries)
             code, out, err = _run(capsys, command, *argv, "--threads", 2)
             assert code in (0, 4) and err == ""
             outputs.append(out)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from colligations import cli
+from colligations import cli, sweeps
 from colligations.colligation import Colligation
 from colligations.documents import document_for, matrix_to_json, save_document
 from colligations.linalg import sample_ball, sample_balls
@@ -48,7 +48,7 @@ def test_eval_records_are_canonical_json(label, labels, decode):
         )
         for i, point in enumerate(labels)
     )
-    assert cli._eval_text(label, labels, values, sigma, regular) == want
+    assert sweeps._eval_text(label, labels, values, sigma, regular) == want
 
 
 @pytest.mark.parametrize("label, labels, decode", LABELS)
@@ -72,16 +72,16 @@ def test_surface_records_are_canonical_json(label, labels, decode):
         )
         for i, point in enumerate(labels)
     )
-    assert cli._surface_text(label, labels, dets, sigma) == want
+    assert sweeps._surface_text(label, labels, dets, sigma) == want
 
 
 def test_matrix_point_label_is_canonical_json():
     point = np.array([[complex(-0.0, 5e-324), 1e16], [1.7e308, complex(-0.0, -2.5e-10)]])
-    sweep = cli._one_point(matrix_to_json(point), point)
+    sweep = sweeps._one_point(matrix_to_json(point), point)
     ((labels, arguments),) = list(sweep.chunks(1))
     assert arguments.tobytes() == point[None].tobytes()
     values = np.array([[[complex(0.5, -0.0)]]])
-    text = cli._eval_text(sweep.label, labels, values, np.array([0.25]), np.array([True]))
+    text = sweeps._eval_text(sweep.label, labels, values, np.array([0.25]), np.array([True]))
     want = {"point": matrix_to_json(point), "value": [[[0.5, -0.0]]], "sigma_min": 0.25, "regular": True}
     assert text == canonical(want)
 
@@ -128,7 +128,7 @@ def disc_loop(res: int, radius: float) -> list[complex]:
 @pytest.mark.parametrize("radius", [1.0, 0.7, 2.5, 1e-3])
 @pytest.mark.parametrize("size", [1, 7, 4096])
 def test_disc_lattice_matches_the_loop(res, radius, size):
-    chunks = list(cli._disc_lattice(res, radius, size))
+    chunks = list(sweeps._disc_lattice(res, radius, size))
     assert all(len(chunk) for chunk in chunks)
     got = np.concatenate(chunks) if chunks else np.empty(0, dtype=complex)
     want = np.array(disc_loop(res, radius), dtype=complex)
@@ -201,7 +201,7 @@ def test_map_ordered_is_in_order_and_holds_at_most_threads(threads):
             yield k
 
     results = []
-    for result in cli._map_ordered(lambda k: k * k, items(), threads):
+    for result in sweeps._map_ordered(lambda k: k * k, items(), threads):
         results.append(result)
         assert len(pulled) - len(results) < threads
     assert results == [k * k for k in range(25)]
@@ -209,7 +209,7 @@ def test_map_ordered_is_in_order_and_holds_at_most_threads(threads):
 
 def test_records_are_written_chunk_by_chunk(capsys, monkeypatch, swap_doc):
     events = []
-    evaluate, emit = cli.evaluate, cli._emit_records
+    evaluate, emit = sweeps.evaluate, cli._emit_records
 
     def evaluated(*args):
         events.append("evaluate")
@@ -219,8 +219,8 @@ def test_records_are_written_chunk_by_chunk(capsys, monkeypatch, swap_doc):
         events.append("emit")
         return emit(*args)
 
-    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 16)
-    monkeypatch.setattr(cli, "evaluate", evaluated)
+    monkeypatch.setattr(sweeps, "_CHUNK_ENTRIES", 16)
+    monkeypatch.setattr(sweeps, "evaluate", evaluated)
     monkeypatch.setattr(cli, "_emit_records", emitted)
     grid = '{"type":"disc","resolution":21}'
     assert cli.main(["eval", swap_doc, "--grid", grid, "--threads", "1"]) == 0

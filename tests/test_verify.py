@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from colligations import doublecoset, realization
+from colligations.errors import OnEigensurface, RetriesExhausted
+from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
 
@@ -96,10 +98,9 @@ class TestRealizations:
         _, _, members = _dc_dims(np.random.default_rng(0), Dims())
         assert 0 < len(calls) <= members
 
-    @pytest.mark.parametrize("suite, most", [("multi-rational", 2), ("doublecoset-rational", 4)])
-    def test_rational_lines_are_evaluated_in_batches(self, monkeypatch, suite, most):
-        # Each line's training points and its holdout points go through one
-        # kernel call each, one line per argument.
+    @staticmethod
+    def _kernel_calls(monkeypatch, suite) -> int:
+        """``realization.evaluate`` calls in one trial of ``suite`` at seed 0."""
         calls = []
         original = realization.evaluate
 
@@ -109,4 +110,40 @@ class TestRealizations:
 
         monkeypatch.setattr(realization, "evaluate", counted)
         run_suite(suite, trials=1, seed=0)
-        assert 0 < len(calls) <= most
+        return len(calls)
+
+    @pytest.mark.parametrize("suite, most", [("multi-rational", 2), ("doublecoset-rational", 4)])
+    def test_rational_lines_are_evaluated_in_batches(self, monkeypatch, suite, most):
+        # Each line's training points and its holdout points go through one
+        # kernel call each, one line per argument.
+        assert 0 < self._kernel_calls(monkeypatch, suite) <= most
+
+    @pytest.mark.parametrize(
+        "suite, most",
+        [
+            ("multi-dilation", 2),
+            ("doublecoset-dilation", 2),
+            ("doublecoset-form-increase", 2),
+            ("doublecoset-adjoint-experiment", 3),
+        ],
+    )
+    def test_drawn_point_is_evaluated_once(self, monkeypatch, suite, most):
+        # The helper takes the value the draw computed at the drawn point and
+        # evaluates only the other points its law needs.
+        assert 0 < self._kernel_calls(monkeypatch, suite) <= most
+
+    @pytest.mark.parametrize(
+        "suite",
+        ["multi-dilation", "doublecoset-dilation", "doublecoset-form-increase", "doublecoset-adjoint-experiment"],
+    )
+    def test_value_held_as_an_error_is_raised_where_it_is_used(self, suite):
+        # Under a surface guard above the draw floor, a drawn point the floor
+        # accepts but the guard rejects has its value held as an error; the
+        # dilation and adjoint laws draw again, the form law stops the suite.
+        strict = Tolerances(surface_guard=0.5)
+        if suite == "doublecoset-form-increase":
+            with pytest.raises(OnEigensurface, match="arguments lie on the eigensurface"):
+                run_suite(suite, trials=20, seed=0, tol=strict)
+        else:
+            with pytest.raises(RetriesExhausted):
+                run_suite(suite, trials=20, seed=0, tol=strict)
