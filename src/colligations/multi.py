@@ -50,10 +50,12 @@ class MultiColligation:
     """A tuple of colligations sharing one exposed/inner split.
 
     The double-coset family of :mod:`.doublecoset` is the same tuple; which
-    characteristic function applies is a property of the document kind.
+    characteristic function applies is a property of the document kind.  A
+    family keeps each realization built from it (see :meth:`_kept`); the
+    members' matrices are read-only, so a kept one cannot go stale.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_realizations")
 
     def __init__(self, members):
         members = tuple(members)
@@ -68,6 +70,20 @@ class MultiColligation:
             if g.inner != inner:
                 raise ArityMismatch("members disagree on the inner dimension")
         self.members = members
+        self._realizations = {}
+
+    def _kept(self, key, build) -> Realization:
+        """The realization kept under ``key``, made by ``build()`` on first
+        use; one whose build raised is not kept, so the next call raises too.
+        Threads that race here each build the same blocks, and one is kept."""
+        real = self._realizations.get(key)
+        if real is None:
+            real = build()
+            for block in (real.a, real.b, real.c, real.d, real.bt, real.dt):
+                if block is not None:
+                    block.flags.writeable = False
+            self._realizations[key] = real
+        return real
 
     @property
     def arity(self) -> int:
@@ -95,14 +111,18 @@ def _random_multi(rng: np.random.Generator, alpha: int, inner: int, arity: int) 
 
 
 def multi_realization(mc: MultiColligation) -> Realization:
-    """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form)."""
-    return Realization(
+    """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form),
+    built on first use and kept by the family."""
+    return mc._kept(
         "S",
-        block_diag(*(g.a for g in mc.members)),
-        block_diag(*(g.b for g in mc.members)),
-        block_diag(*(g.c for g in mc.members)),
-        block_diag(*(g.d for g in mc.members)),
-        mc.inner,
+        lambda: Realization(
+            "S",
+            block_diag(*(g.a for g in mc.members)),
+            block_diag(*(g.b for g in mc.members)),
+            block_diag(*(g.c for g in mc.members)),
+            block_diag(*(g.d for g in mc.members)),
+            mc.inner,
+        ),
     )
 
 
@@ -124,13 +144,8 @@ def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
 
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
-    return _charvalue(mc, multi_realization(mc), s, tol)
-
-
-def _charvalue(mc: MultiColligation, real: Realization, s, tol: Tolerances) -> CharValue:
-    """:func:`multi_charfun` through the family's realization ``real``."""
     s = _check_argument(s, mc.arity)
-    return charvalue(real, (s,), tol, OnEigensurface, "argument lies on the eigensurface")
+    return charvalue(multi_realization(mc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
 
 
 def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -195,16 +210,14 @@ def diag_conjugation(
     s,
     lam,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    real: Realization | None = None,
     chi: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity.
 
     Returns ``(chi(lam S lam^{-1}), Lam chi(S) Lam^{-1})`` where ``lam`` is a
     vector of nonzero scalars, acting diagonally on the argument and
-    block-diagonally (``lam_j I_alpha``) on the value.  ``real`` is the
-    family's :func:`multi_realization` and ``chi`` its value at ``S``; each
-    is computed here if not given.
+    block-diagonally (``lam_j I_alpha``) on the value.  ``chi`` is the value
+    at ``S``, computed here if not given.
     """
     s = _check_argument(s, mc.arity)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -212,12 +225,11 @@ def diag_conjugation(
         raise ArityMismatch(f"need {mc.arity} scalars, got {lam.shape[0]}")
     if np.any(lam == 0):
         raise ValueError("dilation scalars must be nonzero")
-    real = real or multi_realization(mc)
     scaled = (lam[:, None] * s) / lam[None, :]
-    left = _charvalue(mc, real, scaled, tol).value
+    left = multi_charfun(mc, scaled, tol).value
     lam_big = np.kron(np.diag(lam), np.eye(mc.alpha))
     lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(mc.alpha))
     if chi is None:
-        chi = _charvalue(mc, real, s, tol).value
+        chi = multi_charfun(mc, s, tol).value
     right = lam_big @ chi @ lam_big_inv
     return left, right

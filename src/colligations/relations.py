@@ -21,7 +21,6 @@ from .errors import ArityMismatch, BadSplit
 from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
-    block_diag,
     kernel,
     op_norm,
     orthonormal_columns,
@@ -236,7 +235,7 @@ def _surface_system(mc: MultiColligation, constraint: ConstraintSubspace) -> np.
         raise ArityMismatch(f"constraint has {constraint.n} slots, family has {mc.arity}")
     s, sigma = constraint.equations()
     eye_m = np.eye(mc.inner)
-    top = np.hstack([-block_diag(*(g.d for g in mc.members)), np.eye(mc.arity * mc.inner)])
+    top = np.hstack([-multi_realization(mc).d, np.eye(mc.arity * mc.inner)])
     bottom = np.hstack([np.kron(s, eye_m), np.kron(sigma, eye_m)])
     return np.vstack([top, bottom])
 

@@ -164,20 +164,21 @@ def _disc_lattice(resolution: int, radius: float, size: int):
 
     The lattice is row-major, the imaginary part per row and the real part
     per column, with coordinates ``-radius + 2.0 * radius * i / (res - 1)``
-    (0.0 for one row).  A point is kept when ``abs(z) <= radius * (1 +
-    1e-12)``; the modulus is ``np.hypot``, and any point within a few ulps
-    of that bound is tested again with Python's ``abs``.  ``2.0 * radius *
-    (res - 1)`` must be finite (:func:`_grid_points` checks it).
+    (0.0 for one row), computed for one chunk at a time.  A point is kept
+    when ``abs(z) <= radius * (1 + 1e-12)``; the modulus is ``np.hypot``,
+    and any point within a few ulps of that bound is tested again with
+    Python's ``abs``.  ``2.0 * radius * (res - 1)`` must be finite and
+    ``res * res`` an array index (:func:`_grid_points` checks both).
     """
-    if resolution > 1:
-        axis = -radius + 2.0 * radius * np.arange(resolution, dtype=float) / (resolution - 1)
-    else:
-        axis = np.zeros(1)
+
+    def coordinate(index):
+        return -radius + 2.0 * radius * index / (resolution - 1) if resolution > 1 else np.zeros(len(index))
+
     bound = radius * (1.0 + 1e-12)
     for start in range(0, resolution * resolution, size):
         rows, cols = np.divmod(np.arange(start, min(start + size, resolution * resolution)), resolution)
         z = np.empty(len(rows), dtype=complex)
-        z.real, z.imag = axis[cols], axis[rows]
+        z.real, z.imag = coordinate(cols), coordinate(rows)
         modulus = np.hypot(z.real, z.imag)
         inside = modulus <= bound
         for k in np.flatnonzero(np.abs(modulus - bound) <= 1e-15 * bound):
@@ -234,6 +235,8 @@ def _grid_points(obj, doc: Document) -> _Points:
             span = math.inf
         if not math.isfinite(span):
             raise CliError(EXIT_PARSE, "grid: the disc lattice overflows a float")
+        if resolution * resolution > np.iinfo(np.intp).max:
+            raise CliError(EXIT_PARSE, "grid: the disc lattice has more points than an array can index")
 
         def disc(size):
             for z in _disc_lattice(resolution, radius, size):
@@ -258,7 +261,9 @@ def _grid_points(obj, doc: Document) -> _Points:
         def segment(size):
             for start in range(0, steps, size):
                 part = list(ts(start, min(start + size, steps)))
-                arguments = np.array([base + t * direction for t in part], dtype=complex)
+                # A point that overflows is not regular, which its record says.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    arguments = np.array([base + t * direction for t in part], dtype=complex)
                 yield [_scalar_json(t) for t in part], arguments
 
         return _Points("[%r,%r]", segment)

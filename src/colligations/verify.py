@@ -653,8 +653,8 @@ class _Kind:
     ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
     cap of the multiplicative law, the brute-force oracle ``(fam, args,
     tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
-    dilation check ``(fam, real, args, chi, lam, tol) -> (left, right)``,
-    given the value ``chi`` at ``args``."""
+    dilation check ``(fam, args, chi, lam, tol) -> (left, right)``, given
+    the value ``chi`` at ``args``."""
 
     spec: KindSpec
     dims: Callable
@@ -682,7 +682,7 @@ _KINDS = {
         4,
         oracle=lambda fam, args, tol: multi_charfun_system(fam, *args, tol),
         equivalent=lambda fam, inner, rng, tol: multi_conjugate(fam, haar_unitary(inner, rng), tol),
-        dilation=lambda fam, real, args, chi, lam, tol: diag_conjugation(fam, *args, lam, tol, real, chi),
+        dilation=lambda fam, args, chi, lam, tol: diag_conjugation(fam, *args, lam, tol, chi),
     ),
     "tri": _Kind(
         KIND_TABLE["tri"],
@@ -699,7 +699,7 @@ _KINDS = {
         equivalent=lambda fam, inner, rng, tol: dc_equivalent(
             fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
         ),
-        dilation=lambda fam, real, args, chi, lam, tol: dc_dilation_check(fam, *args, lam, tol, real, chi),
+        dilation=lambda fam, args, chi, lam, tol: dc_dilation_check(fam, *args, lam, tol, chi),
     ),
 }
 
@@ -748,7 +748,7 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
         args, (chi,) = kind.args(rng, arity, [real], tol)
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
         try:
-            return kind.dilation(fam, real, args, _value(chi), lam, tol)
+            return kind.dilation(fam, args, _value(chi), lam, tol)
         except OnEigensurface:
             raise _Retry from None
 
@@ -1086,7 +1086,7 @@ def _doublecoset_form_increase(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
     # A value held as an error carries the message form_checks gives its own.
     (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9), "arguments lie on the eigensurface")
-    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, real=real, chi=_value(chi))
+    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, chi=_value(chi))
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
 
@@ -1139,7 +1139,7 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
     def draw():
         (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
         try:
-            return adjoint_experiment(fam, s, r, tol, real, _value(chi))
+            return adjoint_experiment(fam, s, r, tol, _value(chi))
         except (OnEigensurface, NearSingular):
             raise _Retry from None
 

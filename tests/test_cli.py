@@ -242,6 +242,15 @@ class TestEval:
         assert (code, out) == (1, "")
         assert one_error_line(err) and "error: grid: the disc lattice overflows a float" in err
 
+    def test_disc_lattice_too_large_to_index_is_rejected(self, capsys, tmp_path, swap_doc):
+        # The span is finite, but resolution**2 points cannot be indexed.
+        grid = json.dumps({"type": "disc", "resolution": 10**30, "radius": 1e-300})
+        target = tmp_path / "out.ndjson"
+        code, out, err = run(capsys, "eval", swap_doc, "--grid", grid, "--out", target)
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and "error: grid: the disc lattice has more points" in err
+        assert not target.exists()
+
     @pytest.mark.parametrize(
         "resolution, radius, points",
         [
@@ -588,6 +597,24 @@ class TestBadNumbers:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
+    @pytest.mark.filterwarnings("error")  # a warning would print to stderr outside pytest
+    def test_segment_points_that_overflow_are_not_regular_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        assert run(capsys, "random", "multi", "--seed", 3, "--out", path)[0] == 0
+        big = [[[1.7e308, 1.7e308], [1.7e308, -1.7e308]], [[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]]
+        grid = {"type": "segment", "base": big, "direction": big, "t_min": -1, "t_max": 1, "resolution": 5}
+        code, out, err = run(capsys, "eval", path, "--grid", json.dumps(grid))
+        assert (code, err) == (0, "")
+        # At t = -1 the point is exactly 0; past it, base + t * direction overflows.
+        lines = out.splitlines()
+        assert json.loads(lines[0])["regular"] is True
+        assert lines[1:] == [
+            '{"point":[-0.5,0.0],"regular":false,"sigma_min":9.436895709313829e+291,"value":null}',
+            '{"point":[0.0,0.0],"regular":false,"sigma_min":null,"value":null}',
+            '{"point":[0.5,0.0],"regular":false,"sigma_min":null,"value":null}',
+            '{"point":[1.0,0.0],"regular":false,"sigma_min":null,"value":null}',
+        ]
+
     def test_overflowing_value_is_not_regular(self, capsys, swap_pair_doc):
         # chi(S) = S^-1 for the swap pair; at S = 1e-310 I it exceeds the float range.
         point = json.dumps([[[1e-310, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-310, 0.0]]])
@@ -619,6 +646,30 @@ _grids = st.fixed_dictionaries(
     optional={key: st.integers(1, 4) | _matrices | _json_values for key in _GRID_WORDS[1:]},
 )
 
+# The values each flag accepts, small where they size the work (--trials
+# <= 3, --max-* and --threads <= 4), and other values: floats of any kind,
+# integers that are not positive, and text without a digit.
+_ACCEPTED = {
+    **{f"--tol-{name}": st.floats(1e-300, 0.999) for name in ("unitarity", "residual", "rank", "surface-guard")},
+    "--seed": st.integers(0, 10**30),
+    "--trials": st.integers(1, 3),
+    **{flag: st.integers(1, 4) for flag in ("--max-alpha", "--max-inner", "--max-arity", "--threads")},
+}
+_OTHER_VALUES = (
+    st.floats().map(repr)
+    | st.sampled_from(["nan", "-inf", "1e999", "-0.0", "1e-320"])
+    | st.integers(-(10**30), 0).map(str)
+    | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+)
+_FUZZ_SUITES = ["multi-oracle", "doublecoset-dilation", "charfun-contractive", "relation-containment"]
+# The flags each command takes besides verify's --trials; a fuzzed run may
+# add one more, which the command may not take.
+_COMMAND_FLAGS = {
+    "verify": [flag for flag in _ACCEPTED if flag != "--trials"],
+    "eval": [flag for flag in _ACCEPTED if flag.startswith(("--tol-", "--threads"))],
+    "random": [flag for flag in _ACCEPTED if flag.startswith(("--tol-", "--seed"))],
+}
+
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
@@ -637,11 +688,11 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
-def _run_quietly(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestFuzzMain:
@@ -662,7 +713,7 @@ class TestFuzzMain:
         argv = [command, str(fuzz_dir / f"{kind}.json"), "--threads", "1", *argument]
         if fixed is not None:
             argv += ["--fixed", fixed]
-        code, err = _run_quietly(argv)
+        code, _, err = _run_captured(argv)
         assert code in range(6)
         if code not in (0, 4):
             assert one_error_line(err), err
@@ -684,9 +735,31 @@ class TestFuzzMain:
         fuzzed = fuzz_dir / "fuzzed.json"
         fuzzed.write_text(json.dumps(doc))
         argv = ["validate", fuzzed] if command == "validate" else ["product", fuzzed, fuzz_dir / f"{kind}.json"]
-        code, err = _run_quietly([str(a) for a in argv])
+        code, _, err = _run_captured([str(a) for a in argv])
         assert code in range(6)
         if code not in (0, 4):
+            assert one_error_line(err), err
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(command=st.sampled_from(list(_COMMAND_FLAGS)), data=st.data())
+    def test_flags(self, fuzz_dir, command, data):
+        flags = ["--trials"] if command == "verify" else []
+        flags += data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True, max_size=4))
+        flags += data.draw(st.lists(st.sampled_from(list(_ACCEPTED)), max_size=1))
+        values = [data.draw(_ACCEPTED[flag].map(str)) for flag in flags]
+        if values and data.draw(st.booleans()):
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_OTHER_VALUES)
+        if command == "verify":
+            argv = ["verify", data.draw(st.sampled_from(_FUZZ_SUITES))]
+        elif command == "eval":
+            argv = ["eval", str(fuzz_dir / "multi.json"), "--point", _DIAGONAL_POINT]
+        else:
+            argv = ["random", data.draw(st.sampled_from(KINDS))]
+        code, out, err = _run_captured(argv + [f"{flag}={value}" for flag, value in zip(flags, values)])
+        assert code in range(6)
+        if code == 5 and out:
+            assert "error:" not in err  # a verify report that lists failures
+        elif code not in (0, 4):
             assert one_error_line(err), err
 
 

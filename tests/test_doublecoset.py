@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from colligations import doublecoset
 from colligations.colligation import identity_colligation, random_colligation
 from colligations.doublecoset import (
     DoubleCosetFamily,
@@ -11,6 +12,7 @@ from colligations.doublecoset import (
     dc_dilation_check,
     dc_equivalent,
     dc_product,
+    dc_realization,
     form_checks,
     indefinite_form,
     random_family,
@@ -26,6 +28,7 @@ from colligations.errors import (
 )
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
+    Tolerances,
     block_diag,
     haar_orthogonal,
     haar_unitary,
@@ -230,3 +233,38 @@ class TestAdjointExperiment:
         assert set(report) == {"conjugate-transpose", "negated-conjugate-transpose"}
         assert report["conjugate-transpose"] < 1e-9
         assert report["negated-conjugate-transpose"] > 1e-3
+
+
+class TestKeptRealization:
+    def test_each_member_is_cross_checked_once(self, monkeypatch):
+        # Every helper evaluates through the realization the family keeps
+        # for the one tolerance profile, built by the first call.
+        calls = []
+        original = doublecoset.transpose_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(doublecoset, "transpose_inverse", counted)
+        tol = Tolerances(residual_tol=1e-8)
+        fam = random_family(1, 2, 3, seed=37)
+        s, r = small_arguments(np.random.default_rng(38), 3)
+        dc_charfun(fam, s, r, tol)
+        dc_charfun(fam, s, r, tol)
+        dc_dilation_check(fam, s, r, np.array([1.5, 0.5j, -2.0]), tol)
+        form_checks(fam, s, r, tol)
+        adjoint_experiment(fam, s, r, tol)
+        assert len(calls) == fam.arity
+
+    def test_kept_per_tolerance_profile(self):
+        fam = random_family(1, 2, 2, seed=39)
+        loose = dc_realization(fam)
+        assert dc_realization(fam, Tolerances()) is loose
+        strict = Tolerances(residual_tol=1e-300)
+        for _ in range(2):  # a build that raised is not kept
+            with pytest.raises(NotUnitary):
+                dc_realization(fam, strict)
+        with pytest.raises(NotUnitary):
+            dc_charfun(fam, *small_arguments(np.random.default_rng(40), 2), strict)
+        assert dc_realization(fam) is loose

@@ -13,6 +13,7 @@ from colligations.colligation import (
     random_colligation,
 )
 from colligations.errors import AlphaMismatch, ArityMismatch, OnEigensurface
+from colligations import multi
 from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, unitarity_defect
 from colligations.multi import (
     MultiColligation,
@@ -24,6 +25,7 @@ from colligations.multi import (
     multi_charfun_system,
     multi_conjugate,
     multi_product,
+    multi_realization,
     random_multi,
 )
 
@@ -195,3 +197,30 @@ class TestDiagConjugation:
     def test_zero_scalar_rejected(self):
         with pytest.raises(ValueError):
             diag_conjugation(swap_pair(), np.eye(2) * 0.5, np.array([1.0, 0.0]))
+
+
+class TestKeptRealization:
+    def test_blocks_are_built_once(self, monkeypatch):
+        # The "S" form is four block_diag calls, one per block.
+        calls = []
+        original = multi.block_diag
+
+        def counted(*blocks):
+            calls.append(1)
+            return original(*blocks)
+
+        monkeypatch.setattr(multi, "block_diag", counted)
+        mc = random_multi(2, 2, 3, seed=20)
+        s = regular_argument(np.random.default_rng(21), 3)
+        for _ in range(2):
+            multi_charfun(mc, s)
+            elimination_matrix(mc, s)
+            diag_conjugation(mc, s, np.array([1.5, 0.5j, -2.0]))
+        assert len(calls) == 4
+        assert multi_realization(mc) is multi_realization(mc)
+
+    def test_kept_blocks_are_read_only(self):
+        real = multi_realization(random_multi(2, 2, 2, seed=22))
+        for block in (real.a, real.b, real.c, real.d):
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
