@@ -5,10 +5,11 @@ Subcommands: ``validate`` | ``product`` | ``eval`` | ``surface`` | ``verify``
 NDJSON with one record per line in a deterministic row-major order, so the
 output bytes do not depend on the worker-thread count.
 
-Exit codes: 0 success; 1 parse error or an ``--out`` that cannot be written;
-2 invariant violation; 3 mismatched kind, dimension, or unknown suite; 4 every
-grid point singular; 5 property failure in a verification suite, or a suite
-that cannot run to a report under the given tolerances.
+Exit codes: 0 success; 1 parse error, ``random`` or ``verify`` dimensions too
+large to allocate, or an ``--out`` that cannot be written; 2 invariant
+violation; 3 mismatched kind, dimension, or unknown suite; 4 every grid point
+singular; 5 property failure in a verification suite, or a suite that cannot
+run to a report under the given tolerances.
 """
 
 from __future__ import annotations
@@ -127,17 +128,14 @@ def _cmd_verify(args, tol: Tolerances) -> int:
         return EXIT_OK
     if args.suite is None:
         raise CliError(EXIT_MISMATCH, "give a suite name (or --list to see them)")
+    names = [suite.name for suite in list_suites()]
+    if args.suite not in names:
+        raise CliError(EXIT_MISMATCH, f"unknown suite {args.suite!r} (known: {', '.join(names)})")
     dims = Dims(max_alpha=args.max_alpha, max_inner=args.max_inner, max_arity=args.max_arity)
     try:
-        report = run_suite(
-            args.suite,
-            trials=args.trials,
-            seed=args.seed,
-            dims=dims,
-            tol=tol,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_MISMATCH, str(exc)) from None
+        report = run_suite(args.suite, trials=args.trials, seed=args.seed, dims=dims, tol=tol)
+    except (MemoryError, ValueError):  # numpy refuses a drawn size past int64 or memory before allocating
+        raise CliError(EXIT_PARSE, "verify: the drawn dimensions do not fit in memory") from None
     except ColligationError as exc:
         # The tolerances leave the suite no usable draw or value to judge.
         raise CliError(EXIT_PROPERTY, f"suite {args.suite}: {type(exc).__name__}: {exc}") from None
@@ -149,7 +147,7 @@ def _cmd_verify(args, tol: Tolerances) -> int:
 def _cmd_random(args, tol: Tolerances) -> int:
     try:
         doc = random_document(args.kind, args.seed, alpha=args.alpha, inner=args.inner, arity=args.arity)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses such sizes before allocating
         raise CliError(EXIT_PARSE, "random: the requested dimensions do not fit in memory") from None
     with _open_out(args.out) as out:
         out.write(emit_document(doc))

@@ -23,7 +23,7 @@ from .linalg import (
     require_unitary,
     sample_disc,
 )
-from .realization import Realization, charvalue
+from . import realization
 
 __all__ = [
     "Colligation",
@@ -97,13 +97,8 @@ def identity_colligation(alpha: int, inner: int) -> Colligation:
 
 
 def random_colligation(alpha: int, inner: int, seed) -> Colligation:
-    """Haar-random colligation with the given split, deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    return _random_colligation(rng, alpha, inner)
-
-
-def _random_colligation(rng: np.random.Generator, alpha: int, inner: int) -> Colligation:
-    return Colligation(_haar_unitary(rng, alpha + inner), alpha)
+    """Haar-random colligation with the given split, deterministic in seed (or drawn from a Generator)."""
+    return Colligation(_haar_unitary(np.random.default_rng(seed), alpha + inner), alpha)
 
 
 def conjugate_inner(col: Colligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:
@@ -151,9 +146,9 @@ def product(x: Colligation, y: Colligation, tol: Tolerances = DEFAULT_TOLERANCES
     return Colligation(out, x.alpha, tol)
 
 
-def colligation_realization(col: Colligation) -> Realization:
+def colligation_realization(col: Colligation) -> realization.Realization:
     """The blocks of ``a + z b (1 - z d)^{-1} c`` (the ``"z"`` form)."""
-    return Realization("z", col.a, col.b, col.c, col.d)
+    return realization.Realization("z", col.a, col.b, col.c, col.d)
 
 
 def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
@@ -162,10 +157,20 @@ def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> Char
     The certificate is the smallest singular value of ``1 - z d``; arguments
     too close to a pole raise :class:`NearPole`.
     """
-    z = complex(z)
-    return charvalue(
-        colligation_realization(col), (z,), tol, NearPole, f"argument z={z} lies at or near a pole"
-    )
+    return next(_charvalues([col], [z], tol))[0]
+
+
+def _charvalues(cols, zs, tol: Tolerances):
+    """Yield each point's :func:`charfun_z` of every colligation in ``cols``
+    from one kernel call per colligation; a pole raises :class:`NearPole` where
+    a loop over ``zs``, then ``cols``, would."""
+    zs = [complex(z) for z in zs]
+    outcomes = [realization.evaluate(colligation_realization(col), [np.array(zs)], tol) for col in cols]
+    for k, z in enumerate(zs):
+        for _, sigma, regular in outcomes:
+            if not regular[k]:
+                raise NearPole(sigma[k], f"argument z={z} lies at or near a pole")
+        yield [CharValue(values[k], float(sigma[k])) for values, sigma, _ in outcomes]
 
 
 def _cluster_points(points: list[complex], radius: float) -> list[tuple[complex, int]]:
@@ -240,12 +245,10 @@ def equivalent_probe(
     if x.alpha != y.alpha:
         raise AlphaMismatch(f"exposed dimensions differ: {x.alpha} vs {y.alpha}")
     rng = np.random.default_rng(seed)
-    for _ in range(num_samples):
-        z = sample_disc(rng, 0.95)
-        vx = charfun_z(x, z, tol).value
-        vy = charfun_z(y, z, tol).value
-        scale = max(1.0, op_norm(vx), op_norm(vy))
-        if op_norm(vx - vy) > tol.residual_tol * scale:
+    zs = [sample_disc(rng, 0.95) for _ in range(num_samples)]
+    for vx, vy in _charvalues([x, y], zs, tol):
+        scale = max(1.0, op_norm(vx.value), op_norm(vy.value))
+        if op_norm(vx.value - vy.value) > tol.residual_tol * scale:
             return False
     # Clustering radius is widened slightly so that clusters formed
     # independently for the two operands still pair up.

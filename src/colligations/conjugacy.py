@@ -99,12 +99,8 @@ class TriColligation:
 
 
 def random_tri(alpha: int, slot_dim: int, slots: int, seed) -> TriColligation:
-    rng = np.random.default_rng(seed)
-    return _random_tri(rng, alpha, slot_dim, slots)
-
-
-def _random_tri(rng: np.random.Generator, alpha: int, slot_dim: int, slots: int) -> TriColligation:
-    return TriColligation(_haar_unitary(rng, alpha + slots * slot_dim), alpha, slot_dim, slots)
+    size = alpha + slots * slot_dim
+    return TriColligation(_haar_unitary(np.random.default_rng(seed), size), alpha, slot_dim, slots)
 
 
 def tri_conjugate(tc: TriColligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -> TriColligation:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .colligation import Colligation, _act_inner, _random_colligation, product
+from .colligation import Colligation, _act_inner, product, random_colligation
 from .errors import AlphaMismatch, ArityMismatch, OnEigensurface
 from .linalg import (
     CharValue,
@@ -103,11 +103,7 @@ class MultiColligation:
 
 def random_multi(alpha: int, inner: int, arity: int, seed) -> MultiColligation:
     rng = np.random.default_rng(seed)
-    return _random_multi(rng, alpha, inner, arity)
-
-
-def _random_multi(rng: np.random.Generator, alpha: int, inner: int, arity: int) -> MultiColligation:
-    return MultiColligation(_random_colligation(rng, alpha, inner) for _ in range(arity))
+    return MultiColligation(random_colligation(alpha, inner, rng) for _ in range(arity))
 
 
 def multi_realization(mc: MultiColligation) -> Realization:

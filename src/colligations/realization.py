@@ -65,7 +65,7 @@ def system(real: Realization, args) -> np.ndarray:
     """
     if real.form == "z":
         (z,) = args
-        return np.eye(real.d.shape[0]) - z[:, None, None] * real.d
+        return np.eye(real.d.shape[0]) - _scaled(z, real.d)
     big_s = np.kron(args[0], np.eye(real.m))
     if real.form == "S":
         return big_s - real.d
@@ -76,6 +76,17 @@ def system(real: Realization, args) -> np.ndarray:
     core[:, nm:, :nm] = -(real.dt @ np.kron(args[1], np.eye(real.m)))
     core[:, nm:, nm:] = np.eye(nm)
     return core
+
+
+def _scaled(z: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``z[:, None, None] * block``, rounded at any batch size as at one point:
+    numpy forms a 1x1 block's products by the textbook formula at one point
+    but by a fused SIMD loop at more, so that case is written out here."""
+    z = z[:, None, None]
+    if block.size > 1:
+        return z * block
+    parts = [z.real * block.real - z.imag * block.imag, z.real * block.imag + z.imag * block.real]
+    return np.stack(parts, axis=-1).view(complex)[..., 0]
 
 
 def _value(real: Realization, args, x: np.ndarray) -> np.ndarray:

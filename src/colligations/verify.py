@@ -40,7 +40,7 @@ from .linalg import (
 )
 from .colligation import (
     Colligation,
-    charfun_z,
+    _charvalues,
     colligation_realization,
     conjugate_inner,
     equivalent_probe,
@@ -483,23 +483,16 @@ def _charfun_multiplicative(rng, dims, tol):
     x = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     y = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     prod = product(x, y, tol)
-    worst = 0.0
-    for _ in range(3):
-        z = sample_disc(rng, 0.95)  # no poles inside the open disc
-        vx = charfun_z(x, z, tol).value
-        vy = charfun_z(y, z, tol).value
-        vp = charfun_z(prod, z, tol).value
-        worst = max(worst, rel_defect(vp, vx @ vy))
-    return TrialResult(worst, _budget(tol))
+    zs = [sample_disc(rng, 0.95) for _ in range(3)]  # no poles inside the open disc
+    values = _charvalues([x, y, prod], zs, tol)
+    return TrialResult(max(rel_defect(vp.value, vx.value @ vy.value) for vx, vy, vp in values), _budget(tol))
 
 
 @_suite("charfun-contractive", "transfer values inside the open disc are contractions")
 def _charfun_contractive(rng, dims, tol):
     col = random_colligation(_draw(rng, 1, dims.max_alpha), _draw(rng, 1, dims.max_inner), rng)
-    worst = 0.0
-    for _ in range(4):
-        z = sample_disc(rng, 0.999)
-        worst = max(worst, op_norm(charfun_z(col, z, tol).value) - 1.0)
+    zs = [sample_disc(rng, 0.999) for _ in range(4)]
+    worst = max(op_norm(value.value) - 1.0 for (value,) in _charvalues([col], zs, tol))
     return TrialResult(max(worst, 0.0), EXPANSION_SLACK)
 
 
@@ -523,13 +516,14 @@ def _charfun_reflection(rng, dims, tol):
     def draw():
         radius = rng.uniform(0.35, 0.8)
         z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        inner = charfun_z(col, z, tol).value
-        _require_regular(inner)
+        values = _charvalues([col], [z, 1.0 / np.conj(z)], tol)
+        (inner,) = next(values)
+        _require_regular(inner.value)
         try:
-            outer = charfun_z(col, 1.0 / np.conj(z), tol).value
+            (outer,) = next(values)
         except NearPole:
             raise _Retry from None
-        return inner, outer
+        return inner.value, outer.value
 
     inner, outer = _retrying(draw)
     target = np.linalg.inv(inner.conj().T)
@@ -541,10 +535,8 @@ def _charfun_conjugation_invariant(rng, dims, tol):
     inner = _draw(rng, 1, dims.max_inner)
     col = random_colligation(_draw(rng, 1, dims.max_alpha), inner, rng)
     other = conjugate_inner(col, haar_unitary(inner, rng), tol)
-    worst = 0.0
-    for _ in range(3):
-        z = sample_disc(rng, 0.95)
-        worst = max(worst, rel_defect(charfun_z(col, z, tol).value, charfun_z(other, z, tol).value))
+    zs = [sample_disc(rng, 0.95) for _ in range(3)]
+    worst = max(rel_defect(u.value, v.value) for u, v in _charvalues([col, other], zs, tol))
     return TrialResult(worst, _budget(tol))
 
 
@@ -574,7 +566,7 @@ def _pole_witness(rng, dims, tol):
     lam = rng.uniform(0.3, 0.899) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     col = _blaschke_colligation(alpha, lam, tol)
     points, model = _pole_ray_points(lam)
-    measured = [op_norm(charfun_z(col, z, tol).value) for z in points]
+    measured = [op_norm(value.value) for (value,) in _charvalues([col], points, tol)]
     defect = max(abs(m - c) / c for m, c in zip(measured, model))
     ratio = measured[3] / measured[0]
     if ratio < GROWTH_FACTOR:
@@ -593,7 +585,7 @@ def _pole_growth(rng, dims, tol):
     def draw():
         prod = product(random_colligation(alpha, inner, rng), planted, tol)
         try:
-            return [op_norm(charfun_z(prod, z, tol).value) for z in points]
+            return [op_norm(value.value) for (value,) in _charvalues([prod], points, tol)]
         except NearPole:
             raise _Retry from None
 
@@ -608,10 +600,8 @@ def _padding_invariance(rng, dims, tol):
     alpha = _draw(rng, 1, dims.max_alpha)
     col = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     padded = pad(col, _draw(rng, 1, 2))
-    worst = 0.0
-    for _ in range(3):
-        z = sample_disc(rng, 0.95)
-        worst = max(worst, rel_defect(charfun_z(col, z, tol).value, charfun_z(padded, z, tol).value))
+    zs = [sample_disc(rng, 0.95) for _ in range(3)]
+    worst = max(rel_defect(u.value, v.value) for u, v in _charvalues([col, padded], zs, tol))
     planted = _phase_colligation(rng, alpha, [_draw(rng, 1, _PHASE_GRID - 1) for _ in range(2)], tol)
     padded_planted = pad(planted, _draw(rng, 1, 2))
     ok = spectra_match(
@@ -913,10 +903,10 @@ def _single_vs_multi(rng, dims, tol):
         s = rng.uniform(0.4, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         (value,) = _evaluate([real], [np.array([[s]])], tol)
         try:
-            single = charfun_z(col, 1.0 / s, tol).value
+            ((single,),) = _charvalues([col], [1.0 / s], tol)
         except NearPole:
             raise _Retry from None
-        return value, single
+        return value, single.value
 
     value, single = _retrying(draw)
     return TrialResult(rel_defect(_value(value), single), _budget(tol))

@@ -553,6 +553,23 @@ class TestBadNumbers:
         assert (code, out) == (1, "")
         assert one_error_line(err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("random", "multi", "--inner", 10000000000000000000),
+            ("random", "tri", "--arity", 4611686018427387904),
+            ("verify", "charfun-contractive", "--trials", 1, "--max-inner", 100000000),
+            ("verify", "charfun-contractive", "--trials", 1, "--max-inner", 4611686018427387904),
+            ("verify", "charfun-contractive", "--trials", 1, "--max-inner", 10000000000000000000),
+        ],
+    )
+    def test_dimensions_too_large_to_allocate(self, capsys, argv):
+        # Each size is past int64 or past the address space (the --max-inner
+        # 10**8 draw asks for 28.8 PiB), so numpy refuses it before allocating.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
     @pytest.mark.parametrize("flag", ["--max-alpha", "--max-inner", "--max-arity", "--trials"])
     def test_non_positive_verify_bound(self, capsys, flag):
         code, out, err = run(capsys, "verify", "multi-oracle", "--trials", 1, flag, 0)

@@ -16,7 +16,15 @@ from colligations.colligation import (
     unit_spectrum,
 )
 from colligations.errors import AlphaMismatch, BadSplit, NearPole, NotUnitary
-from colligations.linalg import DEFAULT_TOLERANCES, block_diag, haar_unitary, unitarity_defect
+from colligations.linalg import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    block_diag,
+    haar_unitary,
+    op_norm,
+    sample_disc,
+    unitarity_defect,
+)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -211,3 +219,42 @@ class TestEquivalentProbe:
     def test_exposed_dimensions_must_agree(self):
         with pytest.raises(AlphaMismatch):
             equivalent_probe(random_colligation(1, 2, seed=0), random_colligation(2, 2, seed=0))
+
+    @staticmethod
+    def _outcome(probe, x, y, seed, tol):
+        try:
+            return probe(x, y, seed=seed, tol=tol)
+        except NearPole as exc:
+            return str(exc)
+
+    @staticmethod
+    def _point_by_point(x, y, num_samples=16, seed=0, tol=DEFAULT_TOLERANCES):
+        # The probe written as one charfun_z call per point and colligation.
+        rng = np.random.default_rng(seed)
+        for _ in range(num_samples):
+            z = sample_disc(rng, 0.95)
+            vx, vy = charfun_z(x, z, tol).value, charfun_z(y, z, tol).value
+            if op_norm(vx - vy) > tol.residual_tol * max(1.0, op_norm(vx), op_norm(vy)):
+                return False
+        return spectra_match(unit_spectrum(x, tol), unit_spectrum(y, tol), 4.0 * tol.rank_tol)
+
+    def test_points_evaluated_together_answer_as_one_by_one(self):
+        # Under a strict guard most points are poles; the probe must still
+        # give the loop's answer, or its first NearPole message.
+        strict = Tolerances(surface_guard=0.5)
+        col = random_colligation(2, 1, seed=2)
+        big = random_colligation(2, 3, seed=3)
+        pairs = [
+            (swap_colligation(), identity_colligation(1, 1)),
+            (col, conjugate_inner(col, haar_unitary(1, seed=4))),
+            (col, pad(col, 1)),
+            (big, conjugate_inner(big, haar_unitary(3, seed=5))),
+            (big, random_colligation(2, 3, seed=6)),
+        ]
+        outcomes = set()
+        for x, y in pairs:
+            for seed in range(4):
+                got = self._outcome(equivalent_probe, x, y, seed, strict)
+                assert got == self._outcome(self._point_by_point, x, y, seed, strict)
+                outcomes.add(got if isinstance(got, bool) else "NearPole")
+        assert outcomes == {True, False, "NearPole"}

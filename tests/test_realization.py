@@ -39,6 +39,11 @@ def documents(tmp_path_factory):
     for kind in KIND_TABLE:
         paths[kind] = root / f"{kind}.json"
         save_document(random_document(kind, 5, alpha=2, inner=3, arity=3), paths[kind])
+    for alpha in (1, 2):
+        # One inner dimension: numpy rounds the system's 1x1 products at one
+        # point unlike in a longer batch, and the kernel must not.
+        paths[f"colligation-{alpha}-1"] = root / f"colligation-{alpha}-1.json"
+        save_document(random_document("colligation", 5, alpha=alpha, inner=1), paths[f"colligation-{alpha}-1"])
     return paths
 
 
@@ -47,7 +52,7 @@ def _sweeps(documents):
     and singular points, radius 0.9 keeps to the regular ball."""
     fixed = json.dumps(matrix_to_json(sample_ball(np.random.default_rng(1), 3, 0.9)))
     disc = json.dumps({"type": "disc", "resolution": 23, "radius": 1.4})
-    out = [("eval", [documents["colligation"], "--grid", disc])]
+    out = [("eval", [path, "--grid", disc]) for name, path in documents.items() if name.startswith("colligation")]
     for kind in ("multi", "tri"):
         for radius in (0.9, 3.0):
             for command in ("eval", "surface"):

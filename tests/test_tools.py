@@ -28,3 +28,16 @@ def test_compare_verify_finds_a_tree_identical_to_itself(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == ["4 of 4 runs identical"]
+
+
+def test_compare_verify_runs_every_suite_of_a_tree_against_itself():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--trials", "1", "--seeds", "0"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    # verify --list and the 43 suites.
+    assert result.stdout.splitlines() == ["44 of 44 runs identical"]

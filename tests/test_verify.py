@@ -133,6 +133,24 @@ class TestRealizations:
         assert 0 < self._kernel_calls(monkeypatch, suite) <= most
 
     @pytest.mark.parametrize(
+        "suite, calls",
+        [
+            ("product-welldefined", 2),
+            ("charfun-multiplicative", 3),
+            ("charfun-contractive", 1),
+            ("charfun-conjugation-invariant", 2),
+            ("padding-invariance", 2),
+            ("pole-witness", 1),
+            ("pole-growth", 1),
+            ("charfun-reflection", 1),
+        ],
+    )
+    def test_one_variable_points_are_evaluated_together(self, monkeypatch, suite, calls):
+        # A trial draws its points first and evaluates each colligation at
+        # all of them in one kernel call.
+        assert self._kernel_calls(monkeypatch, suite) == calls
+
+    @pytest.mark.parametrize(
         "suite",
         ["multi-dilation", "doublecoset-dilation", "doublecoset-form-increase", "doublecoset-adjoint-experiment"],
     )
