@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphaMismatch, BadSplit, NearPole
+from .errors import AlphaMismatch, BadSplit
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
@@ -161,16 +161,9 @@ def charfun_z(col: Colligation, z, tol: Tolerances = DEFAULT_TOLERANCES) -> Char
 
 
 def _charvalues(cols, zs, tol: Tolerances):
-    """Yield each point's :func:`charfun_z` of every colligation in ``cols``
-    from one kernel call per colligation; a pole raises :class:`NearPole` where
-    a loop over ``zs``, then ``cols``, would."""
-    zs = [complex(z) for z in zs]
-    outcomes = [realization.evaluate(colligation_realization(col), [np.array(zs)], tol) for col in cols]
-    for k, z in enumerate(zs):
-        for _, sigma, regular in outcomes:
-            if not regular[k]:
-                raise NearPole(sigma[k], f"argument z={z} lies at or near a pole")
-        yield [CharValue(values[k], float(sigma[k])) for values, sigma, _ in outcomes]
+    """:func:`realization.charvalues` of the colligations ``cols`` at the points ``zs``."""
+    args = [np.array([complex(z) for z in zs])]
+    return realization.charvalues([colligation_realization(col) for col in cols], args, tol)
 
 
 def _cluster_points(points: list[complex], radius: float) -> list[tuple[complex, int]]:

@@ -156,7 +156,7 @@ def tri_elimination_matrix(tc: TriColligation, s) -> np.ndarray:
 def tri_charfun(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function at a matrix argument; value is alpha x alpha."""
     s = _check_argument(s, tc.slots)
-    return charvalue(tri_realization(tc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
+    return charvalue(tri_realization(tc), (s,), tol)
 
 
 def tri_charfun_system(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

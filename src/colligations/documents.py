@@ -264,7 +264,7 @@ def parse_document(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Document:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers too long to convert, and nesting too deep
         raise _parse_error(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise _parse_error("document must be a JSON object")
@@ -297,7 +297,7 @@ def load_document(path, tol: Tolerances = DEFAULT_TOLERANCES) -> Document:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _parse_error(f"cannot read {path}: {exc}") from exc
     return parse_document(text, tol)
 

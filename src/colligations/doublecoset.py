@@ -123,7 +123,7 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     coordinates (through the transposed inverses) second.
     """
     s, r = _check_arguments(fam, s, r)  # before the realization's cross-check, which may raise
-    return charvalue(dc_realization(fam, tol), (s, r), tol, OnEigensurface, "arguments lie on the eigensurface")
+    return charvalue(dc_realization(fam, tol), (s, r), tol)
 
 
 def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

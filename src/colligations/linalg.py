@@ -161,8 +161,7 @@ def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAUL
     u, s, vh = np.linalg.svd(systems)
     sigma_min = s[:, -1]
     passed = sigma_min > tol.surface_guard * s[:, 0]
-    if not passed.all():
-        u, s, vh = u[passed], s[passed], vh[passed]
+    u, s, vh = u[passed], s[passed], vh[passed]
     x = _adjoint(vh) @ ((_adjoint(u) @ rhs) / s[:, :, None])
     return x, sigma_min, passed
 

@@ -141,7 +141,7 @@ def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
     s = _check_argument(s, mc.arity)
-    return charvalue(multi_realization(mc), (s,), tol, OnEigensurface, "argument lies on the eigensurface")
+    return charvalue(multi_realization(mc), (s,), tol)
 
 
 def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

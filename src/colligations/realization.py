@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NearPole, OnEigensurface
 from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, guarded_solve
 
-__all__ = ["Realization", "system", "evaluate", "surface_indicators", "charvalue"]
+__all__ = ["Realization", "system", "evaluate", "surface_indicators", "not_regular", "charvalues", "charvalue"]
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,12 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
     # finite, which is reported per point rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         systems = system(real, args)
-        finite = np.isfinite(systems).all(axis=(1, 2))
-        all_finite = finite.all()
-        x, sigma_finite, passed = guarded_solve(systems if all_finite else systems[finite], real.c, tol)
-        if all_finite and passed.all():
-            # Every point is solved: no selection, no copies.
-            values = _value(real, args, x)
-            return values, sigma_finite, np.isfinite(values).all(axis=(1, 2))
         count = len(systems)
         values = np.full((count, *real.a.shape), np.nan, dtype=complex)
         sigma = np.full(count, np.nan)
         regular = np.zeros(count, dtype=bool)
-        finite = np.flatnonzero(finite)
-        sigma[finite] = sigma_finite
+        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
+        x, sigma[finite], passed = guarded_solve(systems[finite], real.c, tol)
         rows = finite[passed]
         values[rows] = _value(real, [arg[rows] for arg in args], x)
         regular[rows] = np.isfinite(values[rows]).all(axis=(1, 2))
@@ -146,10 +140,28 @@ def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]
     return dets, sigma
 
 
-def charvalue(real: Realization, args, tol: Tolerances, error: type, message: str) -> CharValue:
-    """:func:`evaluate` at one point; a point that is not regular raises
-    ``error(sigma_min, message)``."""
-    values, sigma, regular = evaluate(real, [np.asarray(arg)[None] for arg in args], tol)
-    if not regular[0]:
-        raise error(sigma[0], message)
-    return CharValue(values[0], float(sigma[0]))
+def not_regular(real: Realization, args, k: int, sigma: float) -> Exception:
+    """The error for point ``k`` of ``args``, at which ``real`` is not
+    regular: near a pole for the ``"z"`` form, on the eigensurface otherwise."""
+    if real.form == "z":
+        return NearPole(sigma, f"argument z={complex(args[0][k])} lies at or near a pole")
+    if real.form == "S":
+        return OnEigensurface(sigma, "argument lies on the eigensurface")
+    return OnEigensurface(sigma, "arguments lie on the eigensurface")
+
+
+def charvalues(reals, args, tol: Tolerances):
+    """Yield each point's :class:`CharValue` of every realization in ``reals``
+    from one :func:`evaluate` call each; a point that is not regular raises
+    :func:`not_regular` where a loop over the points, then ``reals``, would."""
+    outcomes = [evaluate(real, args, tol) for real in reals]
+    for k in range(len(args[0])):
+        for real, (_, sigma, regular) in zip(reals, outcomes):
+            if not regular[k]:
+                raise not_regular(real, args, k, sigma[k])
+        yield [CharValue(values[k], float(sigma[k])) for values, sigma, _ in outcomes]
+
+
+def charvalue(real: Realization, args, tol: Tolerances) -> CharValue:
+    """:func:`charvalues` at the one point ``args``."""
+    return next(charvalues([real], [np.asarray(arg)[None] for arg in args], tol))[0]

@@ -45,7 +45,7 @@ _CHUNK_ENTRIES = 2**16
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers too long to convert, and nesting too deep
         raise CliError(EXIT_PARSE, f"{what}: invalid JSON ({exc})") from None
 
 

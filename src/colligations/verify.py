@@ -224,7 +224,6 @@ class _Retry(Exception):
 
 _ATTEMPTS = 64
 _FLOOR = Tolerances(surface_guard=1e-3)  # relative smallest singular value for "comfortably regular"
-_ON_SURFACE = "argument lies on the eigensurface"  # the message of a value held as an error
 
 
 def _retrying(draw):
@@ -257,12 +256,12 @@ def _require_regular(matrix: np.ndarray) -> None:
         raise _Retry
 
 
-def _evaluate(reals, args, tol, error=OnEigensurface, message=_ON_SURFACE) -> list:
+def _evaluate(reals, args, tol) -> list:
     """Each listed realization's value at the one point ``args``, from one
     kernel call each.  A point where one is not comfortably regular is drawn
     again (:class:`_Retry`); where only a surface guard in ``tol`` above the
-    floor rejects it, ``error(sigma_min, message)`` takes the value's place,
-    for :func:`_value` to raise where the law uses the value."""
+    floor rejects it, the error of :func:`realization.not_regular` takes the
+    value's place, for :func:`_value` to raise where the law uses the value."""
     point = [np.asarray(arg)[None] for arg in args]
     guard = tol if tol.surface_guard > _FLOOR.surface_guard else _FLOOR
     outcomes = []
@@ -271,7 +270,7 @@ def _evaluate(reals, args, tol, error=OnEigensurface, message=_ON_SURFACE) -> li
         if regular[0]:
             outcomes.append(values[0])
         elif guard is tol and realization.evaluate(real, point, _FLOOR)[2][0]:
-            outcomes.append(error(sigma[0], message))
+            outcomes.append(realization.not_regular(real, point, 0, sigma[0]))
         else:
             raise _Retry
     return outcomes
@@ -315,16 +314,14 @@ def _unit_sphere(rng, n: int) -> np.ndarray:
     return g / top
 
 
-def _regular_args(
-    rng, n: int, count: int, reals, tol, sample=_gauss, message=_ON_SURFACE
-) -> tuple[list[np.ndarray], list]:
+def _regular_args(rng, n: int, count: int, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
     """``count`` drawn ``n x n`` arguments at which every listed realization
     is comfortably regular, and the realizations' values there (see
     :func:`_evaluate`)."""
 
     def draw():
         args = [sample(rng, n) for _ in range(count)]
-        return args, _evaluate(reals, args, tol, message=message)
+        return args, _evaluate(reals, args, tol)
 
     return _retrying(draw)
 
@@ -503,8 +500,7 @@ def _charfun_boundary_unitary(rng, dims, tol):
 
     def draw():
         z = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        (value,) = _evaluate(reals, [z], tol, NearPole, f"argument z={z} lies at or near a pole")
-        return _value(value)
+        return _value(_evaluate(reals, [z], tol)[0])
 
     return TrialResult(unitarity_defect(_retrying(draw)), _budget(tol))
 
@@ -1074,8 +1070,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    # A value held as an error carries the message form_checks gives its own.
-    (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9), "arguments lie on the eigensurface")
+    (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
     report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, chi=_value(chi))
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")

@@ -376,19 +376,24 @@ class TestVerify:
             ("multi-multiplicative", 0.03, 5),
             ("doublecoset-pseudo-unitary", 0.1, 5),
             ("single-vs-multi", 0.3, 0),
+            ("multi-oracle", 0.5, 5),
+            ("conjugacy-oracle", 0.5, 5),
+            ("doublecoset-oracle", 0.5, 5),
         ],
     )
     def test_surface_guard_above_the_draw_floor(self, capsys, suite, guard, code):
         # Draws are kept where the relative sigma_min clears 1e-3; a stricter
         # guard rejects a kept draw only where the law uses its value, after
         # the draw's own retry checks (single-vs-multi retries on a pole of
-        # the one-variable side first).
+        # the one-variable side first).  The error is the one the kind's
+        # public function raises at that point.
         got, out, err = run(capsys, "verify", suite, "--trials", 30, "--seed", 0, "--tol-surface-guard", guard)
         assert got == code
         if code == 5:
+            message = "arguments lie" if suite.startswith("doublecoset") else "argument lies"
             assert out == ""
             assert one_error_line(err)
-            assert "OnEigensurface" in err
+            assert f"suite {suite}: OnEigensurface: {message} on the eigensurface (sigma_min=" in err
 
     def test_suite_name_required(self, capsys):
         assert run(capsys, "verify")[0] == 3
@@ -438,6 +443,36 @@ class TestRandom:
         code, out, err = run(capsys, "random", "multi", "--inner", 100000)
         assert (code, out) == (1, "")
         assert one_error_line(err)
+
+
+_TOO_LONG = "1" * 5000  # more digits than Python converts to an int
+_TOO_DEEP = "[" * 3000 + "]" * 3000  # deeper than the JSON decoder can recurse
+
+
+class TestUnparsableJson:
+    @pytest.mark.parametrize(
+        "content", [b"\xff{}", _TOO_LONG.encode(), _TOO_DEEP.encode()], ids=["not-utf8", "long-integer", "deep"]
+    )
+    def test_document(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+
+    @pytest.mark.parametrize("text", [_TOO_LONG, _TOO_DEEP], ids=["long-integer", "deep"])
+    @pytest.mark.parametrize("flag", ["--point", "--grid", "--fixed"])
+    def test_argument(self, capsys, tmp_path, flag, text):
+        # In process, so no limit on the length of a command line applies.
+        path = tmp_path / "dc.json"
+        assert run(capsys, "random", "doublecoset", "--seed", 1, "--out", path)[0] == 0
+        point = json.dumps(np.zeros((2, 2, 2)).tolist())
+        # The flag under test holds the text; the others hold a valid point.
+        arguments = {"--grid" if flag == "--grid" else "--point": point, "--fixed": point, flag: text}
+        code, out, err = run(capsys, "eval", path, *(item for pair in arguments.items() for item in pair))
+        assert (code, out) == (1, "")
+        assert one_error_line(err)
+        assert f"error: {flag}: invalid JSON" in err
 
 
 _DIAGONAL_POINT = json.dumps([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])

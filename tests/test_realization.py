@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from colligations import cli, sweeps
-from colligations.colligation import colligation_realization, random_colligation
-from colligations.conjugacy import random_tri, tri_charfun_system, tri_realization
+from colligations.colligation import charfun_z, colligation_realization, identity_colligation, random_colligation
+from colligations.conjugacy import TriColligation, random_tri, tri_charfun, tri_charfun_system, tri_realization
 from colligations.documents import KIND_TABLE, random_document, save_document, matrix_to_json
-from colligations.doublecoset import dc_charfun_system, dc_realization
+from colligations.doublecoset import DoubleCosetFamily, dc_charfun, dc_charfun_system, dc_realization
+from colligations.errors import NearPole, OnEigensurface
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, sample_ball, sigma_extremes
-from colligations.multi import multi_charfun_system, multi_realization, random_multi
+from colligations.multi import MultiColligation, multi_charfun, multi_charfun_system, multi_realization, random_multi
 from colligations.realization import evaluate, system
 
 EPS = np.finfo(float).eps
@@ -76,9 +77,9 @@ def test_chunk_size_does_not_change_bytes(capsys, monkeypatch, documents):
         assert len(outputs[0].splitlines()) > 1
 
 
-def test_all_regular_batch_takes_the_bits_of_the_selecting_path():
-    # A batch whose points all clear the guard skips the selection; one
-    # non-finite argument more sends the same points through it.
+def test_batch_values_do_not_depend_on_a_non_finite_member():
+    # Every batch goes through the same selection of finite, passing
+    # systems; one non-finite argument more leaves the other points' bits.
     rng = np.random.default_rng(6)
     fam = random_multi(2, 3, 3, 6)
     cases = [
@@ -88,10 +89,37 @@ def test_all_regular_batch_takes_the_bits_of_the_selecting_path():
     ]
     for real, args in cases:
         mixed = [np.concatenate([arg, np.full((1, *arg.shape[1:]), np.inf)]) for arg in args]
-        fast, slow = evaluate(real, args), evaluate(real, mixed)
-        assert fast[2].all() and not slow[2][-1]
-        for got, want in zip(fast, slow):
+        clean, with_inf = evaluate(real, args), evaluate(real, mixed)
+        assert clean[2].all() and not with_inf[2][-1]
+        for got, want in zip(clean, with_inf):
             assert got.tobytes() == want[:-1].tobytes()
+
+
+_IDENTITIES = [identity_colligation(1, 1), identity_colligation(1, 1)]
+_ON_SURFACE = "argument lies on the eigensurface"
+
+
+@pytest.mark.parametrize(
+    "at_singular_point, error, message",
+    [
+        (lambda: charfun_z(_IDENTITIES[0], 1.0), NearPole, "argument z=(1+0j) lies at or near a pole"),
+        (lambda: multi_charfun(MultiColligation(_IDENTITIES), np.eye(2)), OnEigensurface, _ON_SURFACE),
+        (lambda: tri_charfun(TriColligation(np.eye(3), 1, 1, 2), np.eye(2)), OnEigensurface, _ON_SURFACE),
+        (
+            lambda: dc_charfun(DoubleCosetFamily(_IDENTITIES), np.eye(2), np.eye(2)),
+            OnEigensurface,
+            "arguments lie on the eigensurface",
+        ),
+    ],
+    ids=["colligation", "multi", "tri", "doublecoset"],
+)
+def test_each_form_raises_its_one_error(at_singular_point, error, message):
+    # The realization's form decides the class and message at a planted pole
+    # or eigensurface point.
+    with pytest.raises(error) as raised:
+        at_singular_point()
+    assert type(raised.value) is error
+    assert str(raised.value) == f"{message} (sigma_min={raised.value.sigma_min:.3e})"
 
 
 def _stack(rng, count, n, radius):

@@ -41,3 +41,27 @@ def test_compare_verify_runs_every_suite_of_a_tree_against_itself():
     assert result.returncode == 0, result.stdout + result.stderr
     # verify --list and the 43 suites.
     assert result.stdout.splitlines() == ["44 of 44 runs identical"]
+
+
+def _compare_startup(*argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_startup.py"), *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_compare_startup_stops_at_a_missing_document_before_timing(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    result = _compare_startup(src, src, str(tmp_path / "missing.json"))
+    assert (result.returncode, result.stdout) == (1, "")
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: validate ") and "missing.json" in line
+
+
+def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    result = _compare_startup(src, src, str(tmp_path / "missing.json"), "--pairs", "9")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "need at least 10 pairs, got 9" in result.stderr
