@@ -123,7 +123,7 @@ def _cmd_verify(args, tol: Tolerances) -> int:
     from .verify import Dims, list_suites, run_suite
 
     if args.list:
-        with _open_out(None) as out:
+        with _open_out(args.out) as out:
             out.write("".join(f"{suite.name}: {suite.describe}\n" for suite in list_suites()))
         return EXIT_OK
     if args.suite is None:
@@ -208,25 +208,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("second")
     p.set_defaults(handler=_cmd_product)
 
-    p = sub.add_parser(
-        "eval", parents=[tol_flags, output, threaded], help="evaluate the transfer function"
-    )
-    p.add_argument("path")
-    p.add_argument("--point", default=None, help="single argument as JSON")
-    p.add_argument("--grid", default=None, help="grid specification as JSON")
-    p.add_argument("--variable", choices=("z", "S", "R"), default=None, help="which argument varies")
-    p.add_argument("--fixed", default=None, help="the held-fixed matrix for two-argument documents")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser(
-        "surface", parents=[tol_flags, output, threaded], help="sample the eigensurface indicator"
-    )
-    p.add_argument("path")
-    p.add_argument("--point", default=None, help="single argument as JSON")
-    p.add_argument("--grid", default=None, help="grid specification as JSON")
-    p.add_argument("--variable", choices=("S", "R"), default=None, help="which argument varies")
-    p.add_argument("--fixed", default=None, help="the held-fixed matrix for two-argument documents")
-    p.set_defaults(handler=_cmd_surface)
+    for name, variables, help_text, handler in (
+        ("eval", ("z", "S", "R"), "evaluate the transfer function", _cmd_eval),
+        ("surface", ("S", "R"), "sample the eigensurface indicator", _cmd_surface),
+    ):
+        p = sub.add_parser(name, parents=[tol_flags, output, threaded], help=help_text)
+        p.add_argument("path")
+        p.add_argument("--point", default=None, help="single argument as JSON")
+        p.add_argument("--grid", default=None, help="grid specification as JSON")
+        p.add_argument("--variable", choices=variables, default=None, help="which argument varies")
+        p.add_argument("--fixed", default=None, help="the held-fixed matrix for two-argument documents")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify", parents=[tol_flags, output], help="run a randomized property suite")
     p.add_argument("suite", nargs="?", default=None)

@@ -351,16 +351,22 @@ def _map_ordered(fn, items, threads: int):
             yield pending.popleft().result()
 
 
-def _sweep(args, points: _Points, real, kernel, text):
-    """Run ``kernel`` on the points a chunk at a time and write each chunk's
-    records (``text``) in order; yields each chunk's kernel outputs once
-    written.  The output opens when the first chunk is asked for."""
+def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
+    """Check the sweep's arguments, in the order ``--variable``, the points,
+    ``--fixed``, the realization; then run ``kernel(real, arguments)`` on the
+    points a chunk at a time and write each chunk's records (``text``) in
+    order, yielding each chunk's kernel outputs once written.  The checks run
+    and the output opens when the first chunk is asked for."""
+    variable = _variable_for(doc, args.variable)
+    points = _eval_points(args, doc)
+    stack = _stacker(doc, variable, args.fixed)
+    real = _realize(doc, tol)
     order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
     size = max(1, _CHUNK_ENTRIES // order**2)
 
     def work(chunk):
         labels, arguments = chunk
-        return labels, kernel(arguments)
+        return labels, kernel(real, stack(arguments))
 
     with _open_out(args.out) as out:
         for labels, outputs in _map_ordered(work, points.chunks(size), args.threads):
@@ -382,17 +388,11 @@ def _eval_points(args, doc: Document) -> _Points:
 
 
 def cmd_eval(args, tol: Tolerances) -> int:
-    doc = _load(args.path, tol)
-    variable = _variable_for(doc, args.variable)
-    points = _eval_points(args, doc)
-    stack = _stacker(doc, variable, args.fixed)
-    real = _realize(doc, tol)
-
-    def kernel(arguments):
-        return evaluate(real, stack(arguments), tol)
+    def kernel(real, arguments):
+        return evaluate(real, arguments, tol)
 
     seen = regular = False
-    for _, _, flags in _sweep(args, points, real, kernel, _eval_text):
+    for _, _, flags in _sweep(args, _load(args.path, tol), tol, kernel, _eval_text):
         seen, regular = True, regular or bool(flags.any())
     return EXIT_ALL_SINGULAR if seen and not regular else EXIT_OK
 
@@ -401,15 +401,6 @@ def cmd_surface(args, tol: Tolerances) -> int:
     doc = _load(args.path, tol)
     if _argument_dim(doc) is None:
         raise CliError(EXIT_MISMATCH, f"a {doc.kind} document has no eigensurface to sample")
-    stack = _stacker(doc, _variable_for(doc, args.variable), args.fixed)
-    points = _eval_points(args, doc)
-    real = _realize(doc, tol)
-
-    def kernel(arguments):
-        return surface_indicators(real, stack(arguments))
-
-    for _ in _sweep(args, points, real, kernel, _surface_text):
+    for _ in _sweep(args, doc, tol, surface_indicators, _surface_text):
         pass
     return EXIT_OK
-
-

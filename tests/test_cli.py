@@ -347,13 +347,16 @@ class TestVerify:
         assert code == 5
         assert len(json.loads(out)["failures"]) == 3
 
-    def test_list_mode(self, capsys):
+    def test_list_mode(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--list")
         assert code == 0
         # Pins every suite name and description of the registry.
         assert len(out.splitlines()) == 43
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "9521649e83addf3ca36a1f1e0a73ba38d886b11de5ba5141b5a18d74fb25c3e7"
+        # --out takes the list in place of stdout.
+        assert run(capsys, "verify", "--list", "--out", tmp_path / "list.txt") == (0, "", "")
+        assert (tmp_path / "list.txt").read_text(encoding="utf-8") == out
 
     @pytest.mark.parametrize(
         "argv",
@@ -486,11 +489,12 @@ def _writing_argv(command: str, doc: str) -> list:
         "eval": ["eval", doc, "--point", _DIAGONAL_POINT],
         "surface": ["surface", doc, "--point", _DIAGONAL_POINT],
         "verify": ["verify", "multi-oracle", "--trials", 1],
+        "verify-list": ["verify", "--list"],
     }[command]
 
 
 class TestUnwritableOut:
-    @pytest.mark.parametrize("command", ["random", "product", "eval", "surface", "verify"])
+    @pytest.mark.parametrize("command", ["random", "product", "eval", "surface", "verify", "verify-list"])
     @pytest.mark.parametrize("target", ["directory", "missing-parent", "/dev/full"])
     def test_is_one_error_line(self, capsys, tmp_path, swap_pair_doc, command, target):
         if target == "/dev/full" and not os.path.exists(target):
@@ -740,6 +744,10 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
+def _error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
 def _run_captured(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -754,6 +762,9 @@ class TestFuzzMain:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @example(kind="colligation", command="eval", argument=("--grid", '{"type":[1]}'), fixed=None)
     @example(kind="multi", command="surface", argument=("--grid", '{"type":{}}'), fixed=None)
+    @example(kind="multi", command="surface", argument=(), fixed=_DIAGONAL_POINT)
+    @example(kind="doublecoset", command="surface", argument=("--grid", '{"type":"ball","count":0}'), fixed=None)
+    @example(kind="multi", command="surface", argument=("--point", "{"), fixed="{")
     @given(
         kind=st.sampled_from(KINDS),
         command=st.sampled_from(["eval", "surface"]),
@@ -762,13 +773,22 @@ class TestFuzzMain:
         fixed=st.none() | (_matrices | _json_values).map(json.dumps),
     )
     def test_eval_and_surface(self, fuzz_dir, kind, command, argument, fixed):
-        argv = [command, str(fuzz_dir / f"{kind}.json"), "--threads", "1", *argument]
+        argv = [str(fuzz_dir / f"{kind}.json"), "--threads", "1", *argument]
         if fixed is not None:
             argv += ["--fixed", fixed]
-        code, _, err = _run_captured(argv)
+        code, _, err = _run_captured([command, *argv])
         assert code in range(6)
         if code not in (0, 4):
             assert one_error_line(err), err
+        if kind != "colligation":
+            # surface samples the system eval solves, at the same arguments:
+            # both commands accept them, or both reject them with one error.
+            other = "eval" if command == "surface" else "surface"
+            other_code, _, other_err = _run_captured([other, *argv])
+            if code in (0, 4):
+                assert other_code in (0, 4), other_err
+            else:
+                assert (other_code, _error_lines(other_err)) == (code, _error_lines(err))
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(

@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import colligations
-from colligations.documents import emit_document, random_document
+from colligations.documents import KINDS, emit_document, random_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +66,33 @@ def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):
     result = _compare_startup(src, src, str(tmp_path / "missing.json"), "--pairs", "9")
     assert (result.returncode, result.stdout) == (2, "")
     assert "need at least 10 pairs, got 9" in result.stderr
+
+
+def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep_argv.py"), "docs"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in (tmp_path / "docs").iterdir()) == sorted(f"{kind}.json" for kind in KINDS)
+    for kind in KINDS:
+        assert (tmp_path / "docs" / f"{kind}.json").read_text() == emit_document(random_document(kind, 3))
+    runs = json.loads(result.stdout)
+    # eval and surface, four kinds, every combination of grid, point, fixed and variable.
+    assert len(runs) == 3920
+    (tmp_path / "runs.json").write_text(json.dumps(runs[::196]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--argv", "runs.json"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == ["20 of 20 runs identical"]
