@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -280,6 +281,12 @@ def main(argv=None) -> int:
                 pass
             code = exc.code if isinstance(exc.code, int) else 0
             return EXIT_PARSE if code == 2 else code
+        if argv is None:
+            # A command-line process: leave the objects alive now, nearly all
+            # of them import-time structures kept until exit, out of every
+            # later collection, the full ones at interpreter shutdown
+            # included.  An in-process caller passes argv and keeps its heap.
+            gc.freeze()
         tol = _resolve_tolerances(args)
         return args.handler(args, tol)
     except CliError as exc:

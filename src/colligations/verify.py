@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import BadSplit, NearPole, NearSingular, OnEigensurface, RetriesExhausted
 from .linalg import (
@@ -50,41 +49,13 @@ from .colligation import (
     spectra_match,
     unit_spectrum,
 )
-from .multi import (
-    MultiColligation,
-    diag_conjugation,
-    eigensurface_det,
-    eigensurface_sigma,
-    multi_charfun,
-    multi_charfun_system,
-    multi_conjugate,
-    multi_product,
-    random_multi,
-)
-from .relations import (
-    ConstraintSubspace,
-    LinearRelation,
-    char_relation,
-    compose_relations,
-    form_on_subspace,
-    graph_relation,
-    identity_relation,
-    on_eigensurface,
-    signature_form,
-    subspace_distance,
-)
-from .conjugacy import random_tri, tri_charfun_system, tri_conjugate
-from .doublecoset import (
-    adjoint_experiment,
-    dc_charfun_system,
-    dc_dilation_check,
-    dc_equivalent,
-    form_checks,
-    indefinite_form,
-    skew_form,
-)
-from .documents import KIND_TABLE, KindSpec
+from .documents import KIND_TABLE, KindSpec, _module
 from . import realization
+
+# A suite loads the modules of the families it draws (``multi``,
+# ``conjugacy``, ``doublecoset``, ``relations``) when it runs, and calls
+# into them through their module attributes, so that a wrapper bound to a
+# name at run time (a tracer's) sees every call.
 
 __all__ = [
     "CONTAINMENT_TOL",
@@ -386,6 +357,8 @@ def _rational_line_defect(rng, evaluate, degree):
     is singular.  Returns None when too few samples survive; the caller then
     retries with a fresh line.
     """
+    from numpy.polynomial import polynomial as npoly
+
     count = 2 * (degree + 1) + 8
     offset = rng.uniform(0.0, 1.0)
     train = 0.7 * np.exp(2j * np.pi * (np.arange(count) + offset) / count)
@@ -659,33 +632,37 @@ class _Kind:
         return _regular_args(rng, arity, len(self.spec.variables), reals, tol, sample)
 
 
-# The oracle, equivalence and dilation entries call through this module's
-# globals, so a wrapper bound to those names at run time (a tracer's) sees them.
 _KINDS = {
     "multi": _Kind(
         KIND_TABLE["multi"],
         _multi_dims,
         4,
-        oracle=lambda fam, args, tol: multi_charfun_system(fam, *args, tol),
-        equivalent=lambda fam, inner, rng, tol: multi_conjugate(fam, haar_unitary(inner, rng), tol),
-        dilation=lambda fam, args, chi, lam, tol: diag_conjugation(fam, *args, lam, tol, chi),
+        oracle=lambda fam, args, tol: _module("multi").multi_charfun_system(fam, *args, tol),
+        equivalent=lambda fam, inner, rng, tol: _module("multi").multi_conjugate(
+            fam, haar_unitary(inner, rng), tol
+        ),
+        dilation=lambda fam, args, chi, lam, tol: _module("multi").diag_conjugation(fam, *args, lam, tol, chi),
     ),
     "tri": _Kind(
         KIND_TABLE["tri"],
         _tri_dims,
         3,
-        oracle=lambda tc, args, tol: tri_charfun_system(tc, *args, tol),
-        equivalent=lambda tc, inner, rng, tol: tri_conjugate(tc, haar_unitary(inner, rng), tol),
+        oracle=lambda tc, args, tol: _module("conjugacy").tri_charfun_system(tc, *args, tol),
+        equivalent=lambda tc, inner, rng, tol: _module("conjugacy").tri_conjugate(
+            tc, haar_unitary(inner, rng), tol
+        ),
     ),
     "doublecoset": _Kind(
         KIND_TABLE["doublecoset"],
         _dc_dims,
         3,
-        oracle=lambda fam, args, tol: dc_charfun_system(fam, *args, tol),
-        equivalent=lambda fam, inner, rng, tol: dc_equivalent(
+        oracle=lambda fam, args, tol: _module("doublecoset").dc_charfun_system(fam, *args, tol),
+        equivalent=lambda fam, inner, rng, tol: _module("doublecoset").dc_equivalent(
             fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
         ),
-        dilation=lambda fam, args, chi, lam, tol: dc_dilation_check(fam, *args, lam, tol, chi),
+        dilation=lambda fam, args, chi, lam, tol: _module("doublecoset").dc_dilation_check(
+            fam, *args, lam, tol, chi
+        ),
     ),
 }
 
@@ -837,9 +814,11 @@ def _multi_reflection(rng, dims, tol):
     aggregate=_observational,
 )
 def _multi_boundary_inverse_experiment(rng, dims, tol):
+    from . import multi
+
     alpha, inner, _ = _multi_dims(rng, dims)
     arity = _draw(rng, 2, max(2, min(3, dims.max_arity)))
-    real = KIND_TABLE["multi"].realize(random_multi(alpha, inner, arity, rng), tol)
+    real = KIND_TABLE["multi"].realize(multi.random_multi(alpha, inner, arity, rng), tol)
     _, (value,) = _regular_args(rng, arity, 1, [real], tol, _unit_sphere)
     value = _value(value)
     smin, _ = sigma_extremes(value)
@@ -849,25 +828,27 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
 
 @_suite("surface-consistency", "determinant and singular-value surface tests agree with evaluation")
 def _surface_consistency(rng, dims, tol):
+    from . import multi
+
     alpha = _draw(rng, 1, min(3, dims.max_alpha))
     inner = _draw(rng, 1, 2)
     arity = _draw(rng, 1, 2)
-    mc = random_multi(alpha, inner, arity, rng)
+    mc = multi.random_multi(alpha, inner, arity, rng)
     nm = arity * inner
 
     def draw():
         s = _complex_gauss(rng, arity, arity)
-        smin, smax = eigensurface_sigma(mc, s)
+        smin, smax = multi.eigensurface_sigma(mc, s)
         if smax == 0.0 or smin < 0.05 * smax:
             raise _Retry
         return s, smin, smax
 
     s, smin, smax = _retrying(draw)
     problems = []
-    if abs(eigensurface_det(mc, s)) <= tol.surface_guard * smax**nm:
+    if abs(multi.eigensurface_det(mc, s)) <= tol.surface_guard * smax**nm:
         problems.append("generic point flagged by the determinant test")
     try:
-        multi_charfun(mc, s, tol)
+        multi.multi_charfun(mc, s, tol)
     except OnEigensurface:
         problems.append("generic point rejected by evaluation")
     # A scalar matrix built from an inner eigenvalue lies on the surface.
@@ -875,13 +856,13 @@ def _surface_consistency(rng, dims, tol):
     eigenvalues = np.linalg.eigvals(mc.members[member].d)
     mu = eigenvalues[_draw(rng, 0, inner - 1)]
     on = np.eye(arity, dtype=complex) * mu
-    smin_on, smax_on = eigensurface_sigma(mc, on)
+    smin_on, smax_on = multi.eigensurface_sigma(mc, on)
     if not (smax_on == 0.0 or smin_on <= tol.surface_guard * smax_on):
         problems.append("planted point not flagged by the singular-value test")
-    if abs(eigensurface_det(mc, on)) > tol.surface_guard * max(smax_on, 1.0) ** nm:
+    if abs(multi.eigensurface_det(mc, on)) > tol.surface_guard * max(smax_on, 1.0) ** nm:
         problems.append("planted point not flagged by the determinant test")
     try:
-        multi_charfun(mc, on, tol)
+        multi.multi_charfun(mc, on, tol)
         problems.append("planted point accepted by evaluation")
     except OnEigensurface:
         pass
@@ -890,10 +871,12 @@ def _surface_consistency(rng, dims, tol):
 
 @_suite("single-vs-multi", "a one-member family evaluates like the one-variable transfer at the inverse point")
 def _single_vs_multi(rng, dims, tol):
+    from . import multi
+
     alpha = _draw(rng, 1, dims.max_alpha)
     inner = _draw(rng, 1, dims.max_inner)
     col = random_colligation(alpha, inner, rng)
-    real = KIND_TABLE["multi"].realize(MultiColligation([col]), tol)
+    real = KIND_TABLE["multi"].realize(multi.MultiColligation([col]), tol)
 
     def draw():
         s = rng.uniform(0.4, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -916,17 +899,21 @@ _relation_dims = _capped_dims(2, 3, 3)
 
 @_suite("relation-compose", "relation composition matches matrix composition on graphs")
 def _relation_compose(rng, dims, tol):
+    from . import relations
+
     dv, dm, dw = (_draw(rng, 1, 3) for _ in range(3))
     a = _complex_gauss(rng, dm, dv)
     b = _complex_gauss(rng, dw, dm)
-    composed = compose_relations(graph_relation(a, tol), graph_relation(b, tol), tol)
-    defect = subspace_distance(composed, graph_relation(b @ a, tol))
+    composed = relations.compose_relations(
+        relations.graph_relation(a, tol), relations.graph_relation(b, tol), tol
+    )
+    defect = relations.subspace_distance(composed, relations.graph_relation(b @ a, tol))
     # Composing with an identity graph must not move a general relation.
     k = _draw(rng, 1, dv + dm)
     basis = np.linalg.qr(_complex_gauss(rng, dv + dm, k))[0]
-    rel = LinearRelation(dv, dm, basis, tol)
-    neutral = compose_relations(rel, identity_relation(dm, tol), tol)
-    defect = max(defect, subspace_distance(neutral, rel))
+    rel = relations.LinearRelation(dv, dm, basis, tol)
+    neutral = relations.compose_relations(rel, relations.identity_relation(dm, tol), tol)
+    defect = max(defect, relations.subspace_distance(neutral, rel))
     return TrialResult(defect, GRAPH_TOL)
 
 
@@ -935,14 +922,18 @@ def _containment(draw_constraint):
     ``draw_constraint(rng, arity, (prod, first, second), tol)``."""
 
     def trial(rng, dims, tol):
+        from . import multi, relations
+
         alpha, _, arity = _relation_dims(rng, dims)
-        first = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-        second = random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-        prod = multi_product(first, second, tol)
+        first = multi.random_multi(alpha, _draw(rng, 1, 3), arity, rng)
+        second = multi.random_multi(alpha, _draw(rng, 1, 3), arity, rng)
+        prod = multi.multi_product(first, second, tol)
         constraint = _retrying(lambda: draw_constraint(rng, arity, (prod, first, second), tol))
-        big = char_relation(prod, constraint, tol)
-        small = compose_relations(
-            char_relation(second, constraint, tol), char_relation(first, constraint, tol), tol
+        big = relations.char_relation(prod, constraint, tol)
+        small = relations.compose_relations(
+            relations.char_relation(second, constraint, tol),
+            relations.char_relation(first, constraint, tol),
+            tol,
         )
         detail = f"dims big={big.dim} small={small.dim}"
         return TrialResult(_containment_residual(big, small), CONTAINMENT_TOL, detail)
@@ -953,14 +944,16 @@ def _containment(draw_constraint):
 @_suite("relation-containment", "the composed factor relations sit inside the product relation")
 @_containment
 def _relation_containment(rng, arity, families, tol):
+    from . import relations
+
     try:
-        constraint = ConstraintSubspace.from_equations(
+        constraint = relations.ConstraintSubspace.from_equations(
             _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
         )
     except BadSplit:
         raise _Retry from None
     for fam in families:
-        if on_eigensurface(fam, constraint, tol):
+        if relations.on_eigensurface(fam, constraint, tol):
             raise _Retry
     return constraint
 
@@ -968,6 +961,8 @@ def _relation_containment(rng, arity, families, tol):
 @_suite("relation-containment-surface", "the containment persists on the eigensurface")
 @_containment
 def _relation_containment_surface(rng, arity, families, tol):
+    from . import relations
+
     prod = families[0]
     member = _draw(rng, 0, arity - 1)
     d = prod.members[member].d
@@ -980,38 +975,40 @@ def _relation_containment_surface(rng, arity, families, tol):
     s = _complex_gauss(rng, arity, arity)
     s[:, member] = -mu * sigma[:, member]
     try:
-        constraint = ConstraintSubspace.from_equations(s, sigma, tol)
+        constraint = relations.ConstraintSubspace.from_equations(s, sigma, tol)
     except BadSplit:
         raise _Retry from None
-    if not on_eigensurface(prod, constraint, tol):
+    if not relations.on_eigensurface(prod, constraint, tol):
         raise _Retry
     return constraint
 
 
 @_suite("relation-definiteness", "a definite constraint subspace forces the opposite definiteness downstream")
 def _relation_definiteness(rng, dims, tol):
+    from . import multi, relations
+
     alpha = _draw(rng, 1, min(2, dims.max_alpha))
     arity = _draw(rng, 1, min(3, dims.max_arity))
     # Strictness of the downstream definiteness needs an inner space at least
     # as large as the exposed one.
     inner = _draw(rng, alpha, max(alpha, min(3, dims.max_inner)))
-    mc = random_multi(alpha, inner, arity, rng)
+    mc = multi.random_multi(alpha, inner, arity, rng)
 
     def draw():
         s = sample_ball(rng, arity, 0.9)
-        constraint = ConstraintSubspace.graph_of(s, tol)
-        relation = char_relation(mc, constraint, tol)
+        constraint = relations.ConstraintSubspace.graph_of(s, tol)
+        relation = relations.char_relation(mc, constraint, tol)
         if relation.dim != arity * alpha:
             raise _Retry
         return constraint, relation
 
     constraint, relation = _retrying(draw)
     problems = []
-    upstairs = form_on_subspace(signature_form(arity, arity), constraint.basis(), tol)
+    upstairs = relations.form_on_subspace(relations.signature_form(arity, arity), constraint.basis(), tol)
     if upstairs != "positive-definite":
         problems.append(f"constraint side classified {upstairs}")
     na = arity * alpha
-    downstairs = form_on_subspace(signature_form(na, na), relation.basis, tol)
+    downstairs = relations.form_on_subspace(relations.signature_form(na, na), relation.basis, tol)
     if downstairs != "negative-definite":
         problems.append(f"relation side classified {downstairs}")
     return TrialResult(0.0 if not problems else 1.0, 0.5, "; ".join(problems))
@@ -1019,16 +1016,20 @@ def _relation_definiteness(rng, dims, tol):
 
 @_suite("relation-charfun-consistency", "off the surface the relation is the graph of the evaluated function")
 def _relation_charfun_consistency(rng, dims, tol):
+    from . import multi, relations
+
     alpha, inner, arity = _relation_dims(rng, dims)
-    mc = random_multi(alpha, inner, arity, rng)
+    mc = multi.random_multi(alpha, inner, arity, rng)
     real = KIND_TABLE["multi"].realize(mc, tol)
     (s,), (chi,) = _regular_args(rng, arity, 1, [real], tol)
-    relation = char_relation(mc, ConstraintSubspace.graph_of(s, tol), tol)
-    graph = graph_relation(_value(chi), tol)
-    defect = subspace_distance(relation, graph)
+    relation = relations.char_relation(mc, relations.ConstraintSubspace.graph_of(s, tol), tol)
+    graph = relations.graph_relation(_value(chi), tol)
+    defect = relations.subspace_distance(relation, graph)
     # The equation and basis presentations must cut out the same relation.
-    rebuilt = ConstraintSubspace.from_basis(ConstraintSubspace.graph_of(s, tol).basis(), tol)
-    defect = max(defect, subspace_distance(relation, char_relation(mc, rebuilt, tol)))
+    rebuilt = relations.ConstraintSubspace.from_basis(
+        relations.ConstraintSubspace.graph_of(s, tol).basis(), tol
+    )
+    defect = max(defect, relations.subspace_distance(relation, relations.char_relation(mc, rebuilt, tol)))
     return TrialResult(defect, GRAPH_TOL)
 
 
@@ -1045,9 +1046,11 @@ def _relation_charfun_consistency(rng, dims, tol):
     ),
 )
 def _conjugacy_dilation_control(rng, dims, tol):
+    from . import conjugacy
+
     alpha = _draw(rng, 1, min(3, dims.max_alpha))
     slot_dim = _draw(rng, 1, min(3, dims.max_inner))
-    tc = random_tri(alpha, slot_dim, 2, rng)
+    tc = conjugacy.random_tri(alpha, slot_dim, 2, rng)
     lam = np.empty(2, dtype=complex)
     lam[0] = rng.uniform(0.6, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     lam[1] = lam[0] * rng.uniform(1.5, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -1069,25 +1072,31 @@ def _conjugacy_dilation_control(rng, dims, tol):
 
 @_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
 def _doublecoset_form_increase(rng, dims, tol):
+    from . import doublecoset
+
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
     (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
-    report = form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, chi=_value(chi))
+    report = doublecoset.form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, chi=_value(chi))
     smallest = min(report.increase_samples)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
 
 
 @_suite("doublecoset-pseudo-unitary", "unitary arguments preserve the split form")
 def _doublecoset_pseudo_unitary(rng, dims, tol):
+    from . import doublecoset
+
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
     _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _haar)
     chi = _value(chi)
-    form = indefinite_form(fam.arity, fam.alpha)
+    form = doublecoset.indefinite_form(fam.arity, fam.alpha)
     defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
 
 
 @_suite("doublecoset-transpose", "transposing both arguments inverts the skew-transposed value")
 def _doublecoset_transpose(rng, dims, tol):
+    from . import doublecoset
+
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
@@ -1098,17 +1107,19 @@ def _doublecoset_transpose(rng, dims, tol):
         return chi, _value(transposed)
 
     chi, transposed = _retrying(draw)
-    skew = skew_form(fam.arity, fam.alpha)
+    skew = doublecoset.skew_form(fam.arity, fam.alpha)
     target = -skew @ np.linalg.inv(chi.T) @ skew
     return TrialResult(rel_defect(transposed, target), _budget(tol))
 
 
 @_suite("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form")
 def _doublecoset_symplectic(rng, dims, tol):
+    from . import doublecoset
+
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
     _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _symmetric_ball)
     chi = _value(chi)
-    skew = skew_form(fam.arity, fam.alpha)
+    skew = doublecoset.skew_form(fam.arity, fam.alpha)
     defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
 
@@ -1119,12 +1130,14 @@ def _doublecoset_symplectic(rng, dims, tol):
     aggregate=_observational,
 )
 def _doublecoset_adjoint_experiment(rng, dims, tol):
+    from . import doublecoset
+
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
         (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
         try:
-            return adjoint_experiment(fam, s, r, tol, _value(chi))
+            return doublecoset.adjoint_experiment(fam, s, r, tol, _value(chi))
         except (OnEigensurface, NearSingular):
             raise _Retry from None
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -918,10 +919,18 @@ _COMMAND_CASES = {
         {"sweeps", "doublecoset"} | _KIND_MODULES["doublecoset"],
     ),
     "surface-multi": ([["surface", "@multi", "--grid", _BALL]], {"sweeps"} | _KIND_MODULES["multi"]),
-    "verify": (
-        [["verify", "multi-oracle", "--trials", "1"]],
-        {"colligation", "multi", "conjugacy", "doublecoset", "realization", "relations", "verify"},
-    ),
+    # verify loads the modules of the suite it runs; --list runs none.
+    **{
+        f"verify-{suite}": ([["verify", suite, "--trials", "1"]], {"colligation", "realization", "verify"} | modules)
+        for suite, modules in {
+            "charfun-multiplicative": set(),
+            "multi-oracle": {"multi"},
+            "conjugacy-oracle": {"conjugacy"},
+            "doublecoset-rational": {"multi", "doublecoset"},
+            "relation-definiteness": {"multi", "relations"},
+        }.items()
+    },
+    "verify-list": ([["verify", "--list"]], {"colligation", "realization", "verify"}),
 }
 _LOADED = """\
 import contextlib, io, json, sys
@@ -951,3 +960,26 @@ def test_command_loads_only_its_modules(tmp_path, case):
     want = sorted(_CLI_MODULES | {f"colligations.{name}" for name in modules})
     for argv, (code, loaded) in zip(runs, json.loads(_in_fresh_process(_LOADED, json.dumps(runs))), strict=True):
         assert (code, loaded) == (0, want), argv
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(capsys, swap_doc):
+    frozen = gc.get_freeze_count()
+    for argv in (
+        ["validate", swap_doc],
+        ["eval", swap_doc, "--point", "0.5"],
+        ["verify", "charfun-multiplicative", "--trials", "1"],
+    ):
+        assert main(argv) == 0, argv
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+def test_command_line_main_freezes_the_heap(swap_doc):
+    code = (
+        "import gc\n"
+        "from colligations.cli import main\n"
+        "before = gc.get_freeze_count()\n"
+        "code = main()\n"
+        "print(code, before, gc.get_freeze_count() > 0)\n"
+    )
+    assert _in_fresh_process(code, "validate", swap_doc) == "0 0 True\n"

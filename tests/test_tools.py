@@ -44,9 +44,10 @@ def test_compare_verify_runs_every_suite_of_a_tree_against_itself():
     assert result.stdout.splitlines() == ["44 of 44 runs identical"]
 
 
-def _compare_startup(*argv):
+def _compare_startup(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_startup.py"), *argv],
+        cwd=cwd,
         capture_output=True,
         text=True,
         timeout=300,
@@ -59,6 +60,25 @@ def test_compare_startup_stops_at_a_missing_document_before_timing(tmp_path):
     assert (result.returncode, result.stdout) == (1, "")
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: validate ") and "missing.json" in line
+
+
+def test_compare_startup_stops_at_a_missing_document_in_a_listed_command(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    (tmp_path / "multi.json").write_text(emit_document(random_document("multi", 2)))
+    runs = [["validate", "multi.json"], ["eval", "missing.json", "--point", "0.5"]]
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: eval missing.json --point 0.5 exited 1: ")
+
+
+def test_compare_startup_takes_documents_or_command_lines():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    for argv in ([src, src], [src, src, "doc.json", "--argv", "runs.json"]):
+        result = _compare_startup(*argv)
+        assert (result.returncode, result.stdout) == (2, ""), argv
+        assert "give either DOC... or --argv FILE" in result.stderr
 
 
 def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):
