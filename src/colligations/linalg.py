@@ -154,20 +154,22 @@ def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAUL
 
     ``systems`` is ``(k, N, N)`` and finite, ``rhs`` one ``(N, q)`` right-hand
     side for all of them.  Returns ``(x, sigma_min, passed)``: system ``i`` passes
-    when ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x`` holds the
-    solutions of the passing systems in order.  Only those are solved, so a
-    singular system costs no division by zero.
+    when ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x[i]`` is its
+    solution, meaningful only where ``passed[i]``.  Every system is solved, so
+    an exactly singular one gives infinite or NaN entries there, without a
+    warning.
     """
     u, s, vh = np.linalg.svd(systems)
     sigma_min = s[:, -1]
     passed = sigma_min > tol.surface_guard * s[:, 0]
-    u, s, vh = u[passed], s[passed], vh[passed]
-    x = _adjoint(vh) @ ((_adjoint(u) @ rhs) / s[:, :, None])
+    # Each adjoint is a transposed view of its stack conjugated in place, so
+    # no stack is copied; u is let go before the second product.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = np.conjugate(u, out=u).swapaxes(-1, -2) @ rhs
+        del u
+        y /= s[:, :, None]
+        x = np.conjugate(vh, out=vh).swapaxes(-1, -2) @ y
     return x, sigma_min, passed
-
-
-def _adjoint(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
 
 
 def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):

@@ -66,10 +66,12 @@ def system(real: Realization, args) -> np.ndarray:
     """
     if real.form == "z":
         (z,) = args
-        return np.eye(real.d.shape[0]) - _scaled(z, real.d)
+        scaled = _scaled(z, real.d)
+        return np.subtract(np.eye(real.d.shape[0]), scaled, out=scaled)
     big_s = np.kron(args[0], np.eye(real.m))
     if real.form == "S":
-        return big_s - real.d
+        big_s -= real.d
+        return big_s
     nm = real.d.shape[0]
     core = np.empty((len(big_s), 2 * nm, 2 * nm), dtype=complex)
     core[:, :nm, :nm] = -real.d
@@ -105,23 +107,20 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
 
     A point is regular when its system is finite, clears the guard
     ``sigma_min > surface_guard * sigma_max`` and gives a finite value.
-    ``values[i]`` is meaningful only where ``regular[i]``; ``sigma_min[i]``
-    is NaN where the system is not finite.  Only the points that clear the
-    guard are solved (:func:`~colligations.linalg.guarded_solve`).
+    ``values[i]`` is NaN where the point is not regular; ``sigma_min[i]`` is
+    NaN where the system is not finite.  The whole stack is solved in one
+    pass (:func:`~colligations.linalg.guarded_solve`), a non-finite system
+    replaced by the identity.
     """
     # Huge arguments overflow; the point's system or value is then not
     # finite, which is reported per point rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        systems = system(real, args)
-        count = len(systems)
-        values = np.full((count, *real.a.shape), np.nan, dtype=complex)
-        sigma = np.full(count, np.nan)
-        regular = np.zeros(count, dtype=bool)
-        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
-        x, sigma[finite], passed = guarded_solve(systems[finite], real.c, tol)
-        rows = finite[passed]
-        values[rows] = _value(real, [arg[rows] for arg in args], x)
-        regular[rows] = np.isfinite(values[rows]).all(axis=(1, 2))
+        systems, finite = _finite_systems(real, args)
+        x, sigma, passed = guarded_solve(systems, real.c, tol)
+        values = _value(real, args, x)
+        regular = finite & passed & np.isfinite(values).all(axis=(1, 2))
+    sigma[~finite] = np.nan
+    values[~regular] = np.nan
     return values, sigma, regular
 
 
@@ -130,14 +129,22 @@ def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]
     arguments.  Both are NaN where a system is not finite, and a determinant
     that overflows is not finite; as in :func:`evaluate`, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        systems = system(real, args)
-        count = len(systems)
-        dets = np.full(count, np.nan, dtype=complex)
-        sigma = np.full(count, np.nan)
-        finite = np.flatnonzero(np.isfinite(systems).all(axis=(1, 2)))
-        sigma[finite] = np.linalg.svd(systems[finite], compute_uv=False)[:, -1]
-        dets[finite] = np.linalg.det(systems[finite])
+        systems, finite = _finite_systems(real, args)
+        sigma = np.linalg.svd(systems, compute_uv=False)[:, -1]
+        dets = np.linalg.det(systems)
+    sigma[~finite] = np.nan
+    dets[~finite] = np.nan
     return dets, sigma
+
+
+def _finite_systems(real: Realization, args) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`system` at ``args``, each non-finite system overwritten in place
+    by the identity so that a stacked factorization accepts it, and the mask
+    of the finite ones."""
+    systems = system(real, args)
+    finite = np.isfinite(systems).all(axis=(1, 2))
+    systems[~finite] = np.eye(systems.shape[1])
+    return systems, finite
 
 
 def not_regular(real: Realization, args, k: int, sigma: float) -> Exception:

@@ -2,6 +2,7 @@
 brute-force oracles at larger sizes, and accuracy next to the surface guard."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from colligations.doublecoset import DoubleCosetFamily, dc_charfun, dc_charfun_s
 from colligations.errors import NearPole, OnEigensurface
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, sample_ball, sigma_extremes
 from colligations.multi import MultiColligation, multi_charfun, multi_charfun_system, multi_realization, random_multi
-from colligations.realization import evaluate, system
+from colligations.realization import Realization, evaluate, system
 
 EPS = np.finfo(float).eps
 GUARD = DEFAULT_TOLERANCES.surface_guard
@@ -77,22 +78,54 @@ def test_chunk_size_does_not_change_bytes(capsys, monkeypatch, documents):
         assert len(outputs[0].splitlines()) > 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_batch_values_do_not_depend_on_a_non_finite_member():
-    # Every batch goes through the same selection of finite, passing
-    # systems; one non-finite argument more leaves the other points' bits.
+    # Every batch is solved whole, a non-finite system in the identity's
+    # place; one non-finite or exactly singular argument more leaves the
+    # other points' bits, comes out not regular with a NaN value, and
+    # raises no warning.
     rng = np.random.default_rng(6)
     fam = random_multi(2, 3, 3, 6)
+    identities = MultiColligation([identity_colligation(1, 1)] * 2)
+
+    def inf(arg):
+        return np.full(arg.shape[1:], np.inf)
+
     cases = [
-        (colligation_realization(random_colligation(2, 3, 6)), [0.5 * np.exp(2j * np.pi * rng.uniform(size=9))]),
-        (multi_realization(fam), [_stack(rng, 9, 3, 0.9)]),
-        (dc_realization(fam), [_stack(rng, 9, 3, 0.9), _stack(rng, 9, 3, 0.9)]),
+        (colligation_realization(random_colligation(2, 3, 6)), [_disc(rng, 9)], inf),
+        (multi_realization(fam), [_stack(rng, 9, 3, 0.9)], inf),
+        (dc_realization(fam), [_stack(rng, 9, 3, 0.9), _stack(rng, 9, 3, 0.9)], inf),
+        # At z = 1 and at S = I the system is exactly zero; the last
+        # realization's solve there divides 1 by 0, the others' 0 by 0.
+        (colligation_realization(identity_colligation(1, 1)), [_disc(rng, 9)], lambda arg: 1.0),
+        (multi_realization(identities), [_stack(rng, 9, 2, 0.9)], lambda arg: np.eye(2)),
+        (Realization("z", *np.ones((4, 1, 1), dtype=complex)), [_disc(rng, 9)], lambda arg: 1.0),
     ]
-    for real, args in cases:
-        mixed = [np.concatenate([arg, np.full((1, *arg.shape[1:]), np.inf)]) for arg in args]
-        clean, with_inf = evaluate(real, args), evaluate(real, mixed)
-        assert clean[2].all() and not with_inf[2][-1]
-        for got, want in zip(clean, with_inf):
+    for real, args, member in cases:
+        mixed = [np.concatenate([arg, np.broadcast_to(member(arg), (1, *arg.shape[1:]))]) for arg in args]
+        clean, with_member = evaluate(real, args), evaluate(real, mixed)
+        assert clean[2].all() and not with_member[2][-1]
+        assert np.isnan(with_member[0][-1]).all()
+        for got, want in zip(clean, with_member):
             assert got.tobytes() == want[:-1].tobytes()
+
+
+@pytest.mark.parametrize("realize", [multi_realization, dc_realization], ids=["multi", "doublecoset"])
+def test_one_chunk_needs_at_most_four_system_stacks(realize):
+    # A chunk sized as a sweep sizes it holds its systems and the SVD's u and
+    # vh at once, and no gathered or conjugated copy of any of them.
+    real = realize(random_multi(2, 4, 3, 1))
+    size = max(1, sweeps._CHUNK_ENTRIES // real.c.shape[0] ** 2)
+    rng = np.random.default_rng(0)
+    args = [_stack(rng, size, 3, 0.9) for _ in range(2 if real.form == "SR" else 1)]
+    stack_bytes = system(real, args).nbytes
+    tracemalloc.start()
+    try:
+        evaluate(real, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack_bytes, peak / stack_bytes
 
 
 _IDENTITIES = [identity_colligation(1, 1), identity_colligation(1, 1)]
@@ -120,6 +153,10 @@ def test_each_form_raises_its_one_error(at_singular_point, error, message):
         at_singular_point()
     assert type(raised.value) is error
     assert str(raised.value) == f"{message} (sigma_min={raised.value.sigma_min:.3e})"
+
+
+def _disc(rng, count):
+    return 0.5 * np.exp(2j * np.pi * rng.uniform(size=count))
 
 
 def _stack(rng, count, n, radius):

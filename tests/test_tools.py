@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,23 @@ def test_compare_startup_stops_at_a_missing_document_in_a_listed_command(tmp_pat
     assert (result.returncode, result.stdout) == (1, "")
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: eval missing.json --point 0.5 exited 1: ")
+
+
+def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    (tmp_path / "multi.json").write_text(emit_document(random_document("multi", 2)))
+    (tmp_path / "runs.json").write_text(json.dumps([["validate", "multi.json"]]))
+    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    number = r"[0-9]+\.[0-9]+"
+    for label, line in zip("AB", result.stdout.splitlines(), strict=True):
+        pattern = (
+            rf"{label} {re.escape(src)}: median {number} s, quartiles {number} {number} s,"
+            rf" lower in [0-9]+ of 10 pairs, median peak RSS ({number}) MiB"
+        )
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        assert 1.0 < float(match.group(1)) < 1000.0
 
 
 def test_compare_startup_takes_documents_or_command_lines():

@@ -10,7 +10,9 @@ package, such as ``src`` of two checkouts.  A process runs
 ``colligations.cli.main()`` on one command line through ``python3 -c``,
 with ``PYTHONPATH`` set to the tree and one BLAS thread, and its wall time
 runs from its start to its exit, so it includes start-up and interpreter
-shutdown.
+shutdown.  At exit the process reports its peak resident set size (VmHWM)
+through a file; the parent's ``wait4`` rusage would not do, as on Linux it
+also counts the parent's own RSS at the time of the fork.
 
 With ``DOC...``, each a document file both trees accept, one sample of a
 tree is the median wall time of ``K`` ``validate`` processes, cycling over
@@ -23,7 +25,8 @@ Every command line first runs once in each tree, untimed.  Then ``N`` (at
 least 10) pairs of samples are taken, the tree that goes first alternating
 from pair to pair.  For each tree the median and quartiles of its samples
 are printed, with the number of pairs in which its sample was the lower
-(ties count for neither).
+(ties count for neither), and the median over its samples of the peak RSS
+of a sample, the largest VmHWM of any of its processes.
 
 The rest of the environment is passed on, so a bytecode cache is written
 and read, or not, as it says (``PYTHONDONTWRITEBYTECODE``,
@@ -39,9 +42,21 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from time import perf_counter
 
-_MAIN = "import sys\nfrom colligations.cli import main\nsys.exit(main())\n"
+_HWM = "COMPARE_STARTUP_HWM"
+_MAIN = f"""\
+import os, sys
+from colligations.cli import main
+try:
+    code = main()
+finally:
+    with open("/proc/self/status") as status, open(os.environ["{_HWM}"], "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+sys.exit(code)
+"""
 _BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -49,8 +64,10 @@ class _Failed(Exception):
     pass
 
 
-def _process(env: dict, argv: list[str]) -> float:
-    """Wall time of one process running the command line ``argv``."""
+def _process(env: dict, argv: list[str]) -> tuple[float, float]:
+    """Wall time and peak RSS in MiB of one process running the command line ``argv``."""
+    hwm = Path(env[_HWM])
+    hwm.unlink(missing_ok=True)
     start = perf_counter()
     done = subprocess.run(
         [sys.executable, "-c", _MAIN, *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
@@ -58,15 +75,16 @@ def _process(env: dict, argv: list[str]) -> float:
     wall = perf_counter() - start
     if done.returncode != 0:
         raise _Failed(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.decode().strip()}")
-    return wall
+    return wall, int(hwm.read_text()) / 1024.0
 
 
-def _sample(env: dict, runs: list[list[str]], processes: int | None) -> float:
-    """One sample: the median of ``processes`` processes cycling over
-    ``runs``, or with ``processes`` None the total of one process per run."""
-    if processes is None:
-        return sum(_process(env, argv) for argv in runs)
-    return statistics.median(_process(env, runs[k % len(runs)]) for k in range(processes))
+def _sample(env: dict, runs: list[list[str]], processes: int | None) -> tuple[float, float]:
+    """One sample's wall time, the median of ``processes`` processes cycling
+    over ``runs`` or with ``processes`` None the total of one process per run,
+    and its peak RSS, the largest of its processes'."""
+    argvs = runs if processes is None else [runs[k % len(runs)] for k in range(processes)]
+    walls, rss = zip(*(_process(env, argv) for argv in argvs))
+    return (sum(walls) if processes is None else statistics.median(walls)), max(rss)
 
 
 def _at_least_ten(text: str) -> int:
@@ -102,31 +120,34 @@ def main(argv=None) -> int:
         with open(args.argv, encoding="utf-8") as file:
             runs = json.load(file)
         processes = None
-    envs = []
-    for src in (args.src_a, args.src_b):
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        for key in _BLAS_ENV:
-            env.setdefault(key, "1")
-        envs.append(env)
     samples = ([], [])
-    try:
-        for env in envs:
-            for run in runs:
-                _process(env, run)
-        for pair in range(args.pairs):
-            order = (0, 1) if pair % 2 == 0 else (1, 0)
-            for side in order:
-                samples[side].append(_sample(envs[side], runs, processes))
-    except _Failed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with tempfile.TemporaryDirectory() as scratch:
+        envs = []
+        for src in (args.src_a, args.src_b):
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **{_HWM: os.path.join(scratch, "hwm")})
+            for key in _BLAS_ENV:
+                env.setdefault(key, "1")
+            envs.append(env)
+        try:
+            for env in envs:
+                for run in runs:
+                    _process(env, run)
+            for pair in range(args.pairs):
+                order = (0, 1) if pair % 2 == 0 else (1, 0)
+                for side in order:
+                    samples[side].append(_sample(envs[side], runs, processes))
+        except _Failed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
-    wins = [sum(mine < theirs for mine, theirs in zip(samples[side], samples[1 - side])) for side in (0, 1)]
-    for label, src, walls, won in zip("AB", (args.src_a, args.src_b), samples, wins):
-        q1, median, q3 = statistics.quantiles(walls, n=4)
+    walls = [[wall for wall, _ in side] for side in samples]
+    rss = [[peak for _, peak in side] for side in samples]
+    wins = [sum(mine < theirs for mine, theirs in zip(walls[side], walls[1 - side])) for side in (0, 1)]
+    for label, src, side_walls, side_rss, won in zip("AB", (args.src_a, args.src_b), walls, rss, wins):
+        q1, median, q3 = statistics.quantiles(side_walls, n=4)
         print(
             f"{label} {src}: median {median:.4f} s, quartiles {q1:.4f} {q3:.4f} s,"
-            f" lower in {won} of {args.pairs} pairs"
+            f" lower in {won} of {args.pairs} pairs, median peak RSS {statistics.median(side_rss):.1f} MiB"
         )
     return 0
 
