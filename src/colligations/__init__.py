@@ -61,7 +61,6 @@ _EXPORTS = {
         "conjugate_inner",
         "equivalent_probe",
         "identity_colligation",
-        "make_colligation",
         "pad",
         "product",
         "random_colligation",
@@ -99,29 +98,21 @@ _EXPORTS = {
         "tri_charfun",
         "tri_charfun_system",
         "tri_conjugate",
-        "tri_elimination_matrix",
         "tri_product",
     ),
     "doublecoset": (
-        "DoubleCosetFamily",
-        "FormReport",
         "adjoint_experiment",
         "dc_charfun",
         "dc_charfun_system",
         "dc_dilation_check",
-        "dc_elimination_matrix",
         "dc_equivalent",
-        "dc_product",
-        "form_checks",
         "indefinite_form",
-        "random_family",
         "skew_form",
         "transpose_inverse",
     ),
     "documents": (
         "KINDS",
         "Document",
-        "document_for",
         "emit_document",
         "load_document",
         "parse_document",

@@ -24,7 +24,7 @@ from contextlib import contextmanager, nullcontext
 
 from .errors import ColligationError, DocumentError
 from .linalg import Tolerances, tolerances_from_profile
-from .documents import KIND_TABLE, KINDS, Document, _new_document, emit_document, load_document, random_document
+from .documents import KIND_TABLE, KINDS, SCHEMA_VERSION, Document, emit_document, load_document, random_document
 
 __all__ = ["main"]
 
@@ -102,7 +102,7 @@ def _cmd_product(args, tol: Tolerances) -> int:
     except ColligationError as exc:
         raise CliError(EXIT_MISMATCH, str(exc)) from None
     with _open_out(args.out) as out:
-        out.write(emit_document(_new_document(first.kind, combined)))
+        out.write(emit_document(Document(first.kind, combined, {"schema_version": SCHEMA_VERSION})))
     return EXIT_OK
 
 
@@ -226,9 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list the registered suites")
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn")
-    p.add_argument("--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn")
-    p.add_argument("--max-arity", type=_positive_int, default=3, help="largest family arity drawn")
+    p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn by any suite")
+    p.add_argument(
+        "--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn, unless a law needs more"
+    )
+    p.add_argument(
+        "--max-arity", type=_positive_int, default=3, help="largest family arity drawn, unless a law needs two"
+    )
     p.add_argument(
         "--threads",
         type=_positive_int,

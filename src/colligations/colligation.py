@@ -27,7 +27,6 @@ from . import realization
 
 __all__ = [
     "Colligation",
-    "make_colligation",
     "identity_colligation",
     "random_colligation",
     "conjugate_inner",
@@ -85,11 +84,6 @@ class Colligation:
 
     def __repr__(self):
         return f"Colligation(alpha={self.alpha}, inner={self.inner})"
-
-
-def make_colligation(matrix, alpha: int, tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:
-    """Validate and wrap a unitary matrix as a colligation."""
-    return Colligation(matrix, alpha, tol)
 
 
 def identity_colligation(alpha: int, inner: int) -> Colligation:

@@ -24,7 +24,7 @@ from .linalg import (
     require_unitary,
     sigma_extremes,
 )
-from .realization import Realization, charvalue, system
+from .realization import Realization, charvalue
 
 __all__ = [
     "TriColligation",
@@ -33,7 +33,6 @@ __all__ = [
     "tri_product",
     "tri_charfun",
     "tri_charfun_system",
-    "tri_elimination_matrix",
     "tri_realization",
 ]
 
@@ -145,12 +144,6 @@ def tri_product(x: TriColligation, y: TriColligation, tol: Tolerances = DEFAULT_
 def tri_realization(tc: TriColligation) -> Realization:
     """``a``, the slot rows and columns, and the coupled ``d_full`` (the ``"S"`` form)."""
     return Realization("S", tc.a, tc.b_row(), tc.c_col(), tc.d_full(), tc.slot_dim)
-
-
-def tri_elimination_matrix(tc: TriColligation, s) -> np.ndarray:
-    """Eliminated inner system ``kron(S, I) - d_full`` on the stacked inner slots."""
-    s = _check_argument(s, tc.slots)
-    return system(tri_realization(tc), [s[None]])[0]
 
 
 def tri_charfun(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:

@@ -38,7 +38,6 @@ __all__ = [
     "emit_document",
     "load_document",
     "save_document",
-    "document_for",
     "random_document",
 ]
 
@@ -188,10 +187,8 @@ class KindSpec:
     the scalar ``z``, whose kind has no eigensurface).  ``realize(payload,
     tol)`` builds the :class:`~colligations.realization.Realization` that
     evaluates the characteristic function and its eliminated system.
-    ``payload_type()`` is the payload class.
     """
 
-    payload_type: Callable
     parse: Callable
     emit: Callable
     random: Callable
@@ -210,7 +207,6 @@ def _module(name: str):
 # them.  The entries call through the kind module's attributes, so a wrapper
 # bound to those names at run time (a profiler's, say) sees every call.
 _MULTI = KindSpec(
-    payload_type=lambda: _module("multi").MultiColligation,
     parse=_parse_family,
     emit=lambda mc: {
         "alpha": mc.alpha,
@@ -225,7 +221,6 @@ _MULTI = KindSpec(
 )
 KIND_TABLE = {
     "colligation": KindSpec(
-        payload_type=lambda: _module("colligation").Colligation,
         parse=_parse_colligation,
         emit=lambda col: {"alpha": col.alpha, "inner": col.inner, "matrix": matrix_to_json(col.matrix)},
         random=lambda alpha, inner, arity, seed: _module("colligation").random_colligation(alpha, inner, seed),
@@ -236,7 +231,6 @@ KIND_TABLE = {
     ),
     "multi": _MULTI,
     "tri": KindSpec(
-        payload_type=lambda: _module("conjugacy").TriColligation,
         parse=_parse_tri,
         emit=lambda tc: {"alpha": tc.alpha, "p": tc.slot_dim, "slots": tc.slots, "matrix": matrix_to_json(tc.matrix)},
         random=lambda alpha, slot_dim, slots, seed: _module("conjugacy").random_tri(alpha, slot_dim, slots, seed),
@@ -308,25 +302,6 @@ def save_document(doc: Document, path) -> None:
         handle.write(emit_document(doc))
 
 
-def _new_document(kind: str, payload: Payload, seed: int | None = None) -> Document:
-    metadata = {"schema_version": SCHEMA_VERSION}
-    if seed is not None:
-        metadata["seed"] = int(seed)
-    return Document(kind, payload, metadata)
-
-
-def document_for(payload: Payload, seed: int | None = None) -> Document:
-    """Wrap an in-memory object as a document with fresh metadata.
-
-    The kind is the first in :data:`KINDS` whose payload type matches, so a
-    family becomes a ``multi`` document.
-    """
-    for kind, spec in KIND_TABLE.items():
-        if isinstance(payload, spec.payload_type()):
-            return _new_document(kind, payload, seed)
-    raise TypeError(f"not a document payload: {type(payload).__name__}")
-
-
 def random_document(
     kind: str,
     seed: int,
@@ -342,4 +317,5 @@ def random_document(
     """
     if kind not in KIND_TABLE:
         raise _parse_error(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    return _new_document(kind, KIND_TABLE[kind].random(alpha, inner, arity, seed), seed)
+    metadata = {"schema_version": SCHEMA_VERSION, "seed": int(seed)}
+    return Document(kind, KIND_TABLE[kind].random(alpha, inner, arity, seed), metadata)

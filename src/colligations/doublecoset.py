@@ -12,8 +12,6 @@ system; the value acts on the doubled exposed space, plus coordinates first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .colligation import _act_inner
@@ -28,33 +26,22 @@ from .linalg import (
     require_real_orthogonal,
     sigma_extremes,
 )
-from .multi import MultiColligation, multi_product, multi_realization, random_multi
-from .realization import Realization, charvalue, system
+from .multi import MultiColligation, multi_realization
+from .realization import Realization, charvalue
 
 __all__ = [
-    "DoubleCosetFamily",
-    "random_family",
     "transpose_inverse",
     "dc_equivalent",
-    "dc_product",
     "dc_charfun",
     "dc_charfun_system",
-    "dc_elimination_matrix",
     "dc_realization",
     "dc_dilation_check",
     "indefinite_form",
     "skew_form",
-    "FormReport",
-    "form_checks",
     "adjoint_experiment",
 ]
 
-
-# A double-coset family is a tuple of colligations exactly as a multi family
-# is; only the characteristic function (dc_charfun) differs.
-DoubleCosetFamily = MultiColligation
-random_family = random_multi
-dc_product = multi_product
+DoubleCosetFamily = MultiColligation  # kept for the benchmark's oracle checks; a family is a multi family
 
 
 def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -72,22 +59,20 @@ def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return shortcut
 
 
-def dc_equivalent(
-    fam: DoubleCosetFamily, u, v, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DoubleCosetFamily:
+def dc_equivalent(fam: MultiColligation, u, v, tol: Tolerances = DEFAULT_TOLERANCES) -> MultiColligation:
     """Act by the two-sided inner equivalence with real orthogonal (u, v)."""
     uo = require_real_orthogonal(u, tol, "left inner factor")
     vo = require_real_orthogonal(v, tol, "right inner factor")
     if uo.shape[0] != fam.inner or vo.shape[0] != fam.inner:
         raise ArityMismatch("inner factors do not match the inner dimension")
-    return DoubleCosetFamily(_act_inner(g, uo, vo, tol) for g in fam.members)
+    return MultiColligation(_act_inner(g, uo, vo, tol) for g in fam.members)
 
 
-def _check_arguments(fam: DoubleCosetFamily, s, r):
+def _check_arguments(fam: MultiColligation, s, r):
     return _check_argument(s, fam.arity, "argument S"), _check_argument(r, fam.arity, "argument R")
 
 
-def dc_realization(fam: DoubleCosetFamily, tol: Tolerances = DEFAULT_TOLERANCES) -> Realization:
+def dc_realization(fam: MultiColligation, tol: Tolerances = DEFAULT_TOLERANCES) -> Realization:
     """The blocks of the core system (the ``"SR"`` form), built on first use
     and kept by the family, one per tolerance profile: the transposed
     inverses of the members are cross-checked under ``tol`` when built.
@@ -95,7 +80,7 @@ def dc_realization(fam: DoubleCosetFamily, tol: Tolerances = DEFAULT_TOLERANCES)
     return fam._kept(("SR", tol), lambda: _core_realization(fam, tol))
 
 
-def _core_realization(fam: DoubleCosetFamily, tol: Tolerances) -> Realization:
+def _core_realization(fam: MultiColligation, tol: Tolerances) -> Realization:
     tildes = [transpose_inverse(g.matrix, tol) for g in fam.members]
     al, na, nm = fam.alpha, fam.arity * fam.alpha, fam.arity * fam.inner
     plus = multi_realization(fam)
@@ -109,14 +94,7 @@ def _core_realization(fam: DoubleCosetFamily, tol: Tolerances) -> Realization:
     return Realization("SR", a, plus.b, rhs, plus.d, fam.inner, bt, dt)
 
 
-def dc_elimination_matrix(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Core system on (x_plus, y_minus) after the coupled variables are
-    substituted away: ``[[-D, S x I], [-Dt (R x I), I]]``."""
-    s, r = _check_arguments(fam, s, r)
-    return system(dc_realization(fam, tol), [s[None], r[None]])[0]
-
-
-def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
+def dc_charfun(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Two-argument characteristic function on the doubled exposed space.
 
     Block order: plus coordinates (through the members) first, minus
@@ -126,7 +104,7 @@ def dc_charfun(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCE
     return charvalue(dc_realization(fam, tol), (s, r), tol)
 
 
-def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def dc_charfun_system(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Brute-force evaluation via the full coupled system.
 
     Every defining equation appears as its own row: the member rows for the
@@ -186,12 +164,7 @@ def dc_charfun_system(fam: DoubleCosetFamily, s, r, tol: Tolerances = DEFAULT_TO
 
 
 def dc_dilation_check(
-    fam: DoubleCosetFamily,
-    s,
-    r,
-    lam,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    chi: np.ndarray | None = None,
+    fam: MultiColligation, s, r, lam, tol: Tolerances, chi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity for two arguments.
 
@@ -205,7 +178,7 @@ def dc_dilation_check(
     transfer matrix by ``diag(mu, nu)`` while sending the arguments to
     ``mu S nu^{-1}`` and ``nu R mu^{-1}``; this is the ``nu = mu^{-1}``
     slice, the one that keeps symmetric ``S`` symmetric.)  ``chi`` is the
-    value at ``(S, R)``, computed here if not given.
+    value at ``(S, R)``.
     """
     s, r = _check_arguments(fam, s, r)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -216,8 +189,6 @@ def dc_dilation_check(
     eye_a = np.eye(fam.alpha)
     lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
     lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
-    if chi is None:
-        chi = dc_charfun(fam, s, r, tol).value
     left = lam_big @ chi @ lam_big_inv
     scaled_s = lam[:, None] * s * lam[None, :]
     scaled_r = r / lam[:, None] / lam[None, :]
@@ -239,105 +210,16 @@ def skew_form(arity: int, alpha: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]]).astype(complex)
 
 
-@dataclass(frozen=True)
-class FormReport:
-    """Form behaviour of one characteristic value.
-
-    ``increase_samples`` holds ``M(q, q) - M(p, p)`` for random probes when
-    both arguments lie in the open ball (else None); the defects are filled
-    in when the respective hypothesis on (S, R) holds.
-    """
-
-    chi_norm: float
-    increase_samples: list[float] | None
-    pseudo_unitary_defect: float | None
-    symplectic_defect: float | None
-    transpose_defect: float
-
-
-def form_checks(
-    fam: DoubleCosetFamily,
-    s,
-    r,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    seed: int = 0,
-    samples: int = 8,
-    chi: np.ndarray | None = None,
-) -> FormReport:
-    """Evaluate the indefinite-form laws of the two-argument function.
-
-    ``chi`` is the value at ``(S, R)``, computed here if not given.
-    """
-    s, r = _check_arguments(fam, s, r)
-    n, al = fam.arity, fam.alpha
-    if chi is None:
-        chi = dc_charfun(fam, s, r, tol).value
-    jm = indefinite_form(n, al)
-    js = skew_form(n, al)
-    chi_norm = op_norm(chi)
-
-    increase = None
-    if op_norm(s) < 1.0 and op_norm(r) < 1.0:
-        rng = np.random.default_rng(seed)
-        increase = []
-        for _ in range(samples):
-            pvec = rng.standard_normal(2 * n * al) + 1j * rng.standard_normal(2 * n * al)
-            qvec = chi @ pvec
-            m_p = float(np.real(pvec.conj() @ jm @ pvec))
-            m_q = float(np.real(qvec.conj() @ jm @ qvec))
-            increase.append(m_q - m_p)
-
-    pseudo = None
-    if _is_unitary_arg(s, tol) and _is_unitary_arg(r, tol):
-        pseudo = op_norm(chi.conj().T @ jm @ chi - jm)
-
-    symplectic = None
-    if _is_symmetric(s, tol) and _is_symmetric(r, tol):
-        symplectic = op_norm(chi.T @ js @ chi - js)
-
-    chi_t = dc_charfun(fam, s.T, r.T, tol).value
-    # Transpose with respect to the skew form, then invert: (js^-1 chi^T js)^-1.
-    js_inv = -js
-    target = js_inv @ np.linalg.inv(chi.T) @ js
-    transpose_defect = op_norm(chi_t - target)
-
-    return FormReport(
-        chi_norm=chi_norm,
-        increase_samples=increase,
-        pseudo_unitary_defect=pseudo,
-        symplectic_defect=symplectic,
-        transpose_defect=transpose_defect,
-    )
-
-
-def _is_unitary_arg(m, tol: Tolerances) -> bool:
-    dim = m.shape[0]
-    return bool(np.linalg.norm(m.conj().T @ m - np.eye(dim)) <= tol.rank_tol * max(1.0, dim))
-
-
-def _is_symmetric(m, tol: Tolerances) -> bool:
-    return bool(np.linalg.norm(m - m.T) <= tol.rank_tol * max(1.0, np.linalg.norm(m)))
-
-
-def adjoint_experiment(
-    fam: DoubleCosetFamily,
-    s,
-    r,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    chi: np.ndarray | None = None,
-) -> dict[str, float]:
+def adjoint_experiment(fam: MultiColligation, s, r, tol: Tolerances, chi: np.ndarray) -> dict[str, float]:
     """Compare two sign conventions for the indefinite-adjoint reflection law.
 
     For box(X) = J X* J (adjoint with respect to the signature form) the
     candidate identity is chi(box(S)^{-1}, box(R)^{-1}) = box(chi)^{-1}, read
     either with box on scalars acting as plain conjugate-transpose or with an
     extra sign.  Returns the relative defect of each reading; this is an
-    experiment, not an assertion.  ``chi`` is the value at ``(S, R)``,
-    computed here if not given.
+    experiment, not an assertion.  ``chi`` is the value at ``(S, R)``.
     """
     s, r = _check_arguments(fam, s, r)
-    if chi is None:
-        chi = dc_charfun(fam, s, r, tol).value
     jm = indefinite_form(fam.arity, fam.alpha)
     target = np.linalg.inv(jm @ chi.conj().T @ jm)
     scale = max(1.0, op_norm(target))

@@ -1,5 +1,19 @@
 """Exception types shared by every module of the package."""
 
+__all__ = [
+    "ColligationError",
+    "NotUnitary",
+    "NotOrthogonal",
+    "BadSplit",
+    "AlphaMismatch",
+    "ArityMismatch",
+    "RetriesExhausted",
+    "NearSingular",
+    "NearPole",
+    "OnEigensurface",
+    "DocumentError",
+]
+
 
 class ColligationError(Exception):
     """Base class for all errors raised by this package."""

@@ -337,13 +337,15 @@ def sample_balls(rng: np.random.Generator, count: int, dim: int, radius: float) 
     return points
 
 
-def sample_invertible(
-    rng: np.random.Generator, dim: int, min_sigma_ratio: float = 0.1, max_tries: int = 64
-) -> np.ndarray:
-    """Random matrix whose condition number is kept moderate by resampling."""
-    for _ in range(max_tries):
+_MIN_SIGMA_RATIO = 0.1
+_INVERTIBLE_TRIES = 64
+
+
+def sample_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random matrix whose condition number is kept at most 10 by resampling."""
+    for _ in range(_INVERTIBLE_TRIES):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         smin, smax = sigma_extremes(g)
-        if smax > 0.0 and smin >= min_sigma_ratio * smax:
+        if smax > 0.0 and smin >= _MIN_SIGMA_RATIO * smax:
             return g
     raise RuntimeError("failed to sample a well-conditioned matrix")

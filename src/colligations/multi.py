@@ -201,19 +201,13 @@ def multi_product(x: MultiColligation, y: MultiColligation, tol: Tolerances = DE
     return MultiColligation(product(g, h, tol) for g, h in zip(x.members, y.members))
 
 
-def diag_conjugation(
-    mc: MultiColligation,
-    s,
-    lam,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    chi: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def diag_conjugation(mc: MultiColligation, s, lam, tol: Tolerances, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity.
 
     Returns ``(chi(lam S lam^{-1}), Lam chi(S) Lam^{-1})`` where ``lam`` is a
     vector of nonzero scalars, acting diagonally on the argument and
     block-diagonally (``lam_j I_alpha``) on the value.  ``chi`` is the value
-    at ``S``, computed here if not given.
+    at ``S``.
     """
     s = _check_argument(s, mc.arity)
     lam = np.asarray(lam, dtype=complex).reshape(-1)
@@ -225,7 +219,5 @@ def diag_conjugation(
     left = multi_charfun(mc, scaled, tol).value
     lam_big = np.kron(np.diag(lam), np.eye(mc.alpha))
     lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(mc.alpha))
-    if chi is None:
-        chi = multi_charfun(mc, s, tol).value
     right = lam_big @ chi @ lam_big_inv
     return left, right

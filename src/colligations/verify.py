@@ -84,7 +84,14 @@ CONTROL_THRESHOLD = 1e-3  # a negative control must exceed this somewhere
 
 @dataclass(frozen=True)
 class Dims:
-    """Upper bounds for randomly drawn dimensions (suites clamp further)."""
+    """Upper bounds for randomly drawn dimensions (suites clamp further).
+
+    Every drawn size honours them, except the minimum a law needs: two slots
+    or members in ``multi-boundary-inverse-experiment``, the ``conjugacy-*``
+    suites and ``conjugacy-dilation-control``; an inner dimension at least
+    the exposed one in ``relation-definiteness``; the planted phase blocks
+    of ``spectrum-union`` and ``padding-invariance`` and the padding itself.
+    """
 
     max_alpha: int = 3
     max_inner: int = 4
@@ -519,7 +526,7 @@ def _spectrum_union(rng, dims, tol):
     ks_y = [_draw(rng, 1, _PHASE_GRID - 1) for _ in range(_draw(rng, 1, 2))]
     x = product(
         _phase_colligation(rng, alpha, ks_x, tol),
-        random_colligation(alpha, _draw(rng, 1, 3), rng),
+        random_colligation(alpha, _draw(rng, 1, min(3, dims.max_inner)), rng),
         tol,
     )
     y = _phase_colligation(rng, alpha, ks_y, tol)
@@ -831,8 +838,8 @@ def _surface_consistency(rng, dims, tol):
     from . import multi
 
     alpha = _draw(rng, 1, min(3, dims.max_alpha))
-    inner = _draw(rng, 1, 2)
-    arity = _draw(rng, 1, 2)
+    inner = _draw(rng, 1, min(2, dims.max_inner))
+    arity = _draw(rng, 1, min(2, dims.max_arity))
     mc = multi.random_multi(alpha, inner, arity, rng)
     nm = arity * inner
 
@@ -925,8 +932,8 @@ def _containment(draw_constraint):
         from . import multi, relations
 
         alpha, _, arity = _relation_dims(rng, dims)
-        first = multi.random_multi(alpha, _draw(rng, 1, 3), arity, rng)
-        second = multi.random_multi(alpha, _draw(rng, 1, 3), arity, rng)
+        first = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
+        second = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
         prod = multi.multi_product(first, second, tol)
         constraint = _retrying(lambda: draw_constraint(rng, arity, (prod, first, second), tol))
         big = relations.char_relation(prod, constraint, tol)
@@ -1075,9 +1082,17 @@ def _doublecoset_form_increase(rng, dims, tol):
     from . import doublecoset
 
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
-    report = doublecoset.form_checks(fam, s, r, tol, seed=_draw(rng, 0, 2**31 - 1), samples=8, chi=_value(chi))
-    smallest = min(report.increase_samples)
+    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
+    chi = _value(chi)
+    form = doublecoset.indefinite_form(fam.arity, fam.alpha)
+    size = form.shape[0]
+    probes = np.random.default_rng(_draw(rng, 0, 2**31 - 1))
+    increases = []
+    for _ in range(8):  # M(chi p, chi p) - M(p, p) at random probes p
+        p = probes.standard_normal(size) + 1j * probes.standard_normal(size)
+        q = chi @ p
+        increases.append(float(np.real(q.conj() @ form @ q)) - float(np.real(p.conj() @ form @ p)))
+    smallest = min(increases)
     return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
 
 

@@ -17,7 +17,7 @@ from conftest import record_criterion
 from colligations.cli import main
 from colligations.colligation import charfun_z, product
 from colligations.conjugacy import tri_charfun, tri_product
-from colligations.doublecoset import dc_charfun, dc_product
+from colligations.doublecoset import dc_charfun
 from colligations.documents import KINDS, load_document, random_document, save_document
 from colligations.linalg import op_norm, rel_defect
 from colligations.multi import MultiColligation, multi_charfun, multi_product
@@ -91,7 +91,7 @@ def test_criterion_02_multiplicativity():
         want = tri_charfun(tx, s).value @ tri_charfun(ty, s).value
         spot = max(spot, rel_defect(got, want))
     dx, dy = (random_document("doublecoset", seed).payload for seed in (17, 18))
-    dxy = dc_product(dx, dy)
+    dxy = multi_product(dx, dy)
     for _ in range(20):
         s = _regular_point(rng, dx.arity)
         r = _regular_point(rng, dx.arity)

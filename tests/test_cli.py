@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -18,7 +19,15 @@ import colligations
 from colligations import cli
 from colligations.cli import main
 from colligations.colligation import Colligation, equivalent_probe, identity_colligation
-from colligations.documents import KINDS, document_for, emit_document, load_document, random_document, save_document
+from colligations.documents import (
+    KINDS,
+    SCHEMA_VERSION,
+    Document,
+    emit_document,
+    load_document,
+    random_document,
+    save_document,
+)
 from colligations.multi import MultiColligation
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -27,7 +36,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 @pytest.fixture()
 def swap_doc(tmp_path):
     path = tmp_path / "swap.json"
-    save_document(document_for(Colligation(SWAP, 1)), path)
+    save_document(Document("colligation", Colligation(SWAP, 1), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 
@@ -35,7 +44,7 @@ def swap_doc(tmp_path):
 def swap_pair_doc(tmp_path):
     path = tmp_path / "swap_pair.json"
     members = [Colligation(SWAP, 1), Colligation(SWAP, 1)]
-    save_document(document_for(MultiColligation(members)), path)
+    save_document(Document("multi", MultiColligation(members), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 
@@ -43,7 +52,7 @@ def swap_pair_doc(tmp_path):
 def all_identity_doc(tmp_path):
     path = tmp_path / "all_identity.json"
     members = [identity_colligation(1, 1), identity_colligation(1, 1)]
-    save_document(document_for(MultiColligation(members)), path)
+    save_document(Document("multi", MultiColligation(members), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 
@@ -103,7 +112,7 @@ class TestProduct:
 
     def test_identity_factor_is_neutral(self, capsys, tmp_path, swap_doc):
         ident = tmp_path / "ident.json"
-        save_document(document_for(identity_colligation(1, 1)), ident)
+        save_document(Document("colligation", identity_colligation(1, 1), {"schema_version": SCHEMA_VERSION}), ident)
         out = tmp_path / "combined.json"
         assert run(capsys, "product", swap_doc, ident, "--out", out)[0] == 0
         combined = load_document(out).payload
@@ -942,6 +951,13 @@ for argv in json.loads(sys.argv[1]):
     loaded.append([code, sorted(name for name in sys.modules if name.startswith("colligations"))])
 print(json.dumps(loaded))
 """
+
+
+def test_every_export_resolves_and_is_in_its_module_all():
+    for name in colligations.__all__:
+        module = importlib.import_module(f"colligations.{colligations._MODULE_OF[name]}")
+        assert name in module.__all__, name
+        assert getattr(colligations, name) is getattr(module, name), name
 
 
 def test_import_of_the_package_loads_no_module():

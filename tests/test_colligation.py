@@ -8,7 +8,6 @@ from colligations.colligation import (
     conjugate_inner,
     equivalent_probe,
     identity_colligation,
-    make_colligation,
     pad,
     product,
     random_colligation,
@@ -35,7 +34,7 @@ def swap_colligation() -> Colligation:
 
 class TestSplit:
     def test_identity_blocks(self):
-        col = make_colligation(np.eye(3), alpha=1)
+        col = Colligation(np.eye(3), alpha=1)
         npt.assert_array_equal(col.a, [[1.0]])
         npt.assert_array_equal(col.b, np.zeros((1, 2)))
         npt.assert_array_equal(col.c, np.zeros((2, 1)))
@@ -50,12 +49,12 @@ class TestSplit:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NotUnitary):
-            make_colligation(np.diag([1.0, 2.0]), alpha=1)
+            Colligation(np.diag([1.0, 2.0]), alpha=1)
 
     @pytest.mark.parametrize("alpha", [0, 2, 3])
     def test_split_must_leave_inner_room(self, alpha):
         with pytest.raises(BadSplit):
-            make_colligation(np.eye(2), alpha=alpha)
+            Colligation(np.eye(2), alpha=alpha)
 
     def test_matrix_is_frozen(self):
         col = swap_colligation()
@@ -175,7 +174,7 @@ def phase_colligation(alpha: int, phases, seed: int) -> Colligation:
 
 class TestUnitSpectrum:
     def test_diagonal_inner_block(self):
-        col = make_colligation(np.diag([1.0, 1j, -1.0]), alpha=1)
+        col = Colligation(np.diag([1.0, 1j, -1.0]), alpha=1)
         assert spectra_match(unit_spectrum(col), [(1j, 1), (-1.0, 1)], 1e-9)
 
     def test_swap_has_empty_spectrum(self):

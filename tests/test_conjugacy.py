@@ -9,11 +9,12 @@ from colligations.conjugacy import (
     tri_charfun,
     tri_charfun_system,
     tri_conjugate,
-    tri_elimination_matrix,
     tri_product,
+    tri_realization,
 )
 from colligations.errors import AlphaMismatch, ArityMismatch, BadSplit, NotUnitary, OnEigensurface
 from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, unitarity_defect
+from colligations import realization
 
 CYCLIC = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -135,7 +136,8 @@ class TestCharfun:
     def test_elimination_matrix_layout(self):
         s = np.array([[1.0, 2.0], [3.0, 4.0]])
         expected = np.kron(s, np.eye(1)) - np.array([[0.0, 0.0], [1.0, 0.0]])
-        npt.assert_allclose(tri_elimination_matrix(cyclic_tri(), s), expected, atol=1e-14)
+        system = realization.system(tri_realization(cyclic_tri()), [s[None].astype(complex)])[0]
+        npt.assert_allclose(system, expected, atol=1e-14)
 
     def test_wrong_argument_shape(self):
         with pytest.raises(ArityMismatch):

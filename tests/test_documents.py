@@ -4,10 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations.colligation import random_colligation
 from colligations.documents import (
     KINDS,
-    document_for,
     emit_document,
     load_document,
     matrix_from_json,
@@ -129,15 +127,6 @@ class TestParseErrors:
 
 
 class TestFactories:
-    def test_document_for_detects_kind(self):
-        doc = document_for(random_colligation(1, 2, seed=1), seed=9)
-        assert doc.kind == "colligation"
-        assert doc.metadata == {"schema_version": "1", "seed": 9}
-
-    def test_document_for_rejects_foreign_objects(self):
-        with pytest.raises(TypeError):
-            document_for(np.eye(2))
-
     @pytest.mark.parametrize("kind", KINDS)
     def test_random_document_deterministic(self, kind):
         first = emit_document(random_document(kind, seed=10))

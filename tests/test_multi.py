@@ -45,6 +45,10 @@ def regular_argument(rng, arity: int) -> np.ndarray:
     return 0.6 * g / np.linalg.norm(g, 2)
 
 
+def dilation(mc, s, lam):
+    return diag_conjugation(mc, s, lam, DEFAULT_TOLERANCES, multi_charfun(mc, s).value)
+
+
 class TestFamily:
     def test_shared_split_required(self):
         with pytest.raises(AlphaMismatch):
@@ -172,14 +176,14 @@ class TestDiagConjugation:
     def test_trivial_scalars(self):
         mc = random_multi(2, 2, 2, seed=17)
         s = regular_argument(np.random.default_rng(18), 2)
-        left, right = diag_conjugation(mc, s, np.ones(2))
+        left, right = dilation(mc, s, np.ones(2))
         npt.assert_allclose(left, right, atol=1e-12)
         npt.assert_allclose(left, multi_charfun(mc, s).value, atol=1e-12)
 
     def test_swap_pair_closed_form(self):
         lam = np.array([2.0, 0.5 + 0.5j])
         s = np.array([[0.3, 0.4], [0.2, 0.9]])
-        left, right = diag_conjugation(swap_pair(), s, lam)
+        left, right = dilation(swap_pair(), s, lam)
         lam_big = np.diag(lam)
         expected = lam_big @ np.linalg.inv(s) @ np.linalg.inv(lam_big)
         npt.assert_allclose(left, expected, atol=1e-10)
@@ -191,12 +195,12 @@ class TestDiagConjugation:
             mc = random_multi(2, 2, 2, seed=seed)
             s = regular_argument(rng, 2)
             lam = rng.uniform(0.5, 2.0, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
-            left, right = diag_conjugation(mc, s, lam)
+            left, right = dilation(mc, s, lam)
             assert rel_defect(left, right) < 1e-9
 
     def test_zero_scalar_rejected(self):
         with pytest.raises(ValueError):
-            diag_conjugation(swap_pair(), np.eye(2) * 0.5, np.array([1.0, 0.0]))
+            dilation(swap_pair(), np.eye(2) * 0.5, np.array([1.0, 0.0]))
 
 
 class TestKeptRealization:
@@ -215,7 +219,7 @@ class TestKeptRealization:
         for _ in range(2):
             multi_charfun(mc, s)
             elimination_matrix(mc, s)
-            diag_conjugation(mc, s, np.array([1.5, 0.5j, -2.0]))
+            dilation(mc, s, np.array([1.5, 0.5j, -2.0]))
         assert len(calls) == 4
         assert multi_realization(mc) is multi_realization(mc)
 

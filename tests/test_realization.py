@@ -11,7 +11,7 @@ from colligations import cli, sweeps
 from colligations.colligation import charfun_z, colligation_realization, identity_colligation, random_colligation
 from colligations.conjugacy import TriColligation, random_tri, tri_charfun, tri_charfun_system, tri_realization
 from colligations.documents import KIND_TABLE, random_document, save_document, matrix_to_json
-from colligations.doublecoset import DoubleCosetFamily, dc_charfun, dc_charfun_system, dc_realization
+from colligations.doublecoset import dc_charfun, dc_charfun_system, dc_realization
 from colligations.errors import NearPole, OnEigensurface
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, sample_ball, sigma_extremes
 from colligations.multi import MultiColligation, multi_charfun, multi_charfun_system, multi_realization, random_multi
@@ -139,7 +139,7 @@ _ON_SURFACE = "argument lies on the eigensurface"
         (lambda: multi_charfun(MultiColligation(_IDENTITIES), np.eye(2)), OnEigensurface, _ON_SURFACE),
         (lambda: tri_charfun(TriColligation(np.eye(3), 1, 1, 2), np.eye(2)), OnEigensurface, _ON_SURFACE),
         (
-            lambda: dc_charfun(DoubleCosetFamily(_IDENTITIES), np.eye(2), np.eye(2)),
+            lambda: dc_charfun(MultiColligation(_IDENTITIES), np.eye(2), np.eye(2)),
             OnEigensurface,
             "arguments lie on the eigensurface",
         ),

@@ -9,7 +9,7 @@ import pytest
 
 from colligations import cli, sweeps
 from colligations.colligation import Colligation
-from colligations.documents import document_for, matrix_to_json, save_document
+from colligations.documents import SCHEMA_VERSION, Document, matrix_to_json, save_document
 from colligations.linalg import sample_ball, sample_balls
 
 EDGE = [-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, 1.0, -2.5e-10, 0.0, 123456.789]
@@ -89,7 +89,8 @@ def test_matrix_point_label_is_canonical_json():
 @pytest.fixture()
 def swap_doc(tmp_path):
     path = tmp_path / "swap.json"
-    save_document(document_for(Colligation(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)), path)
+    swap = Colligation(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    save_document(Document("colligation", swap, {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 

@@ -57,7 +57,8 @@ def _compare_startup(*argv, cwd=None):
 
 def test_compare_startup_stops_at_a_missing_document_before_timing(tmp_path):
     src = str(Path(colligations.__file__).resolve().parents[1])
-    result = _compare_startup(src, src, str(tmp_path / "missing.json"))
+    (tmp_path / "runs.json").write_text(json.dumps([["validate", "missing.json"]]))
+    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
     assert (result.returncode, result.stdout) == (1, "")
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: validate ") and "missing.json" in line
@@ -91,17 +92,9 @@ def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
         assert 1.0 < float(match.group(1)) < 1000.0
 
 
-def test_compare_startup_takes_documents_or_command_lines():
-    src = str(Path(colligations.__file__).resolve().parents[1])
-    for argv in ([src, src], [src, src, "doc.json", "--argv", "runs.json"]):
-        result = _compare_startup(*argv)
-        assert (result.returncode, result.stdout) == (2, ""), argv
-        assert "give either DOC... or --argv FILE" in result.stderr
-
-
 def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):
     src = str(Path(colligations.__file__).resolve().parents[1])
-    result = _compare_startup(src, src, str(tmp_path / "missing.json"), "--pairs", "9")
+    result = _compare_startup(src, src, "--argv", str(tmp_path / "missing.json"), "--pairs", "9")
     assert (result.returncode, result.stdout) == (2, "")
     assert "need at least 10 pairs, got 9" in result.stderr
 

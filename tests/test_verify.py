@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from colligations import doublecoset, realization
+from colligations import doublecoset, multi, realization, verify
 from colligations.errors import OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
@@ -50,6 +50,29 @@ class TestReports:
         report = run_suite("conjugacy-oracle", trials=3, seed=0, dims=Dims(2, 2, 2))
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "suite", ["surface-consistency", "spectrum-union", "relation-containment", "relation-containment-surface"]
+    )
+    def test_literal_size_caps_give_way_to_dims(self, monkeypatch, suite):
+        # These suites cap some drawn sizes with a literal as well; the
+        # smaller of the two must win.
+        drawn = []
+        random_multi, random_colligation = multi.random_multi, verify.random_colligation
+
+        def drawn_multi(alpha, inner, arity, seed):
+            drawn.append((alpha, inner, arity))
+            return random_multi(alpha, inner, arity, seed)
+
+        def drawn_colligation(alpha, inner, seed):
+            drawn.append((alpha, inner))
+            return random_colligation(alpha, inner, seed)
+
+        monkeypatch.setattr(multi, "random_multi", drawn_multi)
+        monkeypatch.setattr(verify, "random_colligation", drawn_colligation)
+        assert run_suite(suite, trials=20, seed=0, dims=Dims(1, 1, 1)).passed
+        assert drawn
+        assert max(max(sizes) for sizes in drawn) == 1
+
     def test_failures_carry_trial_seeds(self):
         report = run_suite("charfun-contractive", trials=3, seed=5)
         assert report.passed
@@ -84,8 +107,8 @@ class TestRealizations:
         "suite", ["doublecoset-dilation", "doublecoset-form-increase", "doublecoset-adjoint-experiment"]
     )
     def test_family_helpers_take_the_trial_realization(self, monkeypatch, suite):
-        # The dilation, form and adjoint helpers evaluate through the
-        # realization the trial built, so no member is realized twice.
+        # The dilation and adjoint helpers and the form law evaluate through
+        # the realization the trial built, so no member is realized twice.
         calls = []
         original = doublecoset.transpose_inverse
 

@@ -2,7 +2,6 @@
 
 Usage (from the repository root)::
 
-    python3 tools/compare_startup.py SRC_A SRC_B DOC... [--pairs N] [--processes K]
     python3 tools/compare_startup.py SRC_A SRC_B --argv FILE [--pairs N]
 
 ``SRC_A`` and ``SRC_B`` are directories holding the ``colligations``
@@ -14,12 +13,11 @@ shutdown.  At exit the process reports its peak resident set size (VmHWM)
 through a file; the parent's ``wait4`` rusage would not do, as on Linux it
 also counts the parent's own RSS at the time of the fork.
 
-With ``DOC...``, each a document file both trees accept, one sample of a
-tree is the median wall time of ``K`` ``validate`` processes, cycling over
-the documents.  With ``--argv``, ``FILE`` is a JSON list of command lines
-(each a list of strings, as ``tools/compare_verify.py --argv`` reads; relative
-paths in them are taken from the current directory), and one sample of a
-tree is the total wall time of one process per listed command line.
+``FILE`` is a JSON list of command lines (each a list of strings, as
+``tools/compare_verify.py --argv`` reads; relative paths in them are taken
+from the current directory), and one sample of a tree is the total wall time
+of one process per listed command line.  To time start-up alone, list
+``validate`` command lines of small documents.
 
 Every command line first runs once in each tree, untimed.  Then ``N`` (at
 least 10) pairs of samples are taken, the tree that goes first alternating
@@ -78,13 +76,11 @@ def _process(env: dict, argv: list[str]) -> tuple[float, float]:
     return wall, int(hwm.read_text()) / 1024.0
 
 
-def _sample(env: dict, runs: list[list[str]], processes: int | None) -> tuple[float, float]:
-    """One sample's wall time, the median of ``processes`` processes cycling
-    over ``runs`` or with ``processes`` None the total of one process per run,
-    and its peak RSS, the largest of its processes'."""
-    argvs = runs if processes is None else [runs[k % len(runs)] for k in range(processes)]
-    walls, rss = zip(*(_process(env, argv) for argv in argvs))
-    return (sum(walls) if processes is None else statistics.median(walls)), max(rss)
+def _sample(env: dict, runs: list[list[str]]) -> tuple[float, float]:
+    """One sample's wall time, the total of one process per run, and its peak
+    RSS, the largest of its processes'."""
+    walls, rss = zip(*(_process(env, argv) for argv in runs))
+    return sum(walls), max(rss)
 
 
 def _at_least_ten(text: str) -> int:
@@ -94,32 +90,16 @@ def _at_least_ten(text: str) -> int:
     return value
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
     parser.add_argument("src_b")
-    parser.add_argument("docs", nargs="*", metavar="DOC")
-    parser.add_argument("--argv", default=None, metavar="FILE", help="JSON list of command lines to time instead")
+    parser.add_argument("--argv", required=True, metavar="FILE", help="JSON list of command lines to time")
     parser.add_argument("--pairs", type=_at_least_ten, default=10, help="pairs of samples (default 10)")
-    parser.add_argument("--processes", type=_positive, default=12, help="processes per DOC sample (default 12)")
     args = parser.parse_args(argv)
-    if (args.argv is None) == (not args.docs):
-        parser.error("give either DOC... or --argv FILE")
 
-    if args.argv is None:
-        runs = [["validate", os.path.abspath(doc)] for doc in args.docs]
-        processes = args.processes
-    else:
-        with open(args.argv, encoding="utf-8") as file:
-            runs = json.load(file)
-        processes = None
+    with open(args.argv, encoding="utf-8") as file:
+        runs = json.load(file)
     samples = ([], [])
     with tempfile.TemporaryDirectory() as scratch:
         envs = []
@@ -135,7 +115,7 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = (0, 1) if pair % 2 == 0 else (1, 0)
                 for side in order:
-                    samples[side].append(_sample(envs[side], runs, processes))
+                    samples[side].append(_sample(envs[side], runs))
         except _Failed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
