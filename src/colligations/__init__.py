@@ -46,14 +46,12 @@ _EXPORTS = {
     ),
     "linalg": (
         "DEFAULT_TOLERANCES",
-        "TOLERANCE_PROFILES",
         "CharValue",
         "Tolerances",
         "haar_orthogonal",
         "haar_unitary",
         "op_norm",
         "rel_defect",
-        "tolerances_from_profile",
     ),
     "colligation": (
         "Colligation",
@@ -69,9 +67,6 @@ _EXPORTS = {
     ),
     "multi": (
         "MultiColligation",
-        "diag_conjugation",
-        "eigensurface_det",
-        "eigensurface_sigma",
         "elimination_matrix",
         "multi_charfun",
         "multi_charfun_system",
@@ -101,10 +96,8 @@ _EXPORTS = {
         "tri_product",
     ),
     "doublecoset": (
-        "adjoint_experiment",
         "dc_charfun",
         "dc_charfun_system",
-        "dc_dilation_check",
         "dc_equivalent",
         "indefinite_form",
         "skew_form",

@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from .errors import ColligationError, DocumentError
-from .linalg import Tolerances, tolerances_from_profile
+from .linalg import DEFAULT_TOLERANCES, Tolerances
 from .documents import KIND_TABLE, KINDS, SCHEMA_VERSION, Document, emit_document, load_document, random_document
 
 __all__ = ["main"]
@@ -252,11 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    profile = os.environ.get("COLLIGATION_TOL_PROFILE", "default")
-    try:
-        tol = tolerances_from_profile(profile)
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"COLLIGATION_TOL_PROFILE: {exc}") from None
     overrides = {
         "unitarity_tol": args.tol_unitarity,
         "residual_tol": args.tol_residual,
@@ -264,10 +259,8 @@ def _resolve_tolerances(args) -> Tolerances:
         "surface_guard": args.tol_surface_guard,
     }
     overrides = {key: value for key, value in overrides.items() if value is not None}
-    if not overrides:
-        return tol
     try:
-        return dataclasses.replace(tol, **overrides)
+        return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from None
 

@@ -35,10 +35,8 @@ __all__ = [
     "dc_charfun",
     "dc_charfun_system",
     "dc_realization",
-    "dc_dilation_check",
     "indefinite_form",
     "skew_form",
-    "adjoint_experiment",
 ]
 
 DoubleCosetFamily = MultiColligation  # kept for the benchmark's oracle checks; a family is a multi family
@@ -74,7 +72,7 @@ def _check_arguments(fam: MultiColligation, s, r):
 
 def dc_realization(fam: MultiColligation, tol: Tolerances = DEFAULT_TOLERANCES) -> Realization:
     """The blocks of the core system (the ``"SR"`` form), built on first use
-    and kept by the family, one per tolerance profile: the transposed
+    and kept by the family, one per ``Tolerances`` value: the transposed
     inverses of the members are cross-checked under ``tol`` when built.
     """
     return fam._kept(("SR", tol), lambda: _core_realization(fam, tol))
@@ -163,39 +161,6 @@ def dc_charfun_system(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOL
     return sol[: 2 * na, :]
 
 
-def dc_dilation_check(
-    fam: MultiColligation, s, r, lam, tol: Tolerances, chi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the diagonal dilation identity for two arguments.
-
-    Returns ``(Lam chi(S, R) Lam^{-1}, chi(lam S lam, lam^{-1} R lam^{-1}))``
-    where ``Lam`` scales the plus blocks by ``lam_j`` and the minus blocks by
-    ``1 / lam_j``.  Rescaling every plus-side variable of slot ``j`` by
-    ``lam_j`` and every minus-side variable by ``1 / lam_j`` maps solutions of
-    the coupled linear system onto solutions for the congruence-transformed
-    arguments, so the two matrices agree wherever both are regular.  (More
-    generally, independent plus/minus scalings ``mu``, ``nu`` conjugate the
-    transfer matrix by ``diag(mu, nu)`` while sending the arguments to
-    ``mu S nu^{-1}`` and ``nu R mu^{-1}``; this is the ``nu = mu^{-1}``
-    slice, the one that keeps symmetric ``S`` symmetric.)  ``chi`` is the
-    value at ``(S, R)``.
-    """
-    s, r = _check_arguments(fam, s, r)
-    lam = np.asarray(lam, dtype=complex).reshape(-1)
-    if lam.shape[0] != fam.arity:
-        raise ArityMismatch(f"need {fam.arity} scalars, got {lam.shape[0]}")
-    if np.any(lam == 0):
-        raise ValueError("dilation scalars must be nonzero")
-    eye_a = np.eye(fam.alpha)
-    lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
-    lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
-    left = lam_big @ chi @ lam_big_inv
-    scaled_s = lam[:, None] * s * lam[None, :]
-    scaled_r = r / lam[:, None] / lam[None, :]
-    right = dc_charfun(fam, scaled_s, scaled_r, tol).value
-    return left, right
-
-
 def indefinite_form(arity: int, alpha: int) -> np.ndarray:
     """Hermitian form ``diag(+I, -I)`` on the doubled exposed space."""
     eye = np.eye(arity * alpha)
@@ -209,25 +174,3 @@ def skew_form(arity: int, alpha: int) -> np.ndarray:
     eye = np.eye(na)
     return np.block([[zero, eye], [-eye, zero]]).astype(complex)
 
-
-def adjoint_experiment(fam: MultiColligation, s, r, tol: Tolerances, chi: np.ndarray) -> dict[str, float]:
-    """Compare two sign conventions for the indefinite-adjoint reflection law.
-
-    For box(X) = J X* J (adjoint with respect to the signature form) the
-    candidate identity is chi(box(S)^{-1}, box(R)^{-1}) = box(chi)^{-1}, read
-    either with box on scalars acting as plain conjugate-transpose or with an
-    extra sign.  Returns the relative defect of each reading; this is an
-    experiment, not an assertion.  ``chi`` is the value at ``(S, R)``.
-    """
-    s, r = _check_arguments(fam, s, r)
-    jm = indefinite_form(fam.arity, fam.alpha)
-    target = np.linalg.inv(jm @ chi.conj().T @ jm)
-    scale = max(1.0, op_norm(target))
-    out = {}
-    for label, sign in (("conjugate-transpose", 1.0), ("negated-conjugate-transpose", -1.0)):
-        try:
-            cand = dc_charfun(fam, np.linalg.inv(sign * s.conj().T), np.linalg.inv(sign * r.conj().T), tol).value
-            out[label] = op_norm(cand - target) / scale
-        except (OnEigensurface, np.linalg.LinAlgError):
-            out[label] = float("nan")
-    return out

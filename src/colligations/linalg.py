@@ -17,8 +17,6 @@ from .errors import ArityMismatch, NearSingular, NotOrthogonal, NotUnitary
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
-    "TOLERANCE_PROFILES",
-    "tolerances_from_profile",
     "CharValue",
     "block_diag",
     "op_norm",
@@ -64,24 +62,6 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-TOLERANCE_PROFILES = {
-    "default": DEFAULT_TOLERANCES,
-    "strict": Tolerances(
-        unitarity_tol=1e-11,
-        residual_tol=1e-10,
-        rank_tol=1e-10,
-        surface_guard=1e-9,
-    ),
-}
-
-
-def tolerances_from_profile(name: str) -> Tolerances:
-    try:
-        return TOLERANCE_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(TOLERANCE_PROFILES))
-        raise ValueError(f"unknown tolerance profile {name!r} (known: {known})") from None
 
 
 @dataclass(frozen=True)
@@ -293,11 +273,11 @@ def haar_orthogonal(dim: int, seed: int) -> np.ndarray:
     return _haar_orthogonal(np.random.default_rng(seed), dim)
 
 
-def rel_defect(x, y, floor: float = 1.0) -> float:
-    """Norm of ``x - y`` relative to the larger operand (or ``floor``)."""
+def rel_defect(x, y) -> float:
+    """Norm of ``x - y`` relative to the larger operand, or to 1 if both are smaller."""
     a = np.asarray(x, dtype=complex)
     b = np.asarray(y, dtype=complex)
-    scale = max(floor, op_norm(a), op_norm(b))
+    scale = max(1.0, op_norm(a), op_norm(b))
     return op_norm(a - b) / scale
 
 

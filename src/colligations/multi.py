@@ -40,9 +40,6 @@ __all__ = [
     "multi_charfun_system",
     "multi_realization",
     "elimination_matrix",
-    "eigensurface_det",
-    "eigensurface_sigma",
-    "diag_conjugation",
 ]
 
 
@@ -128,16 +125,6 @@ def elimination_matrix(mc: MultiColligation, s) -> np.ndarray:
     return system(multi_realization(mc), [s[None]])[0]
 
 
-def eigensurface_det(mc: MultiColligation, s) -> complex:
-    """Determinant whose zero set is the eigensurface."""
-    return complex(np.linalg.det(elimination_matrix(mc, s)))
-
-
-def eigensurface_sigma(mc: MultiColligation, s) -> tuple[float, float]:
-    """Smallest and largest singular value of the eliminated system."""
-    return sigma_extremes(elimination_matrix(mc, s))
-
-
 def multi_charfun(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
     """Characteristic function of the family at the matrix argument ``s``."""
     s = _check_argument(s, mc.arity)
@@ -200,24 +187,3 @@ def multi_product(x: MultiColligation, y: MultiColligation, tol: Tolerances = DE
         raise AlphaMismatch(f"exposed dimensions differ: {x.alpha} vs {y.alpha}")
     return MultiColligation(product(g, h, tol) for g, h in zip(x.members, y.members))
 
-
-def diag_conjugation(mc: MultiColligation, s, lam, tol: Tolerances, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the diagonal dilation identity.
-
-    Returns ``(chi(lam S lam^{-1}), Lam chi(S) Lam^{-1})`` where ``lam`` is a
-    vector of nonzero scalars, acting diagonally on the argument and
-    block-diagonally (``lam_j I_alpha``) on the value.  ``chi`` is the value
-    at ``S``.
-    """
-    s = _check_argument(s, mc.arity)
-    lam = np.asarray(lam, dtype=complex).reshape(-1)
-    if lam.shape[0] != mc.arity:
-        raise ArityMismatch(f"need {mc.arity} scalars, got {lam.shape[0]}")
-    if np.any(lam == 0):
-        raise ValueError("dilation scalars must be nonzero")
-    scaled = (lam[:, None] * s) / lam[None, :]
-    left = multi_charfun(mc, scaled, tol).value
-    lam_big = np.kron(np.diag(lam), np.eye(mc.alpha))
-    lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(mc.alpha))
-    right = lam_big @ chi @ lam_big_inv
-    return left, right

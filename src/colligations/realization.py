@@ -68,15 +68,15 @@ def system(real: Realization, args) -> np.ndarray:
         (z,) = args
         scaled = _scaled(z, real.d)
         return np.subtract(np.eye(real.d.shape[0]), scaled, out=scaled)
-    big_s = np.kron(args[0], np.eye(real.m))
     if real.form == "S":
+        big_s = np.kron(args[0], np.eye(real.m))
         big_s -= real.d
         return big_s
     nm = real.d.shape[0]
-    core = np.empty((len(big_s), 2 * nm, 2 * nm), dtype=complex)
+    core = np.empty((len(args[0]), 2 * nm, 2 * nm), dtype=complex)
     core[:, :nm, :nm] = -real.d
-    core[:, :nm, nm:] = big_s
-    core[:, nm:, :nm] = -(real.dt @ np.kron(args[1], np.eye(real.m)))
+    core[:, :nm, nm:] = np.kron(args[0], np.eye(real.m))
+    np.negative(real.dt @ np.kron(args[1], np.eye(real.m)), out=core[:, nm:, :nm])
     core[:, nm:, nm:] = np.eye(nm)
     return core
 

@@ -846,12 +846,10 @@ class TestFuzzMain:
 
 
 class TestTolerances:
-    def test_unknown_profile_from_environment(self, capsys, swap_doc, monkeypatch):
+    def test_no_environment_variable_sets_a_tolerance(self, capsys, swap_doc, monkeypatch):
+        # Only the --tol-* flags set tolerances; the profile variable that
+        # once did is not read.
         monkeypatch.setenv("COLLIGATION_TOL_PROFILE", "bogus")
-        assert run(capsys, "validate", swap_doc)[0] == 1
-
-    def test_strict_profile_from_environment(self, capsys, swap_doc, monkeypatch):
-        monkeypatch.setenv("COLLIGATION_TOL_PROFILE", "strict")
         assert run(capsys, "validate", swap_doc)[0] == 0
 
     def test_flag_override_loosens_validation(self, capsys, tmp_path, swap_doc):

@@ -2,13 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset
+from colligations import doublecoset, verify
 from colligations.colligation import identity_colligation
 from colligations.doublecoset import (
-    adjoint_experiment,
     dc_charfun,
     dc_charfun_system,
-    dc_dilation_check,
     dc_equivalent,
     dc_realization,
     indefinite_form,
@@ -48,7 +46,7 @@ def small_arguments(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dilation_check(fam, s, r, lam):
-    return dc_dilation_check(fam, s, r, lam, DEFAULT_TOLERANCES, dc_charfun(fam, s, r).value)
+    return verify._KINDS["doublecoset"].dilation(fam, (s, r), dc_charfun(fam, s, r).value, lam, DEFAULT_TOLERANCES)
 
 
 def form_defects(fam, s, r) -> tuple[float, float, float]:
@@ -232,16 +230,15 @@ class TestAdjointExperiment:
     def test_plain_reading_holds(self):
         fam = random_multi(1, 2, 2, seed=35)
         s, r = small_arguments(np.random.default_rng(36), 2)
-        report = adjoint_experiment(fam, s, r, DEFAULT_TOLERANCES, dc_charfun(fam, s, r).value)
-        assert set(report) == {"conjugate-transpose", "negated-conjugate-transpose"}
-        assert report["conjugate-transpose"] < 1e-9
-        assert report["negated-conjugate-transpose"] > 1e-3
+        plain, negated = verify._adjoint_readings(fam, s, r, dc_charfun(fam, s, r).value, DEFAULT_TOLERANCES)
+        assert plain < 1e-9
+        assert negated > 1e-3
 
 
 class TestKeptRealization:
     def test_each_member_is_cross_checked_once(self, monkeypatch):
-        # Every helper evaluates through the realization the family keeps
-        # for the one tolerance profile, built by the first call.
+        # The dilation and adjoint laws evaluate through the realization the
+        # family keeps for one Tolerances value, built by the first call.
         calls = []
         original = doublecoset.transpose_inverse
 
@@ -256,8 +253,8 @@ class TestKeptRealization:
         dc_charfun(fam, s, r, tol)
         dc_charfun(fam, s, r, tol)
         chi = dc_charfun(fam, s, r, tol).value
-        dc_dilation_check(fam, s, r, np.array([1.5, 0.5j, -2.0]), tol, chi)
-        adjoint_experiment(fam, s, r, tol, chi)
+        verify._KINDS["doublecoset"].dilation(fam, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
+        verify._adjoint_readings(fam, s, r, chi, tol)
         assert len(calls) == fam.arity
 
     def test_kept_per_tolerance_profile(self):

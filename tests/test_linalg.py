@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from colligations.errors import NearSingular
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
-    TOLERANCE_PROFILES,
     Tolerances,
     block_diag,
     haar_orthogonal,
@@ -18,7 +17,6 @@ from colligations.linalg import (
     rel_defect,
     sigma_extremes,
     solve,
-    tolerances_from_profile,
     unitarity_defect,
 )
 
@@ -157,16 +155,6 @@ class TestTolerances:
         assert tol.residual_tol == 1e-9
         assert tol.rank_tol == 1e-9
         assert tol.surface_guard == 1e-8
-
-    def test_strict_profile_is_tighter(self):
-        strict = tolerances_from_profile("strict")
-        default = tolerances_from_profile("default")
-        assert strict.residual_tol < default.residual_tol
-        assert set(TOLERANCE_PROFILES) == {"default", "strict"}
-
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError, match="unknown tolerance profile"):
-            tolerances_from_profile("nope")
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

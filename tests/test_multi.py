@@ -13,13 +13,10 @@ from colligations.colligation import (
     random_colligation,
 )
 from colligations.errors import AlphaMismatch, ArityMismatch, OnEigensurface
-from colligations import multi
-from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, unitarity_defect
+from colligations import multi, verify
+from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, sigma_extremes, unitarity_defect
 from colligations.multi import (
     MultiColligation,
-    diag_conjugation,
-    eigensurface_det,
-    eigensurface_sigma,
     elimination_matrix,
     multi_charfun,
     multi_charfun_system,
@@ -46,7 +43,7 @@ def regular_argument(rng, arity: int) -> np.ndarray:
 
 
 def dilation(mc, s, lam):
-    return diag_conjugation(mc, s, lam, DEFAULT_TOLERANCES, multi_charfun(mc, s).value)
+    return verify._KINDS["multi"].dilation(mc, (s,), multi_charfun(mc, s).value, lam, DEFAULT_TOLERANCES)
 
 
 class TestFamily:
@@ -151,10 +148,10 @@ class TestEigensurface:
         rng = np.random.default_rng(16)
         for _ in range(5):
             s = rng.standard_normal((2, 2))
-            assert eigensurface_det(swap_pair(), s) == pytest.approx(np.linalg.det(s))
+            assert np.linalg.det(elimination_matrix(swap_pair(), s)) == pytest.approx(np.linalg.det(s))
 
     def test_all_identity_is_singular_at_identity(self):
-        assert abs(eigensurface_det(all_identity(2, 1, 1), np.eye(2))) < 1e-12
+        assert abs(np.linalg.det(elimination_matrix(all_identity(2, 1, 1), np.eye(2)))) < 1e-12
         with pytest.raises(OnEigensurface):
             multi_charfun(all_identity(2, 1, 1), np.eye(2))
 
@@ -162,12 +159,13 @@ class TestEigensurface:
         singular = np.array([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(OnEigensurface):
             multi_charfun(swap_pair(), singular)
-        assert abs(eigensurface_det(swap_pair(), singular)) < 1e-12
+        assert abs(np.linalg.det(elimination_matrix(swap_pair(), singular))) < 1e-12
 
     def test_sigma_matches_elimination_matrix(self):
         s = np.array([[0.5, 0.2], [0.1, 0.8]])
-        smin, smax = eigensurface_sigma(swap_pair(), s)
-        singulars = np.linalg.svd(elimination_matrix(swap_pair(), s), compute_uv=False)
+        system = elimination_matrix(swap_pair(), s)
+        smin, smax = sigma_extremes(system)
+        singulars = np.linalg.svd(system, compute_uv=False)
         assert smin == pytest.approx(float(singulars[-1]))
         assert smax == pytest.approx(float(singulars[0]))
 
@@ -197,10 +195,6 @@ class TestDiagConjugation:
             lam = rng.uniform(0.5, 2.0, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
             left, right = dilation(mc, s, lam)
             assert rel_defect(left, right) < 1e-9
-
-    def test_zero_scalar_rejected(self):
-        with pytest.raises(ValueError):
-            dilation(swap_pair(), np.eye(2) * 0.5, np.array([1.0, 0.0]))
 
 
 class TestKeptRealization:

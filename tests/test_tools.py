@@ -45,6 +45,33 @@ def test_compare_verify_runs_every_suite_of_a_tree_against_itself():
     assert result.stdout.splitlines() == ["44 of 44 runs identical"]
 
 
+def test_compare_verify_passes_dimension_caps_to_every_suite():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    caps = ["--max-alpha", "1", "--max-inner", "1", "--max-arity", "1"]
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--trials", "1", *caps],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == ["44 of 44 runs identical"]
+
+
+def test_compare_verify_refuses_a_flag_it_cannot_pass_on():
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--tol-surface", "0.1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # A misspelt flag would make every suite a usage error in both trees,
+    # which compare as identical.
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "expected pairs of one of --tol-unitarity, " in result.stderr
+
+
 def _compare_startup(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_startup.py"), *argv],

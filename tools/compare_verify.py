@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 tools/compare_verify.py SRC_A SRC_B [--trials N] [--seeds S ...] [--tol-NAME X ...]
+    python3 tools/compare_verify.py SRC_A SRC_B [--trials N] [--seeds S ...] [--tol-NAME X ...] [--max-DIM X ...]
     python3 tools/compare_verify.py SRC_A SRC_B --argv FILE
 
 ``SRC_A`` and ``SRC_B`` are directories holding the ``colligations``
@@ -10,7 +10,8 @@ package, such as ``src`` of two checkouts.  Each tree runs in one
 subprocess, which imports the package from that directory and runs
 ``verify --list`` and then every suite it lists at every seed through
 ``colligations.cli.main`` in process, with the given trial count and any
-``--tol-*`` overrides.  With ``--argv``, ``FILE`` is a JSON list of command
+``--tol-*`` overrides and ``--max-alpha``/``--max-inner``/``--max-arity``
+caps.  With ``--argv``, ``FILE`` is a JSON list of command
 lines (each a list of strings, such as ``["eval", "doc.json", "--point",
 "0.5"]``), and those are run instead of the suites; relative paths in them
 are taken from the current directory.  The exit code, stdout and stderr of
@@ -28,17 +29,17 @@ import subprocess
 import sys
 
 # Runs in the child: stdin is the JSON list ``[runs, trials, seeds,
-# tol_flags]``, where ``runs`` is the command lines to run, or null for the
+# suite_flags]``, where ``runs`` is the command lines to run, or null for the
 # suites.
 _WORKER = """\
 import contextlib, io, json, sys
 from colligations.cli import main
 from colligations.verify import list_suites
 
-runs, trials, seeds, tol_flags = json.load(sys.stdin)
+runs, trials, seeds, suite_flags = json.load(sys.stdin)
 if runs is None:
     runs = [["verify", "--list"]] + [
-        ["verify", suite.name, "--trials", str(trials), "--seed", str(seed), *tol_flags]
+        ["verify", suite.name, "--trials", str(trials), "--seed", str(seed), *suite_flags]
         for seed in seeds
         for suite in list_suites()
     ]
@@ -53,6 +54,18 @@ for argv in runs:
     results.append([" ".join(argv), code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
+
+
+# The verify flags passed on to every suite, each with one value.
+_SUITE_FLAGS = (
+    "--tol-unitarity",
+    "--tol-residual",
+    "--tol-rank",
+    "--tol-surface-guard",
+    "--max-alpha",
+    "--max-inner",
+    "--max-arity",
+)
 
 
 def _run(src: str, spec: list) -> dict:
@@ -71,15 +84,15 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--argv", default=None, metavar="FILE", help="JSON list of command lines to run instead")
-    args, tol_flags = parser.parse_known_args(argv)
-    if len(tol_flags) % 2 or any(not flag.startswith("--tol-") for flag in tol_flags[::2]):
-        parser.error(f"expected --tol-NAME X pairs, got {tol_flags}")
+    args, suite_flags = parser.parse_known_args(argv)
+    if len(suite_flags) % 2 or any(flag not in _SUITE_FLAGS for flag in suite_flags[::2]):
+        parser.error(f"expected pairs of one of {', '.join(_SUITE_FLAGS)} and a value, got {suite_flags}")
 
     runs = None
     if args.argv is not None:
         with open(args.argv, encoding="utf-8") as file:
             runs = json.load(file)
-    spec = [runs, args.trials, args.seeds, tol_flags]
+    spec = [runs, args.trials, args.seeds, suite_flags]
     first, second = (_run(src, spec) for src in (args.src_a, args.src_b))
     labels = list(first) + [label for label in second if label not in first]
     differ = [label for label in labels if first.get(label) != second.get(label)]
