@@ -22,6 +22,7 @@ __all__ = [
     "op_norm",
     "sigma_extremes",
     "guarded_solve",
+    "identity_where_not_finite",
     "solve",
     "kernel",
     "orthonormal_columns",
@@ -129,19 +130,25 @@ def sigma_extremes(m) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+def guarded_solve(consumed: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     """Solve a stack of square systems through one stacked SVD, guarded per system.
 
-    ``systems`` is ``(k, N, N)`` and finite, ``rhs`` one ``(N, q)`` right-hand
-    side for all of them.  Returns ``(x, sigma_min, passed)``: system ``i`` passes
-    when ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x[i]`` is its
-    solution, meaningful only where ``passed[i]``.  Every system is solved, so
-    an exactly singular one gives infinite or NaN entries there, without a
-    warning.
+    ``consumed`` is a ``(k, N, N)`` stack that the solve may overwrite and
+    let go, ``rhs`` one ``(N, q)`` right-hand side for all of them.  Returns
+    ``(x, sigma_min, passed)``: system ``i`` passes when it is finite and
+    ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x[i]`` is its
+    solution, meaningful only where ``passed[i]``.  Every system is solved,
+    so an exactly singular one gives infinite or NaN entries there, without
+    a warning.  Each non-finite system is overwritten in ``consumed`` by the
+    identity (:func:`identity_where_not_finite`), and its ``sigma_min`` is
+    NaN.  The stack is let go once the SVD has read it, so a caller that
+    passes it as a temporary frees it then.
     """
-    u, s, vh = np.linalg.svd(systems)
+    finite = identity_where_not_finite(consumed)
+    u, s, vh = np.linalg.svd(consumed)
+    del consumed
     sigma_min = s[:, -1]
-    passed = sigma_min > tol.surface_guard * s[:, 0]
+    passed = finite & (sigma_min > tol.surface_guard * s[:, 0])
     # Each adjoint is a transposed view of its stack conjugated in place, so
     # no stack is copied; u is let go before the second product.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -149,7 +156,18 @@ def guarded_solve(systems: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAUL
         del u
         y /= s[:, :, None]
         x = np.conjugate(vh, out=vh).swapaxes(-1, -2) @ y
+    sigma_min[~finite] = np.nan
     return x, sigma_min, passed
+
+
+def identity_where_not_finite(systems: np.ndarray) -> np.ndarray:
+    """Overwrite each non-finite system of the ``(k, N, N)`` stack in place
+    by the identity, so that a stacked factorization accepts it; the mask of
+    the finite ones.  A caller reports the overwritten ones with a NaN
+    ``sigma_min``."""
+    finite = np.isfinite(systems).all(axis=(1, 2))
+    systems[~finite] = np.eye(systems.shape[1])
+    return finite
 
 
 def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):

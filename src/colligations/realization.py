@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, guarded_solve
+from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, guarded_solve, identity_where_not_finite
 
 __all__ = ["Realization", "system", "evaluate", "surface_indicators", "not_regular", "charvalues", "charvalue"]
 
@@ -68,17 +68,35 @@ def system(real: Realization, args) -> np.ndarray:
         (z,) = args
         scaled = _scaled(z, real.d)
         return np.subtract(np.eye(real.d.shape[0]), scaled, out=scaled)
-    if real.form == "S":
-        big_s = np.kron(args[0], np.eye(real.m))
-        big_s -= real.d
-        return big_s
     nm = real.d.shape[0]
+    if real.form == "S":
+        big_s = _kron_eye(args[0], real.m)
+        # A broadcast subtraction buffers up to 8192 entries (128 KiB); in
+        # blocks of about 2048 entries it buffers no more than a block.
+        step = max(1, 2**11 // nm**2)
+        for start in range(0, len(big_s), step):
+            big_s[start : start + step] -= real.d
+        return big_s
     core = np.empty((len(args[0]), 2 * nm, 2 * nm), dtype=complex)
     core[:, :nm, :nm] = -real.d
-    core[:, :nm, nm:] = np.kron(args[0], np.eye(real.m))
-    np.negative(real.dt @ np.kron(args[1], np.eye(real.m)), out=core[:, nm:, :nm])
+    _kron_eye(args[0], real.m, core[:, :nm, nm:])
+    lower = real.dt @ _kron_eye(args[1], real.m)
+    core[:, nm:, :nm] = np.negative(lower, out=lower)
     core[:, nm:, nm:] = np.eye(nm)
     return core
+
+
+def _kron_eye(s: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``kron(s[i], I_m)`` for each ``i``, written into ``out`` (a new stack
+    if not given) bit for bit as ``np.kron`` forms it, each entry of ``s``
+    times ``1+0j`` or ``0j``: one strided slice of ``out`` per entry of
+    ``I_m``, so no temporary is larger than a slice."""
+    if out is None:
+        out = np.empty((len(s), s.shape[1] * m, s.shape[2] * m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            np.multiply(s, 1.0 if a == b else 0.0, out=out[:, a::m, b::m])
+    return out
 
 
 def _scaled(z: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -98,7 +116,7 @@ def _value(real: Realization, args, x: np.ndarray) -> np.ndarray:
     if real.form == "S":
         return real.a + real.b @ x
     x_plus = x[:, : real.d.shape[0], :]
-    big_r = np.kron(args[1], np.eye(real.m))
+    big_r = _kron_eye(args[1], real.m)
     return real.a + np.concatenate([real.b @ x_plus, (real.bt @ big_r) @ x_plus], axis=1)
 
 
@@ -110,16 +128,14 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
     ``values[i]`` is NaN where the point is not regular; ``sigma_min[i]`` is
     NaN where the system is not finite.  The whole stack is solved in one
     pass (:func:`~colligations.linalg.guarded_solve`), a non-finite system
-    replaced by the identity.
+    replaced by the identity, and let go once its SVD has read it.
     """
     # Huge arguments overflow; the point's system or value is then not
     # finite, which is reported per point rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        systems, finite = _finite_systems(real, args)
-        x, sigma, passed = guarded_solve(systems, real.c, tol)
+        x, sigma, passed = guarded_solve(system(real, args), real.c, tol)
         values = _value(real, args, x)
-        regular = finite & passed & np.isfinite(values).all(axis=(1, 2))
-    sigma[~finite] = np.nan
+        regular = passed & np.isfinite(values).all(axis=(1, 2))
     values[~regular] = np.nan
     return values, sigma, regular
 
@@ -129,22 +145,13 @@ def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]
     arguments.  Both are NaN where a system is not finite, and a determinant
     that overflows is not finite; as in :func:`evaluate`, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        systems, finite = _finite_systems(real, args)
+        systems = system(real, args)
+        finite = identity_where_not_finite(systems)
         sigma = np.linalg.svd(systems, compute_uv=False)[:, -1]
         dets = np.linalg.det(systems)
     sigma[~finite] = np.nan
     dets[~finite] = np.nan
     return dets, sigma
-
-
-def _finite_systems(real: Realization, args) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`system` at ``args``, each non-finite system overwritten in place
-    by the identity so that a stacked factorization accepts it, and the mask
-    of the finite ones."""
-    systems = system(real, args)
-    finite = np.isfinite(systems).all(axis=(1, 2))
-    systems[~finite] = np.eye(systems.shape[1])
-    return systems, finite
 
 
 def not_regular(real: Realization, args, k: int, sigma: float) -> Exception:

@@ -34,9 +34,15 @@ __all__ = ["cmd_eval", "cmd_surface"]
 
 # Matrix entries of eliminated systems per kernel call: a chunk of grid
 # points holds about this many, whatever the system size, which bounds the
-# memory of one call.  Values do not depend on it.  A chunk is the unit of
-# work handed to a --threads worker.
-_CHUNK_ENTRIES = 2**16
+# memory of one call (a 256 KiB stack of systems).  Values do not depend on
+# it.  The largest process of the benchmark's sweeps peaked 0.9 MiB lower
+# at 2**12 and 4.4 MiB higher at 2**16 (38.7 MiB here, VmHWM).
+_CHUNK_ENTRIES = 2**14
+# With more than one --threads worker, a chunk is the unit of work handed to
+# a worker and pays its hand-offs between threads, so it is this many times
+# larger: at 2**14 entries a disc eval at --threads 2 took 14% longer than
+# at 2**16.
+_THREADED_CHUNK_SCALE = 4
 
 
 # --- input parsing ------------------------------------------------------------
@@ -362,7 +368,8 @@ def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
     stack = _stacker(doc, variable, args.fixed)
     real = _realize(doc, tol)
     order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
-    size = max(1, _CHUNK_ENTRIES // order**2)
+    entries = _CHUNK_ENTRIES if args.threads == 1 else _CHUNK_ENTRIES * _THREADED_CHUNK_SCALE
+    size = max(1, entries // order**2)
 
     def work(chunk):
         labels, arguments = chunk

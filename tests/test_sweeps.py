@@ -229,6 +229,30 @@ def test_records_are_written_chunk_by_chunk(capsys, monkeypatch, swap_doc):
     assert len(events) > 2 and events == ["evaluate", "emit"] * (len(events) // 2)
 
 
+def test_threaded_sweeps_take_larger_chunks(capsys, monkeypatch, swap_doc):
+    # A chunk handed to a worker pays its hand-offs between threads, so with
+    # more than one worker a chunk holds _THREADED_CHUNK_SCALE times the
+    # entries (the swap's systems are 1x1).
+    sizes = []
+    evaluate = sweeps.evaluate
+
+    def evaluated(real, arguments, tol):
+        sizes.append(len(arguments[0]))
+        return evaluate(real, arguments, tol)
+
+    monkeypatch.setattr(sweeps, "_CHUNK_ENTRIES", 16)
+    monkeypatch.setattr(sweeps, "evaluate", evaluated)
+    grid = '{"type":"ball","count":200,"seed":1}'
+    outputs = []
+    for threads in ("1", "2"):
+        sizes.clear()
+        assert cli.main(["eval", swap_doc, "--grid", grid, "--threads", threads]) == 0
+        outputs.append(capsys.readouterr().out)
+        size = 16 if threads == "1" else 16 * sweeps._THREADED_CHUNK_SCALE
+        assert sizes == [size] * (200 // size) + [200 % size], sizes
+    assert outputs[0] == outputs[1]
+
+
 def test_error_before_the_first_byte_leaves_no_output(capsys, tmp_path, swap_doc):
     path = tmp_path / "out.ndjson"
     grid = '{"type":"segment","base":0,"direction":1,"t_min":-1e308,"t_max":1e308,"resolution":3}'

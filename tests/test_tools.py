@@ -109,7 +109,7 @@ def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
     result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
     number = r"[0-9]+\.[0-9]+"
-    for label, line in zip("AB", result.stdout.splitlines(), strict=True):
+    for label, line in zip("AB", result.stdout.splitlines()[:2], strict=True):
         pattern = (
             rf"{label} {re.escape(src)}: median {number} s, quartiles {number} {number} s,"
             rf" lower in [0-9]+ of 10 pairs, median peak RSS ({number}) MiB"
@@ -117,6 +117,22 @@ def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
         match = re.fullmatch(pattern, line)
         assert match, line
         assert 1.0 < float(match.group(1)) < 1000.0
+
+
+def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    (tmp_path / "multi.json").write_text(emit_document(random_document("multi", 2)))
+    ball = json.dumps({"type": "ball", "count": 50, "seed": 1, "radius": 0.9})
+    runs = [["validate", "multi.json"], ["eval", "multi.json", "--grid", ball]]
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 2 + len(runs)
+    for run, line in zip(runs, lines[2:]):
+        match = re.fullmatch(r"median peak RSS A ([0-9.]+) MiB, B ([0-9.]+) MiB: (.*)", line)
+        assert match and match.group(3) == " ".join(run), line
+        assert all(1.0 < float(match.group(i)) < 1000.0 for i in (1, 2))
 
 
 def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):

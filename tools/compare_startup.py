@@ -24,7 +24,8 @@ least 10) pairs of samples are taken, the tree that goes first alternating
 from pair to pair.  For each tree the median and quartiles of its samples
 are printed, with the number of pairs in which its sample was the lower
 (ties count for neither), and the median over its samples of the peak RSS
-of a sample, the largest VmHWM of any of its processes.
+of a sample, the largest VmHWM of any of its processes.  Then one line per
+listed command line gives the median VmHWM of its process in each tree.
 
 The rest of the environment is passed on, so a bytecode cache is written
 and read, or not, as it says (``PYTHONDONTWRITEBYTECODE``,
@@ -76,11 +77,11 @@ def _process(env: dict, argv: list[str]) -> tuple[float, float]:
     return wall, int(hwm.read_text()) / 1024.0
 
 
-def _sample(env: dict, runs: list[list[str]]) -> tuple[float, float]:
-    """One sample's wall time, the total of one process per run, and its peak
-    RSS, the largest of its processes'."""
+def _sample(env: dict, runs: list[list[str]]) -> tuple[float, tuple[float, ...]]:
+    """One sample's wall time, the total of one process per run, and the peak
+    RSS of each of its processes."""
     walls, rss = zip(*(_process(env, argv) for argv in runs))
-    return sum(walls), max(rss)
+    return sum(walls), rss
 
 
 def _at_least_ten(text: str) -> int:
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
             return 1
 
     walls = [[wall for wall, _ in side] for side in samples]
-    rss = [[peak for _, peak in side] for side in samples]
+    rss = [[max(peaks) for _, peaks in side] for side in samples]
     wins = [sum(mine < theirs for mine, theirs in zip(walls[side], walls[1 - side])) for side in (0, 1)]
     for label, src, side_walls, side_rss, won in zip("AB", (args.src_a, args.src_b), walls, rss, wins):
         q1, median, q3 = statistics.quantiles(side_walls, n=4)
@@ -129,6 +130,9 @@ def main(argv=None) -> int:
             f"{label} {src}: median {median:.4f} s, quartiles {q1:.4f} {q3:.4f} s,"
             f" lower in {won} of {args.pairs} pairs, median peak RSS {statistics.median(side_rss):.1f} MiB"
         )
+    for index, run in enumerate(runs):
+        a, b = (statistics.median(peaks[index] for _, peaks in side) for side in samples)
+        print(f"median peak RSS A {a:.1f} MiB, B {b:.1f} MiB: {' '.join(run)}")
     return 0
 
 
