@@ -18,7 +18,7 @@ from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
-    _haar_unitary,
+    haar_unitary,
     op_norm,
     require_unitary,
     sample_disc,
@@ -92,7 +92,7 @@ def identity_colligation(alpha: int, inner: int) -> Colligation:
 
 def random_colligation(alpha: int, inner: int, seed) -> Colligation:
     """Haar-random colligation with the given split, deterministic in seed (or drawn from a Generator)."""
-    return Colligation(_haar_unitary(np.random.default_rng(seed), alpha + inner), alpha)
+    return Colligation(haar_unitary(alpha + inner, seed), alpha)
 
 
 def conjugate_inner(col: Colligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:

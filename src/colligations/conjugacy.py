@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AlphaMismatch, ArityMismatch, BadSplit, OnEigensurface
+from .errors import AlphaMismatch, ArityMismatch, BadSplit
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_argument,
-    _haar_unitary,
     block_diag,
+    haar_unitary,
     require_unitary,
-    sigma_extremes,
+    solve_coupled,
 )
 from .realization import Realization, charvalue
 
@@ -99,7 +99,7 @@ class TriColligation:
 
 def random_tri(alpha: int, slot_dim: int, slots: int, seed) -> TriColligation:
     size = alpha + slots * slot_dim
-    return TriColligation(_haar_unitary(np.random.default_rng(seed), size), alpha, slot_dim, slots)
+    return TriColligation(haar_unitary(size, seed), alpha, slot_dim, slots)
 
 
 def tri_conjugate(tc: TriColligation, u, tol: Tolerances = DEFAULT_TOLERANCES) -> TriColligation:
@@ -171,8 +171,4 @@ def tri_charfun_system(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANC
         for j in range(n):
             cols = slice(al + j * p, al + (j + 1) * p)
             sys[rows, cols] = s[i, j] * eye_p - tc.d(i, j)
-    smin, smax = sigma_extremes(sys)
-    if smax == 0.0 or smin <= tol.surface_guard * smax:
-        raise OnEigensurface(smin, "coupled system is singular")
-    sol = np.linalg.solve(sys, rhs)
-    return sol[:al, :]
+    return solve_coupled(sys, rhs, tol)[:al, :]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .colligation import _act_inner
-from .errors import ArityMismatch, NotUnitary, OnEigensurface
+from .errors import ArityMismatch, NotUnitary
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
@@ -24,7 +24,7 @@ from .linalg import (
     block_diag,
     op_norm,
     require_real_orthogonal,
-    sigma_extremes,
+    solve_coupled,
 )
 from .multi import MultiColligation, multi_realization
 from .realization import Realization, charvalue
@@ -154,11 +154,7 @@ def dc_charfun_system(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOL
     sys[row : row + nm, col_xp : col_xp + nm] = -big_r
     row += nm
     assert row == dim
-    smin, smax = sigma_extremes(sys)
-    if smax == 0.0 or smin <= tol.surface_guard * smax:
-        raise OnEigensurface(smin, "coupled system is singular")
-    sol = np.linalg.solve(sys, rhs)
-    return sol[: 2 * na, :]
+    return solve_coupled(sys, rhs, tol)[: 2 * na, :]
 
 
 def indefinite_form(arity: int, alpha: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, NearSingular, NotOrthogonal, NotUnitary
+from .errors import ArityMismatch, NearSingular, NotOrthogonal, NotUnitary, OnEigensurface
 
 __all__ = [
     "Tolerances",
@@ -24,6 +24,7 @@ __all__ = [
     "guarded_solve",
     "identity_where_not_finite",
     "solve",
+    "solve_coupled",
     "kernel",
     "orthonormal_columns",
     "unitarity_defect",
@@ -96,9 +97,7 @@ def _check_argument(s, n: int, name: str = "argument") -> np.ndarray:
     a = np.asarray(s, dtype=complex)
     if a.shape != (n, n):
         raise ArityMismatch(f"{name} must be {n}x{n}, got {a.shape}")
-    if a.size and not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
+    return _as_complex(a, name)
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -115,10 +114,7 @@ def block_diag(*blocks) -> np.ndarray:
 
 def op_norm(m) -> float:
     """Largest singular value of ``m`` (0.0 for an empty matrix)."""
-    a = _as_complex(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return sigma_extremes(m)[1]
 
 
 def sigma_extremes(m) -> tuple[float, float]:
@@ -196,6 +192,21 @@ def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
     return (x[0, :, 0] if vector_rhs else x[0]), float(sigma[0])
 
 
+def solve_coupled(system: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The brute-force oracles' dense LU solve, kept apart from the kernel's
+    SVD solve; :class:`OnEigensurface` unless ``sigma_min > surface_guard * sigma_max``."""
+    smin, smax = sigma_extremes(system)
+    if smax == 0.0 or smin <= tol.surface_guard * smax:
+        raise OnEigensurface(smin, "coupled system is singular")
+    return np.linalg.solve(system, rhs)
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """Count of the descending singular values ``s`` above ``rtol`` times the largest."""
+    smax = float(s[0])
+    return int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+
+
 def kernel(m, rtol: float) -> np.ndarray:
     """Orthonormal basis for the null space of ``m``.
 
@@ -208,9 +219,7 @@ def kernel(m, rtol: float) -> np.ndarray:
     if rows == 0 or not a.any():
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    smax = float(s[0])
-    rank = int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
-    return vh[rank:].conj().T
+    return vh[_rank(s, rtol) :].conj().T
 
 
 def orthonormal_columns(m, rtol: float) -> np.ndarray:
@@ -219,9 +228,7 @@ def orthonormal_columns(m, rtol: float) -> np.ndarray:
     if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    smax = float(s[0])
-    rank = int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
-    return u[:, :rank]
+    return u[:, : _rank(s, rtol)]
 
 
 def unitarity_defect(u) -> float:
@@ -257,7 +264,15 @@ def require_real_orthogonal(u, tol: Tolerances, what: str = "matrix") -> np.ndar
     return a
 
 
-def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+def haar_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed ``dim x dim`` unitary, deterministic in ``seed`` (or drawn from a Generator).
+
+    QR of a complex Ginibre matrix with the R-diagonal phase normalization,
+    which makes the distribution exactly Haar.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
@@ -265,30 +280,15 @@ def _haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def _haar_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim))
+def haar_orthogonal(dim: int, seed) -> np.ndarray:
+    """Haar-distributed real orthogonal matrix (returned as complex dtype)."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    z = np.random.default_rng(seed).standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     signs = np.sign(np.diagonal(r))
     signs[signs == 0] = 1.0
     return (q * signs).astype(complex)
-
-
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed ``dim x dim`` unitary, deterministic in ``seed``.
-
-    QR of a complex Ginibre matrix with the R-diagonal phase normalization,
-    which makes the distribution exactly Haar.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return _haar_unitary(np.random.default_rng(seed), dim)
-
-
-def haar_orthogonal(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed real orthogonal matrix (returned as complex dtype)."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return _haar_orthogonal(np.random.default_rng(seed), dim)
 
 
 def rel_defect(x, y) -> float:

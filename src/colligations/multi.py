@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .colligation import Colligation, _act_inner, product, random_colligation
-from .errors import AlphaMismatch, ArityMismatch, OnEigensurface
+from .errors import AlphaMismatch, ArityMismatch
 from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
@@ -27,7 +27,7 @@ from .linalg import (
     _check_argument,
     block_diag,
     require_unitary,
-    sigma_extremes,
+    solve_coupled,
 )
 from .realization import Realization, charvalue, system
 
@@ -160,10 +160,7 @@ def multi_charfun_system(mc: MultiColligation, s, tol: Tolerances = DEFAULT_TOLE
         sys[xrows(j), xrows(j)] += -g.d
         rhs[xrows(j), j * al : (j + 1) * al] = g.c
 
-    smin, smax = sigma_extremes(sys)
-    if smax == 0.0 or smin <= tol.surface_guard * smax:
-        raise OnEigensurface(smin, "coupled system is singular")
-    sol = np.linalg.solve(sys, rhs)
+    sol = solve_coupled(sys, rhs, tol)
     out = np.zeros((n * al, n * al), dtype=complex)
     for j in range(n):
         out[j * al : (j + 1) * al, :] = sol[qrows(j), :]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -131,12 +131,7 @@ class SuiteReport:
         return not self.failures
 
     def to_object(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "max_defect": self.max_defect,
-        }
+        return asdict(self)
 
 
 _SUITES: dict[str, Suite] = {}

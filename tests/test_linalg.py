@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colligations.errors import NearSingular
+from colligations.errors import NearSingular, OnEigensurface
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -17,6 +17,7 @@ from colligations.linalg import (
     rel_defect,
     sigma_extremes,
     solve,
+    solve_coupled,
     unitarity_defect,
 )
 
@@ -83,6 +84,21 @@ class TestSolve:
         assert op_norm(m @ x - rhs) <= 1e-9 * max(1.0, op_norm(m) * op_norm(x))
 
 
+class TestSolveCoupled:
+    def test_is_the_dense_lu_solve(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rhs = rng.standard_normal((4, 2)) + 0j
+        assert solve_coupled(m, rhs, DEFAULT_TOLERANCES).tobytes() == np.linalg.solve(m, rhs).tobytes()
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((2, 2)), np.zeros((0, 0)), np.diag([1.0, 1e-9])], ids=["zero", "empty", "guard"]
+    )
+    def test_singular_raises_on_eigensurface(self, m):
+        with pytest.raises(OnEigensurface, match=r"^coupled system is singular \(sigma_min="):
+            solve_coupled(m, np.ones((m.shape[0], 1)), Tolerances(surface_guard=1e-8))
+
+
 class TestHaarSampling:
     def test_unitary_dim_one_has_unit_modulus(self):
         u = haar_unitary(1, seed=3)
@@ -132,6 +148,18 @@ class TestSubspaceHelpers:
     def test_sigma_extremes_diagonal(self):
         smin, smax = sigma_extremes(np.diag([3.0, 0.5]))
         assert (smin, smax) == (pytest.approx(0.5), pytest.approx(3.0))
+
+    @pytest.mark.parametrize(
+        "s, nullity, rank",
+        [(np.nextafter(1e-9, 1.0), 1, 2), (1e-9, 2, 1), (np.nextafter(1e-9, 0.0), 2, 1)],
+        ids=["above", "at", "below"],
+    )
+    def test_kernel_and_span_share_one_rank_rule(self, s, nullity, rank):
+        # A singular value counts as zero at or below rtol times the largest.
+        m = np.diag([1.0, s, 0.0])
+        assert np.linalg.svd(m, compute_uv=False)[1] == s
+        assert kernel(m, 1e-9).shape == (3, nullity)
+        assert orthonormal_columns(m, 1e-9).shape == (3, rank)
 
 
 class TestRelDefect:

@@ -189,6 +189,7 @@ def test_systems_are_built_bit_for_bit_as_kron_forms_them(k, m):
 
 _IDENTITIES = [identity_colligation(1, 1), identity_colligation(1, 1)]
 _ON_SURFACE = "argument lies on the eigensurface"
+_COUPLED = "coupled system is singular"
 
 
 @pytest.mark.parametrize(
@@ -202,8 +203,16 @@ _ON_SURFACE = "argument lies on the eigensurface"
             OnEigensurface,
             "arguments lie on the eigensurface",
         ),
+        # The brute-force oracles share one guarded dense solve and its message.
+        (lambda: multi_charfun_system(MultiColligation(_IDENTITIES), np.eye(2)), OnEigensurface, _COUPLED),
+        (lambda: tri_charfun_system(TriColligation(np.eye(3), 1, 1, 2), np.eye(2)), OnEigensurface, _COUPLED),
+        (
+            lambda: dc_charfun_system(MultiColligation(_IDENTITIES), np.eye(2), np.eye(2)),
+            OnEigensurface,
+            _COUPLED,
+        ),
     ],
-    ids=["colligation", "multi", "tri", "doublecoset"],
+    ids=["colligation", "multi", "tri", "doublecoset", "multi-oracle", "tri-oracle", "doublecoset-oracle"],
 )
 def test_each_form_raises_its_one_error(at_singular_point, error, message):
     # The realization's form decides the class and message at a planted pole
