@@ -1,18 +1,19 @@
 """Colligations classified up to a single shared inner conjugation.
 
-Here one unitary of size ``alpha + slots * slot_dim`` carries ``slots`` inner
-blocks of equal size ``slot_dim``, and the equivalence conjugates every inner
-slot by the same unitary ``u``.  The inner coupling block is a full
-``slots x slots`` array of ``slot_dim x slot_dim`` blocks, not block-diagonal,
-which is what separates this construction from a family of independent
-members: the same characteristic function recipe applies, but the diagonal
-dilation law is lost.
+Here a colligation of size ``alpha + slots * slot_dim`` has its inner space
+split into ``slots`` slots of equal size ``slot_dim``, and the equivalence
+conjugates every inner slot by the same unitary ``u``.  The inner coupling
+block is a full ``slots x slots`` array of ``slot_dim x slot_dim`` blocks, not
+block-diagonal, which is what separates this construction from a family of
+independent members: the same characteristic function recipe applies, but the
+diagonal dilation law is lost.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .colligation import Colligation
 from .errors import AlphaMismatch, ArityMismatch, BadSplit
 from .linalg import (
     CharValue,
@@ -37,13 +38,13 @@ __all__ = [
 ]
 
 
-class TriColligation:
-    """Unitary with one exposed block and ``slots`` coupled inner slots."""
+class TriColligation(Colligation):
+    """Colligation whose inner space is ``slots`` coupled slots of size ``slot_dim``."""
 
-    __slots__ = ("alpha", "slot_dim", "slots", "matrix")
+    __slots__ = ("slot_dim", "slots")
 
     def __init__(self, matrix, alpha: int, slot_dim: int, slots: int = 2, tol: Tolerances = DEFAULT_TOLERANCES):
-        m = np.array(matrix, dtype=complex)
+        m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise BadSplit(f"matrix must be square, got shape {m.shape}")
         if alpha < 1 or slot_dim < 1 or slots < 1:
@@ -53,45 +54,9 @@ class TriColligation:
                 f"matrix size {m.shape[0]} does not match alpha + slots*slot_dim"
                 f" = {alpha + slots * slot_dim}"
             )
-        require_unitary(m, tol, "colligation matrix")
-        m.flags.writeable = False
-        self.alpha = int(alpha)
+        super().__init__(m, alpha, tol)
         self.slot_dim = int(slot_dim)
         self.slots = int(slots)
-        self.matrix = m
-
-    @property
-    def size(self) -> int:
-        return self.alpha + self.slots * self.slot_dim
-
-    def _slot(self, i: int) -> slice:
-        start = self.alpha + i * self.slot_dim
-        return slice(start, start + self.slot_dim)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.matrix[: self.alpha, : self.alpha]
-
-    def b(self, i: int) -> np.ndarray:
-        return self.matrix[: self.alpha, self._slot(i)]
-
-    def c(self, i: int) -> np.ndarray:
-        return self.matrix[self._slot(i), : self.alpha]
-
-    def d(self, i: int, j: int) -> np.ndarray:
-        return self.matrix[self._slot(i), self._slot(j)]
-
-    def b_row(self) -> np.ndarray:
-        """All exposed-from-inner blocks side by side (alpha x slots*slot_dim)."""
-        return self.matrix[: self.alpha, self.alpha :]
-
-    def c_col(self) -> np.ndarray:
-        """All inner-from-exposed blocks stacked (slots*slot_dim x alpha)."""
-        return self.matrix[self.alpha :, : self.alpha]
-
-    def d_full(self) -> np.ndarray:
-        """The full coupled inner block (slots*slot_dim x slots*slot_dim)."""
-        return self.matrix[self.alpha :, self.alpha :]
 
     def __repr__(self):
         return f"TriColligation(alpha={self.alpha}, slot_dim={self.slot_dim}, slots={self.slots})"
@@ -116,17 +81,12 @@ def _embed(tc: TriColligation, lead: int, trail: int) -> np.ndarray:
     # original blocks at offset ``lead`` of each widened slot, identity elsewhere.
     al, p, n = tc.alpha, tc.slot_dim, tc.slots
     w = lead + p + trail
-    out = np.zeros((al + n * w, al + n * w), dtype=complex)
+    out = np.eye(al + n * w, dtype=complex)
+    inner = (al + lead + w * np.arange(n)[:, None] + np.arange(p)).ravel()
     out[:al, :al] = tc.a
-    for i in range(n):
-        ri = al + i * w
-        rows = slice(ri + lead, ri + lead + p)
-        out[ri : ri + w, ri : ri + w] = np.eye(w)
-        out[rows, :al] = tc.c(i)
-        out[:al, rows] = tc.b(i)
-        for j in range(n):
-            rj = al + j * w + lead
-            out[rows, rj : rj + p] = tc.d(i, j)
+    out[:al, inner] = tc.b
+    out[inner, :al] = tc.c
+    out[np.ix_(inner, inner)] = tc.d
     return out
 
 
@@ -142,8 +102,8 @@ def tri_product(x: TriColligation, y: TriColligation, tol: Tolerances = DEFAULT_
 
 
 def tri_realization(tc: TriColligation) -> Realization:
-    """``a``, the slot rows and columns, and the coupled ``d_full`` (the ``"S"`` form)."""
-    return Realization("S", tc.a, tc.b_row(), tc.c_col(), tc.d_full(), tc.slot_dim)
+    """The colligation's blocks with the coupled inner block ``d`` (the ``"S"`` form)."""
+    return Realization("S", tc.a, tc.b, tc.c, tc.d, tc.slot_dim)
 
 
 def tri_charfun(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:
@@ -164,11 +124,11 @@ def tri_charfun_system(tc: TriColligation, s, tol: Tolerances = DEFAULT_TOLERANC
     eye_p = np.eye(p)
     for j in range(n):
         cols = slice(al + j * p, al + (j + 1) * p)
-        sys[:al, cols] = -tc.b(j)
+        sys[:al, cols] = -tc.matrix[:al, cols]
     for i in range(n):
         rows = slice(al + i * p, al + (i + 1) * p)
-        rhs[rows, :] = tc.c(i)
+        rhs[rows, :] = tc.matrix[rows, :al]
         for j in range(n):
             cols = slice(al + j * p, al + (j + 1) * p)
-            sys[rows, cols] = s[i, j] * eye_p - tc.d(i, j)
+            sys[rows, cols] = s[i, j] * eye_p - tc.matrix[rows, cols]
     return solve_coupled(sys, rhs, tol)[:al, :]

@@ -717,17 +717,50 @@ def _invariant(kind: _Kind, rng, dims, tol) -> TrialResult:
     return TrialResult(rel_defect(*(_value(outcome) for outcome in outcomes)), _budget(tol))
 
 
-def _expanding(kind: _Kind, rng, dims, tol) -> TrialResult:
-    _, real, _, arity = kind.family(rng, dims, tol)
-    _, (chi,) = kind.args(rng, arity, [real], tol, _ball(0.95))
-    smin, _ = sigma_extremes(_value(chi))
+def _at_value(sample, judge):
+    """The law that draws one family and one regular point from ``sample``
+    and hands the value there to ``judge(fam, chi, rng, tol)``."""
+
+    def law(kind: _Kind, rng, dims, tol) -> TrialResult:
+        fam, real, _, arity = kind.family(rng, dims, tol)
+        _, (chi,) = kind.args(rng, arity, [real], tol, sample)
+        return judge(fam, _value(chi), rng, tol)
+
+    return law
+
+
+def _expanding(fam, chi, rng, tol) -> TrialResult:
+    smin, _ = sigma_extremes(chi)
     return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK)
 
 
-def _boundary_unitary(kind: _Kind, rng, dims, tol) -> TrialResult:
-    _, real, _, arity = kind.family(rng, dims, tol)
-    _, (chi,) = kind.args(rng, arity, [real], tol, _haar)
-    return TrialResult(unitarity_defect(_value(chi)), _budget(tol))
+def _unitary(fam, chi, rng, tol) -> TrialResult:
+    return TrialResult(unitarity_defect(chi), _budget(tol))
+
+
+def _form_increase(fam, chi, rng, tol) -> TrialResult:
+    form = _module("doublecoset").indefinite_form(fam.arity, fam.alpha)
+    size = form.shape[0]
+    probes = np.random.default_rng(_draw(rng, 0, 2**31 - 1))
+    increases = []
+    for _ in range(8):  # M(chi p, chi p) - M(p, p) at random probes p
+        p = probes.standard_normal(size) + 1j * probes.standard_normal(size)
+        q = chi @ p
+        increases.append(float(np.real(q.conj() @ form @ q)) - float(np.real(p.conj() @ form @ p)))
+    smallest = min(increases)
+    return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
+
+
+def _pseudo_unitary(fam, chi, rng, tol) -> TrialResult:
+    form = _module("doublecoset").indefinite_form(fam.arity, fam.alpha)
+    defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
+    return TrialResult(defect, _budget(tol))
+
+
+def _symplectic(fam, chi, rng, tol) -> TrialResult:
+    skew = _module("doublecoset").skew_form(fam.arity, fam.alpha)
+    defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
+    return TrialResult(defect, _budget(tol))
 
 
 def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -794,13 +827,19 @@ for _name, _describe, _law, _kind in [
     ("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged",
      _invariant, "doublecoset"),
     ("multi-expanding", "values on the closed argument ball expand in every direction",
-     _expanding, "multi"),
+     _at_value(_ball(0.95), _expanding), "multi"),
     ("conjugacy-expanding", "coupled-slot values on the closed argument ball expand",
-     _expanding, "tri"),
+     _at_value(_ball(0.95), _expanding), "tri"),
+    ("doublecoset-form-increase", "inside the bi-ball the split form never decreases",
+     _at_value(_ball(0.9), _form_increase), "doublecoset"),
     ("multi-boundary-unitary", "unitary arguments give unitary several-variable values",
-     _boundary_unitary, "multi"),
+     _at_value(_haar, _unitary), "multi"),
     ("conjugacy-boundary-unitary", "unitary arguments give unitary coupled-slot values",
-     _boundary_unitary, "tri"),
+     _at_value(_haar, _unitary), "tri"),
+    ("doublecoset-pseudo-unitary", "unitary arguments preserve the split form",
+     _at_value(_haar, _pseudo_unitary), "doublecoset"),
+    ("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form",
+     _at_value(_symmetric_ball, _symplectic), "doublecoset"),
     ("multi-dilation", "diagonal dilations conjugate the several-variable value",
      _dilation, "multi"),
     ("doublecoset-dilation", "congruence dilations of the arguments conjugate the value",
@@ -1098,37 +1137,6 @@ def _conjugacy_dilation_control(rng, dims, tol):
 # --- paired families ----------------------------------------------------------
 
 
-@_suite("doublecoset-form-increase", "inside the bi-ball the split form never decreases")
-def _doublecoset_form_increase(rng, dims, tol):
-    from . import doublecoset
-
-    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _ball(0.9))
-    chi = _value(chi)
-    form = doublecoset.indefinite_form(fam.arity, fam.alpha)
-    size = form.shape[0]
-    probes = np.random.default_rng(_draw(rng, 0, 2**31 - 1))
-    increases = []
-    for _ in range(8):  # M(chi p, chi p) - M(p, p) at random probes p
-        p = probes.standard_normal(size) + 1j * probes.standard_normal(size)
-        q = chi @ p
-        increases.append(float(np.real(q.conj() @ form @ q)) - float(np.real(p.conj() @ form @ p)))
-    smallest = min(increases)
-    return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
-
-
-@_suite("doublecoset-pseudo-unitary", "unitary arguments preserve the split form")
-def _doublecoset_pseudo_unitary(rng, dims, tol):
-    from . import doublecoset
-
-    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _haar)
-    chi = _value(chi)
-    form = doublecoset.indefinite_form(fam.arity, fam.alpha)
-    defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
-    return TrialResult(defect, _budget(tol))
-
-
 @_suite("doublecoset-transpose", "transposing both arguments inverts the skew-transposed value")
 def _doublecoset_transpose(rng, dims, tol):
     from . import doublecoset
@@ -1146,18 +1154,6 @@ def _doublecoset_transpose(rng, dims, tol):
     skew = doublecoset.skew_form(fam.arity, fam.alpha)
     target = -skew @ np.linalg.inv(chi.T) @ skew
     return TrialResult(rel_defect(transposed, target), _budget(tol))
-
-
-@_suite("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form")
-def _doublecoset_symplectic(rng, dims, tol):
-    from . import doublecoset
-
-    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
-    _, (chi,) = _regular_args(rng, arity, 2, [real], tol, _symmetric_ball)
-    chi = _value(chi)
-    skew = doublecoset.skew_form(fam.arity, fam.alpha)
-    defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
-    return TrialResult(defect, _budget(tol))
 
 
 def _adjoint_readings(fam, s, r, chi, tol) -> tuple[float, float]:

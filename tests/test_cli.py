@@ -903,7 +903,7 @@ _CLI_MODULES = {f"colligations{name}" for name in ("", ".cli", ".documents", ".e
 _KIND_MODULES = {
     "colligation": {"colligation", "realization"},
     "multi": {"colligation", "multi", "realization"},
-    "tri": {"conjugacy", "realization"},
+    "tri": {"colligation", "conjugacy", "realization"},
     "doublecoset": {"colligation", "multi", "realization"},
 }
 _BALL = '{"type":"ball","count":2,"radius":0.5}'

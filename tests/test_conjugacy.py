@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations.colligation import product, random_colligation
+from colligations.colligation import Colligation, product, random_colligation
 from colligations.conjugacy import (
     TriColligation,
     random_tri,
@@ -42,15 +42,20 @@ class TestSplit:
     def test_cyclic_blocks(self):
         tc = cyclic_tri()
         npt.assert_array_equal(tc.a, [[0.0]])
-        npt.assert_array_equal(tc.b(0), [[0.0]])
-        npt.assert_array_equal(tc.b(1), [[1.0]])
-        npt.assert_array_equal(tc.c(0), [[1.0]])
-        npt.assert_array_equal(tc.c(1), [[0.0]])
-        npt.assert_array_equal(tc.d_full(), np.array([[0.0, 0.0], [1.0, 0.0]]))
+        npt.assert_array_equal(tc.b, [[0.0, 1.0]])
+        npt.assert_array_equal(tc.c, [[1.0], [0.0]])
+        npt.assert_array_equal(tc.d, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert (tc.inner, tc.size) == (2, 3)
+
+    def test_is_a_colligation(self):
+        assert isinstance(cyclic_tri(), Colligation)
 
     def test_size_must_match_split(self):
         with pytest.raises(BadSplit):
             TriColligation(np.eye(4), alpha=1, slot_dim=1, slots=2)
+        # The split is checked before unitarity.
+        with pytest.raises(BadSplit):
+            TriColligation(np.diag([1.0, 2.0, 1.0, 1.0]), alpha=1, slot_dim=1, slots=2)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NotUnitary):

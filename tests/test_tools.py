@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import colligations
 from colligations.documents import KINDS, emit_document, random_document
 
@@ -102,11 +104,21 @@ def test_compare_startup_stops_at_a_missing_document_in_a_listed_command(tmp_pat
     assert line.startswith("error: eval missing.json --point 0.5 exited 1: ")
 
 
-def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
+@pytest.fixture(scope="module")
+def startup_run(tmp_path_factory):
+    """One timed comparison of a tree against itself, shared by the tests of
+    its output: ``(src, runs, result)``."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     src = str(Path(colligations.__file__).resolve().parents[1])
     (tmp_path / "multi.json").write_text(emit_document(random_document("multi", 2)))
-    (tmp_path / "runs.json").write_text(json.dumps([["validate", "multi.json"]]))
-    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+    ball = json.dumps({"type": "ball", "count": 50, "seed": 1, "radius": 0.9})
+    runs = [["validate", "multi.json"], ["eval", "multi.json", "--grid", ball]]
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    return src, runs, _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+
+
+def test_compare_startup_prints_time_and_peak_rss_of_each_tree(startup_run):
+    src, _, result = startup_run
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
     number = r"[0-9]+\.[0-9]+"
     for label, line in zip("AB", result.stdout.splitlines()[:2], strict=True):
@@ -119,13 +131,8 @@ def test_compare_startup_prints_time_and_peak_rss_of_each_tree(tmp_path):
         assert 1.0 < float(match.group(1)) < 1000.0
 
 
-def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(tmp_path):
-    src = str(Path(colligations.__file__).resolve().parents[1])
-    (tmp_path / "multi.json").write_text(emit_document(random_document("multi", 2)))
-    ball = json.dumps({"type": "ball", "count": 50, "seed": 1, "radius": 0.9})
-    runs = [["validate", "multi.json"], ["eval", "multi.json", "--grid", ball]]
-    (tmp_path / "runs.json").write_text(json.dumps(runs))
-    result = _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
+def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(startup_run):
+    _, runs, result = startup_run
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
     lines = result.stdout.splitlines()
     assert len(lines) == 2 + len(runs)
