@@ -220,19 +220,18 @@ def spectra_match(
 def equivalent_probe(
     x: Colligation,
     y: Colligation,
-    num_samples: int = 16,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> bool:
-    """Randomized equivalence test: equal characteristic functions on sampled
-    disc points and matching unit spectra.
+    """Randomized equivalence test: equal characteristic functions on 16
+    sampled disc points and matching unit spectra.
 
     Poles cannot occur inside the open disc, so every sample evaluates.
     """
     if x.alpha != y.alpha:
         raise AlphaMismatch(f"exposed dimensions differ: {x.alpha} vs {y.alpha}")
     rng = np.random.default_rng(seed)
-    zs = [sample_disc(rng, 0.95) for _ in range(num_samples)]
+    zs = [sample_disc(rng, 0.95) for _ in range(16)]
     for vx, vy in _charvalues([x, y], zs, tol):
         scale = max(1.0, op_norm(vx.value), op_norm(vy.value))
         if op_norm(vx.value - vy.value) > tol.residual_tol * scale:

@@ -333,17 +333,3 @@ def sample_balls(rng: np.random.Generator, count: int, dim: int, radius: float) 
     points = (radius * scale / top)[:, None, None] * g
     points[zero] = 0.0
     return points
-
-
-_MIN_SIGMA_RATIO = 0.1
-_INVERTIBLE_TRIES = 64
-
-
-def sample_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random matrix whose condition number is kept at most 10 by resampling."""
-    for _ in range(_INVERTIBLE_TRIES):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        smin, smax = sigma_extremes(g)
-        if smax > 0.0 and smin >= _MIN_SIGMA_RATIO * smax:
-            return g
-    raise RuntimeError("failed to sample a well-conditioned matrix")

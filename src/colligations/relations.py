@@ -8,9 +8,10 @@ exposed input and output spaces that stays well-defined on the eigensurface,
 where the function itself has no value.
 
 Constraint subspaces play the role of the matrix argument: an ``n``-dimensional
-subspace of C^n + C^n, given either by a basis or by ``n`` linear equations
-``sum_j s_ij v_j + sum_j sigma_ij w_j = 0``.  The equations lift slotwise to
-the inner channels of a family.
+subspace of C^n + C^n, held as the ``n`` linear equations
+``sum_j s_ij v_j + sum_j sigma_ij w_j = 0`` that cut it out (a basis is
+turned into such equations once).  The equations lift slotwise to the inner
+channels of a family.
 """
 
 from __future__ import annotations
@@ -141,40 +142,23 @@ def subspace_distance(x: LinearRelation, y: LinearRelation) -> float:
 class ConstraintSubspace:
     """n-dimensional subspace of C^n + C^n used as a relation-valued argument.
 
-    Stored redundantly as equations (an ``n x 2n`` full-rank matrix
-    ``[s | sigma]`` whose kernel is the subspace) and as an orthonormal basis;
-    either representation may be supplied.
+    Held as its equations: an ``n x 2n`` full-rank matrix ``[s | sigma]``
+    whose kernel is the subspace.
     """
 
-    __slots__ = ("n", "_equations", "_basis", "_tol")
+    __slots__ = ("n", "_equations", "_tol")
 
-    def __init__(self, n: int, equations=None, basis=None, tol: Tolerances = DEFAULT_TOLERANCES):
-        if n < 1:
-            raise BadSplit(f"n must be positive, got {n}")
-        if (equations is None) == (basis is None):
-            raise BadSplit("give exactly one of equations or basis")
-        self.n = int(n)
+    def __init__(self, equations, tol: Tolerances = DEFAULT_TOLERANCES):
+        eq = np.array(equations, dtype=complex)
+        if eq.ndim != 2 or eq.shape[0] < 1 or eq.shape[1] != 2 * eq.shape[0]:
+            raise BadSplit(f"equations must be n x 2n with n >= 1, got shape {eq.shape}")
+        smin, smax = sigma_extremes(eq)
+        if smax == 0.0 or smin <= tol.rank_tol * smax:
+            raise BadSplit("equation rows are rank deficient")
+        eq.flags.writeable = False
+        self.n = eq.shape[0]
+        self._equations = eq
         self._tol = tol
-        if equations is not None:
-            eq = np.array(equations, dtype=complex)
-            if eq.shape != (n, 2 * n):
-                raise BadSplit(f"equations must be {n}x{2 * n}, got {eq.shape}")
-            smin, smax = sigma_extremes(eq)
-            if smax == 0.0 or smin <= tol.rank_tol * smax:
-                raise BadSplit("equation rows are rank deficient")
-            eq.flags.writeable = False
-            self._equations = eq
-            self._basis = None
-        else:
-            b = np.array(basis, dtype=complex)
-            if b.shape != (2 * n, n):
-                raise BadSplit(f"basis must be {2 * n}x{n}, got {b.shape}")
-            gram = b.conj().T @ b
-            if np.linalg.norm(gram - np.eye(n)) > tol.unitarity_tol * max(1.0, np.sqrt(n)):
-                raise BadSplit("basis columns are not orthonormal")
-            b.flags.writeable = False
-            self._basis = b
-            self._equations = None
 
     @classmethod
     def from_equations(cls, s, sigma, tol: Tolerances = DEFAULT_TOLERANCES) -> "ConstraintSubspace":
@@ -182,14 +166,22 @@ class ConstraintSubspace:
         sigma = np.asarray(sigma, dtype=complex)
         if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape != sigma.shape:
             raise BadSplit(f"coefficient blocks must be square and equal-shaped, got {s.shape} and {sigma.shape}")
-        return cls(s.shape[0], equations=np.hstack([s, sigma]), tol=tol)
+        return cls(np.hstack([s, sigma]), tol)
 
     @classmethod
     def from_basis(cls, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> "ConstraintSubspace":
         b = np.asarray(basis, dtype=complex)
         if b.ndim != 2 or b.shape[0] != 2 * b.shape[1]:
             raise BadSplit(f"basis must be 2n x n, got {b.shape}")
-        return cls(b.shape[1], basis=b, tol=tol)
+        n = b.shape[1]
+        gram = b.conj().T @ b
+        if np.linalg.norm(gram - np.eye(n)) > tol.unitarity_tol * max(1.0, np.sqrt(n)):
+            raise BadSplit("basis columns are not orthonormal")
+        # Rows annihilating the basis under the plain (bilinear) pairing.
+        rows = kernel(b.T, tol.rank_tol).T
+        if rows.shape[0] != n:
+            raise BadSplit("basis does not determine a full equation system")
+        return cls(rows, tol)
 
     @classmethod
     def graph_of(cls, s, tol: Tolerances = DEFAULT_TOLERANCES) -> "ConstraintSubspace":
@@ -200,29 +192,15 @@ class ConstraintSubspace:
         return cls.from_equations(s, -np.eye(s.shape[0]), tol)
 
     def equations(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient blocks ``(s, sigma)`` of a defining equation system."""
-        eq = self._equation_matrix()
-        return eq[:, : self.n].copy(), eq[:, self.n :].copy()
-
-    def _equation_matrix(self) -> np.ndarray:
-        if self._equations is None:
-            # Rows annihilating the basis under the plain (bilinear) pairing.
-            rows = kernel(self._basis.T, self._tol.rank_tol).T
-            if rows.shape[0] != self.n:
-                raise BadSplit("basis does not determine a full equation system")
-            rows = np.ascontiguousarray(rows)
-            rows.flags.writeable = False
-            self._equations = rows
-        return self._equations
+        """Coefficient blocks ``(s, sigma)`` of the defining equation system."""
+        return self._equations[:, : self.n].copy(), self._equations[:, self.n :].copy()
 
     def basis(self) -> np.ndarray:
-        if self._basis is None:
-            b = kernel(self._equations, self._tol.rank_tol)
-            if b.shape[1] != self.n:
-                raise BadSplit("equations do not cut out an n-dimensional subspace")
-            b.flags.writeable = False
-            self._basis = b
-        return self._basis
+        """An orthonormal basis of the subspace, the kernel of the equations."""
+        b = kernel(self._equations, self._tol.rank_tol)
+        if b.shape[1] != self.n:
+            raise BadSplit("equations do not cut out an n-dimensional subspace")
+        return b
 
     def __repr__(self):
         return f"ConstraintSubspace(n={self.n})"

@@ -33,7 +33,6 @@ from .linalg import (
     rel_defect,
     sample_ball,
     sample_disc,
-    sample_invertible,
     sigma_extremes,
     unitarity_defect,
 )
@@ -263,6 +262,15 @@ def _gauss(rng, n: int) -> np.ndarray:
 
 def _haar(rng, n: int) -> np.ndarray:
     return haar_unitary(n, rng)
+
+
+def _well_conditioned(rng, n: int) -> np.ndarray:
+    """Condition number at most 10; any other draw is drawn again."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    smin, smax = sigma_extremes(g)
+    if smax == 0.0 or smin < 0.1 * smax:
+        raise _Retry
+    return g
 
 
 def _ball(radius: float):
@@ -860,8 +868,7 @@ def _multi_reflection(rng, dims, tol):
     _, real, _, arity = _KINDS["multi"].family(rng, dims, tol)
 
     def draw():
-        s = sample_invertible(rng, arity)
-        _require_regular(s)
+        s = _well_conditioned(rng, arity)
         reflected = np.linalg.inv(s.conj().T)
         (value,), (reflected_value,) = (_evaluate([real], [arg], tol) for arg in (s, reflected))
         value = _value(value)

@@ -121,6 +121,14 @@ class TestProduct:
     def test_kind_mismatch(self, capsys, swap_doc, swap_pair_doc):
         assert run(capsys, "product", swap_doc, swap_pair_doc)[0] == 3
 
+    def test_exposed_dimension_mismatch(self, capsys, tmp_path):
+        first, second = tmp_path / "a1.json", tmp_path / "a2.json"
+        assert run(capsys, "random", "colligation", "--alpha", 1, "--out", first)[0] == 0
+        assert run(capsys, "random", "colligation", "--alpha", 2, "--out", second)[0] == 0
+        code, out, err = run(capsys, "product", first, second)
+        assert (code, out) == (3, "")
+        assert one_error_line(err) and "error: exposed dimensions differ: 1 vs 2" in err
+
     @pytest.mark.parametrize("kind", ["multi", "doublecoset"])
     def test_family_product_keeps_the_kind(self, capsys, tmp_path, kind):
         # Both kinds hold the same family type; the kind must come from the
@@ -233,6 +241,33 @@ class TestEval:
         code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
         assert (code, out) == (1, "")
         assert one_error_line(err)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ('{"type":"ball","count":2,"radius":"x"}', "radius must be a number"),
+            ('{"type":"ball","count":2,"radius":0}', "radius must be positive and finite"),
+            ('{"type":"ball","count":2,"radius":1e999}', "radius must be positive and finite"),
+            ('{"type":"ball","count":2,"radius":1%s}' % ("0" * 399), "radius must be positive and finite"),
+            ('{"type":"disc","resolution":3,"foo":1}', "unknown keys ['foo'] for type 'disc'"),
+        ],
+        ids=["text", "zero", "infinite", "huge-integer", "unknown-key"],
+    )
+    def test_bad_grid_value_is_one_error_line(self, capsys, swap_doc, swap_pair_doc, grid, message):
+        doc = swap_doc if '"disc"' in grid else swap_pair_doc
+        code, out, err = run(capsys, "eval", doc, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert one_error_line(err) and f"error: grid: {message}" in err
+
+    @pytest.mark.parametrize("command", ["eval", "surface"])
+    def test_doublecoset_realized_under_an_impossible_residual_is_a_mismatch(self, capsys, tmp_path, command):
+        # The realization's transpose-inverse cross-check cannot pass a residual budget of 1e-300.
+        path = tmp_path / "dc.json"
+        assert run(capsys, "random", "doublecoset", "--seed", 1, "--out", path)[0] == 0
+        point = json.dumps(np.zeros((2, 2, 2)).tolist())
+        code, out, err = run(capsys, command, path, "--point", point, "--fixed", point, "--tol-residual", "1e-300")
+        assert (code, out) == (3, "")
+        assert one_error_line(err) and "error: transpose-inverse shortcut disagrees with direct solve" in err
 
     def test_negative_exponent_point_is_attached_with_equals(self, capsys, swap_doc):
         # argparse takes "-1e5" for an option; "--point=-1e5" passes it as a value.

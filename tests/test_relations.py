@@ -4,7 +4,7 @@ import pytest
 
 from colligations.colligation import Colligation, identity_colligation, random_colligation
 from colligations.errors import ArityMismatch, BadSplit
-from colligations.linalg import DEFAULT_TOLERANCES, op_norm, orthonormal_columns
+from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, orthonormal_columns
 from colligations.multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
 from colligations.relations import (
     ConstraintSubspace,
@@ -134,6 +134,25 @@ class TestConstraintSubspace:
     def test_exactly_one_representation(self):
         with pytest.raises(BadSplit):
             ConstraintSubspace(2)
+
+    def test_is_held_as_its_equation_matrix(self):
+        s = np.array([[0.5, 0.1], [0.0, 0.3]])
+        cs = ConstraintSubspace(np.hstack([s, -np.eye(2)]))
+        assert cs.n == 2
+        for got, want in zip(cs.equations(), ConstraintSubspace.graph_of(s).equations()):
+            npt.assert_array_equal(got, want)
+        for shape in [(0, 0), (2, 3), (4, 2), (4,)]:
+            with pytest.raises(BadSplit, match="n x 2n"):
+                ConstraintSubspace(np.ones(shape))
+
+    def test_basis_without_full_equations_is_rejected_when_built(self):
+        # Orthonormal within unitarity_tol 0.9, but of rank 1 under rank_tol 0.5.
+        loose = Tolerances(unitarity_tol=0.9, rank_tol=0.5)
+        basis = np.zeros((4, 2))
+        basis[0, 0] = 1.0
+        basis[:2, 1] = np.array([1.0, 0.5]) / np.hypot(1.0, 0.5)
+        with pytest.raises(BadSplit, match="does not determine a full equation system"):
+            ConstraintSubspace.from_basis(basis, loose)
 
 
 class TestOnEigensurface:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,34 @@ def test_compare_verify_refuses_a_flag_it_cannot_pass_on():
     # which compare as identical.
     assert (result.returncode, result.stdout) == (2, "")
     assert "expected pairs of one of --tol-unitarity, " in result.stderr
+
+
+def test_compare_verify_names_the_parts_that_differ(tmp_path):
+    # Tree B is tree A with one suite renamed: its list, and the known names
+    # in an unknown-suite error, differ, and each tree has one suite alone.
+    src = Path(colligations.__file__).resolve().parents[1]
+    renamed = tmp_path / "b"
+    shutil.copytree(src, renamed, ignore=shutil.ignore_patterns("__pycache__"))
+    verify_py = renamed / "colligations" / "verify.py"
+    verify_py.write_text(verify_py.read_text().replace('"charfun-contractive"', '"charfun-contraction"'))
+    tool = [sys.executable, str(ROOT / "tools" / "compare_verify.py"), str(src), str(renamed)]
+    runs = [["verify", "--list"], ["verify", "nope"], ["verify", "multi-oracle", "--trials", "1"]]
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    result = subprocess.run([*tool, "--argv", "runs.json"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines() == [
+        "differs (stdout): verify --list",
+        "differs (stderr): verify nope",
+        "1 of 3 runs identical",
+    ]
+    result = subprocess.run([*tool, "--trials", "1"], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines() == [
+        "differs (stdout): verify --list",
+        "differs (only in A): verify charfun-contractive --trials 1 --seed 0",
+        "differs (only in B): verify charfun-contraction --trials 1 --seed 0",
+        "42 of 45 runs identical",
+    ]
 
 
 def _compare_startup(*argv, cwd=None):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,27 @@ class TestReports:
         assert not failing.passed
         assert [f["seed"] for f in failing.failures] == [5, 6, 7]
         assert all({"trial", "seed", "defect", "budget"} <= set(f) for f in failing.failures)
+
+
+    def test_negative_control_that_never_fails_reports_one_failure(self, monkeypatch):
+        # The law held on every trial: the control's aggregate must record it.
+        name = "conjugacy-dilation-control"
+        suite = verify._SUITES[name]
+
+        def held(rng, dims, tol):
+            return verify.TrialResult(float(rng.uniform(0.0, 1e-4)), 0.0)
+
+        monkeypatch.setitem(verify._SUITES, name, dataclasses.replace(suite, run_trial=held))
+        report = run_suite(name, trials=5, seed=4)
+        worst = max(np.random.default_rng(4 + t).uniform(0.0, 1e-4) for t in range(5))
+        message = (
+            "the diagonal dilation law held on every coupled-slot instance; "
+            "the slot coupling appears to be inert"
+        )
+        assert report.failures == [
+            {"trial": -1, "seed": 4, "defect": worst, "budget": verify.CONTROL_THRESHOLD, "detail": message}
+        ]
+        assert report.max_defect == worst
 
 
 class TestRealizations:

@@ -16,8 +16,10 @@ lines (each a list of strings, such as ``["eval", "doc.json", "--point",
 "0.5"]``), and those are run instead of the suites; relative paths in them
 are taken from the current directory.  The exit code, stdout and stderr of
 each run are compared; an exception that escapes ``main`` counts as the
-run's exit code.  The runs that differ (or that only one tree has) are
-printed, and the exit code is 1 if there are any, else 0.
+run's exit code.  Each run that differs is printed with the parts that
+differ (``exit code``, ``stdout``, ``stderr``, or ``only in A`` or ``B``
+for a run that one tree has alone), and the exit code is 1 if there are
+any, else 0.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def _run(src: str, spec: list) -> dict:
     return {label: result for label, *result in json.loads(done.stdout)}
 
 
+def _parts(a, b) -> str:
+    """What differs between the results of one run in the two trees."""
+    if b is None:
+        return "only in A"
+    if a is None:
+        return "only in B"
+    return ", ".join(part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a")
@@ -97,7 +108,7 @@ def main(argv=None) -> int:
     labels = list(first) + [label for label in second if label not in first]
     differ = [label for label in labels if first.get(label) != second.get(label)]
     for label in differ:
-        print(f"differs: {label}")
+        print(f"differs ({_parts(first.get(label), second.get(label))}): {label}")
     print(f"{len(labels) - len(differ)} of {len(labels)} runs identical")
     return 1 if differ else 0
 
