@@ -198,11 +198,13 @@ _ATTEMPTS = 64
 _FLOOR = Tolerances(surface_guard=1e-3)  # relative smallest singular value for "comfortably regular"
 
 
-def _retrying(draw):
+def _retrying(draw, *redraw_on):
+    """``draw()``, drawn again while it raises :class:`_Retry` or one of the
+    errors ``redraw_on``, up to ``_ATTEMPTS`` draws in all."""
     for _ in range(_ATTEMPTS):
         try:
             return draw()
-        except _Retry:
+        except (_Retry, *redraw_on):
             continue
     raise RetriesExhausted("exhausted retries while drawing a regular instance")
 
@@ -222,10 +224,13 @@ def _budget(tol: Tolerances) -> float:
     return 10.0 * tol.residual_tol
 
 
-def _require_regular(matrix: np.ndarray) -> None:
+def _conditioned(matrix: np.ndarray, ratio: float) -> float:
+    """The largest singular value of ``matrix``; a matrix whose smallest one
+    falls below ``ratio`` of it is drawn again."""
     smin, smax = sigma_extremes(matrix)
-    if smax == 0.0 or smin < _FLOOR.surface_guard * smax:
+    if smax == 0.0 or smin < ratio * smax:
         raise _Retry
+    return smax
 
 
 def _evaluate(reals, args, tol) -> list:
@@ -267,9 +272,7 @@ def _haar(rng, n: int) -> np.ndarray:
 def _well_conditioned(rng, n: int) -> np.ndarray:
     """Condition number at most 10; any other draw is drawn again."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    smin, smax = sigma_extremes(g)
-    if smax == 0.0 or smin < 0.1 * smax:
-        raise _Retry
+    _conditioned(g, 0.1)
     return g
 
 
@@ -293,18 +296,6 @@ def _unit_sphere(rng, n: int) -> np.ndarray:
     if top == 0.0:
         raise _Retry
     return g / top
-
-
-def _regular_args(rng, n: int, count: int, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
-    """``count`` drawn ``n x n`` arguments at which every listed realization
-    is comfortably regular, and the realizations' values there (see
-    :func:`_evaluate`)."""
-
-    def draw():
-        args = [sample(rng, n) for _ in range(count)]
-        return args, _evaluate(reals, args, tol)
-
-    return _retrying(draw)
 
 
 _PHASE_GRID = 12
@@ -406,24 +397,21 @@ def _containment_residual(big, small) -> float:
     return op_norm(small.basis - inside)
 
 
-def _expect_some_failure(threshold: float, message: str):
-    """Aggregate for negative controls: the law must break somewhere."""
-
-    def aggregate(results: list[TrialResult], seed: int) -> list[dict]:
-        worst = max((r.defect for r in results), default=0.0)
-        if worst >= threshold:
-            return []
-        return [
-            {
-                "trial": -1,
-                "seed": seed,
-                "defect": worst,
-                "budget": threshold,
-                "detail": message,
-            }
-        ]
-
-    return aggregate
+def _control(results: list[TrialResult], seed: int) -> list[dict]:
+    """Aggregate of the negative control: its law must break somewhere."""
+    worst = max((r.defect for r in results), default=0.0)
+    if worst >= CONTROL_THRESHOLD:
+        return []
+    return [
+        {
+            "trial": -1,
+            "seed": seed,
+            "defect": worst,
+            "budget": CONTROL_THRESHOLD,
+            "detail": "the diagonal dilation law held on every coupled-slot instance; "
+            "the slot coupling appears to be inert",
+        }
+    ]
 
 
 def _observational(results: list[TrialResult], seed: int) -> list[dict]:
@@ -497,7 +485,7 @@ def _charfun_reflection(rng, dims, tol):
         z = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         values = _charvalues([col], [z, 1.0 / np.conj(z)], tol)
         (inner,) = next(values)
-        _require_regular(inner.value)
+        _conditioned(inner.value, _FLOOR.surface_guard)
         try:
             (outer,) = next(values)
         except NearPole:
@@ -563,12 +551,9 @@ def _pole_growth(rng, dims, tol):
 
     def draw():
         prod = product(random_colligation(alpha, inner, rng), planted, tol)
-        try:
-            return [op_norm(value.value) for (value,) in _charvalues([prod], points, tol)]
-        except NearPole:
-            raise _Retry from None
+        return [op_norm(value.value) for (value,) in _charvalues([prod], points, tol)]
 
-    measured = _retrying(draw)
+    measured = _retrying(draw, NearPole)
     ratio = measured[3] / measured[0]
     defect = max(0.0, (GROWTH_FACTOR - ratio) / GROWTH_FACTOR)
     return TrialResult(defect, 1e-9, f"growth {ratio:.2f}x over three halvings")
@@ -638,8 +623,16 @@ class _Kind:
         fam = self.spec.random(alpha, inner, arity, rng)
         return fam, self.spec.realize(fam, tol), inner, arity
 
-    def args(self, rng, arity, reals, tol, sample=_gauss):
-        return _regular_args(rng, arity, len(self.spec.variables), reals, tol, sample)
+    def args(self, rng, arity, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
+        """One drawn ``arity x arity`` argument per variable, at which every
+        listed realization is comfortably regular, and the realizations'
+        values there (see :func:`_evaluate`)."""
+
+        def draw():
+            args = [sample(rng, arity) for _ in self.spec.variables]
+            return args, _evaluate(reals, args, tol)
+
+        return _retrying(draw)
 
 
 def _multi_dilation(fam, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -777,12 +770,9 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
     def draw():
         args, (chi,) = kind.args(rng, arity, [real], tol)
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
-        try:
-            return kind.dilation(fam, args, _value(chi), lam, tol)
-        except OnEigensurface:
-            raise _Retry from None
+        return kind.dilation(fam, args, _value(chi), lam, tol)
 
-    left, right = _retrying(draw)
+    left, right = _retrying(draw, OnEigensurface)
     return TrialResult(rel_defect(left, right), _budget(tol))
 
 
@@ -872,7 +862,7 @@ def _multi_reflection(rng, dims, tol):
         reflected = np.linalg.inv(s.conj().T)
         (value,), (reflected_value,) = (_evaluate([real], [arg], tol) for arg in (s, reflected))
         value = _value(value)
-        _require_regular(value)
+        _conditioned(value, _FLOOR.surface_guard)
         return value, _value(reflected_value)
 
     value, reflected_value = _retrying(draw)
@@ -891,7 +881,7 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
     alpha, inner, _ = _multi_dims(rng, dims)
     arity = _draw(rng, 2, max(2, min(3, dims.max_arity)))
     real = KIND_TABLE["multi"].realize(multi.random_multi(alpha, inner, arity, rng), tol)
-    _, (value,) = _regular_args(rng, arity, 1, [real], tol, _unit_sphere)
+    _, (value,) = _KINDS["multi"].args(rng, arity, [real], tol, _unit_sphere)
     value = _value(value)
     smin, _ = sigma_extremes(value)
     detail = f"smin(value)-1={smin - 1.0:+.3e} unitarity={unitarity_defect(value):.3e}"
@@ -911,10 +901,7 @@ def _surface_consistency(rng, dims, tol):
     def draw():
         s = _complex_gauss(rng, arity, arity)
         system = multi.elimination_matrix(mc, s)
-        smin, smax = sigma_extremes(system)
-        if smax == 0.0 or smin < 0.05 * smax:
-            raise _Retry
-        return s, system, smax
+        return s, system, _conditioned(system, 0.05)
 
     s, system, smax = _retrying(draw)
     problems = []
@@ -955,13 +942,10 @@ def _single_vs_multi(rng, dims, tol):
     def draw():
         s = rng.uniform(0.4, 2.5) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         (value,) = _evaluate([real], [np.array([[s]])], tol)
-        try:
-            ((single,),) = _charvalues([col], [1.0 / s], tol)
-        except NearPole:
-            raise _Retry from None
+        ((single,),) = _charvalues([col], [1.0 / s], tol)
         return value, single.value
 
-    value, single = _retrying(draw)
+    value, single = _retrying(draw, NearPole)
     return TrialResult(rel_defect(_value(value), single), _budget(tol))
 
 
@@ -993,7 +977,8 @@ def _relation_compose(rng, dims, tol):
 
 def _containment(draw_constraint):
     """Decorator: the containment law at a constraint drawn, with retries, by
-    ``draw_constraint(rng, arity, (prod, first, second), tol)``."""
+    ``draw_constraint(rng, arity, (prod, first, second), tol)``; a draw whose
+    equations are rank deficient (:class:`BadSplit`) is drawn again."""
 
     def trial(rng, dims, tol):
         from . import multi, relations
@@ -1002,7 +987,7 @@ def _containment(draw_constraint):
         first = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
         second = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
         prod = multi.multi_product(first, second, tol)
-        constraint = _retrying(lambda: draw_constraint(rng, arity, (prod, first, second), tol))
+        constraint = _retrying(lambda: draw_constraint(rng, arity, (prod, first, second), tol), BadSplit)
         big = relations.char_relation(prod, constraint, tol)
         small = relations.compose_relations(
             relations.char_relation(second, constraint, tol),
@@ -1020,12 +1005,9 @@ def _containment(draw_constraint):
 def _relation_containment(rng, arity, families, tol):
     from . import relations
 
-    try:
-        constraint = relations.ConstraintSubspace.from_equations(
-            _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
-        )
-    except BadSplit:
-        raise _Retry from None
+    constraint = relations.ConstraintSubspace.from_equations(
+        _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
+    )
     for fam in families:
         if relations.on_eigensurface(fam, constraint, tol):
             raise _Retry
@@ -1048,10 +1030,7 @@ def _relation_containment_surface(rng, arity, families, tol):
     sigma = _complex_gauss(rng, arity, arity)
     s = _complex_gauss(rng, arity, arity)
     s[:, member] = -mu * sigma[:, member]
-    try:
-        constraint = relations.ConstraintSubspace.from_equations(s, sigma, tol)
-    except BadSplit:
-        raise _Retry from None
+    constraint = relations.ConstraintSubspace.from_equations(s, sigma, tol)
     if not relations.on_eigensurface(prod, constraint, tol):
         raise _Retry
     return constraint
@@ -1095,7 +1074,7 @@ def _relation_charfun_consistency(rng, dims, tol):
     alpha, inner, arity = _relation_dims(rng, dims)
     mc = multi.random_multi(alpha, inner, arity, rng)
     real = KIND_TABLE["multi"].realize(mc, tol)
-    (s,), (chi,) = _regular_args(rng, arity, 1, [real], tol)
+    (s,), (chi,) = _KINDS["multi"].args(rng, arity, [real], tol)
     relation = relations.char_relation(mc, relations.ConstraintSubspace.graph_of(s, tol), tol)
     graph = relations.graph_relation(_value(chi), tol)
     defect = relations.subspace_distance(relation, graph)
@@ -1113,11 +1092,7 @@ def _relation_charfun_consistency(rng, dims, tol):
 @_suite(
     "conjugacy-dilation-control",
     "negative control: coupled slots must break the diagonal dilation law",
-    aggregate=_expect_some_failure(
-        CONTROL_THRESHOLD,
-        "the diagonal dilation law held on every coupled-slot instance; "
-        "the slot coupling appears to be inert",
-    ),
+    aggregate=_control,
 )
 def _conjugacy_dilation_control(rng, dims, tol):
     from . import conjugacy
@@ -1131,7 +1106,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
     real = KIND_TABLE["tri"].realize(tc, tol)
 
     def draw():
-        (s,), right = _regular_args(rng, 2, 1, [real], tol)
+        (s,), right = _KINDS["tri"].args(rng, 2, [real], tol)
         scaled = (lam[:, None] * s) / lam[None, :]
         return _evaluate([real], [scaled], tol) + right
 
@@ -1151,10 +1126,10 @@ def _doublecoset_transpose(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
+        (s, r), (chi,) = _KINDS["doublecoset"].args(rng, arity, [real], tol)
         (transposed,) = _evaluate([real], [s.T, r.T], tol)
         chi = _value(chi)
-        _require_regular(chi)
+        _conditioned(chi, _FLOOR.surface_guard)
         return chi, _value(transposed)
 
     chi, transposed = _retrying(draw)
@@ -1193,12 +1168,9 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
     fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
 
     def draw():
-        (s, r), (chi,) = _regular_args(rng, arity, 2, [real], tol)
-        try:
-            return _adjoint_readings(fam, s, r, _value(chi), tol)
-        except OnEigensurface:
-            raise _Retry from None
+        (s, r), (chi,) = _KINDS["doublecoset"].args(rng, arity, [real], tol)
+        return _adjoint_readings(fam, s, r, _value(chi), tol)
 
-    plain, negated = _retrying(draw)
+    plain, negated = _retrying(draw, OnEigensurface)
     detail = f"conjugate-transpose={plain:.3e} negated={negated:.3e}"
     return TrialResult(plain, EXPANSION_SLACK, detail)

@@ -406,17 +406,21 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("multi-oracle", "--tol-surface-guard", 0.5),
-            ("charfun-reflection", "--tol-surface-guard", 0.9),
-            ("doublecoset-oracle", "--tol-residual", 1e-300),
-            ("relation-containment", "--tol-rank", 0.9),
+            ("multi-oracle", "--tol-surface-guard", 0.5, "OnEigensurface"),
+            ("charfun-reflection", "--tol-surface-guard", 0.9, "NearPole"),
+            ("doublecoset-oracle", "--tol-residual", 1e-300, "NotUnitary"),
+            ("relation-containment", "--tol-rank", 0.9, "RetriesExhausted"),
+            ("pole-growth", "--tol-surface-guard", 0.5, "RetriesExhausted"),
         ],
     )
     def test_suite_that_cannot_finish_is_one_error_line(self, capsys, argv):
-        code, out, err = run(capsys, "verify", *argv[:1], "--trials", 2, *argv[1:])
+        # The line names the error that stopped the suite: a suite draws again
+        # only on the errors it lists, so a redraw must not swallow these.
+        suite, flag, value, error = argv
+        code, out, err = run(capsys, "verify", suite, "--trials", 2, flag, value)
         assert (code, out) == (5, "")
         assert one_error_line(err)
-        assert argv[0] in err
+        assert f"error: suite {suite}: {error}: " in err
 
     @pytest.mark.parametrize(
         "suite, guard, code",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from colligations import doublecoset, multi, realization, verify
-from colligations.errors import OnEigensurface, RetriesExhausted
+from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
@@ -211,3 +211,37 @@ class TestRealizations:
         else:
             with pytest.raises(RetriesExhausted):
                 run_suite(suite, trials=20, seed=0, tol=strict)
+
+
+class TestRedraw:
+    @staticmethod
+    def _scripted(outcomes):
+        """A draw that raises or returns each of ``outcomes`` in turn, the
+        last one from then on, and the list of its calls."""
+        calls = []
+
+        def draw():
+            outcome = outcomes[min(len(calls), len(outcomes) - 1)]
+            calls.append(outcome)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        return draw, calls
+
+    def test_listed_error_is_drawn_again(self):
+        draw, calls = self._scripted([NearPole(0.0, "pole"), verify._Retry(), BadSplit("split"), "kept"])
+        assert verify._retrying(draw, NearPole, BadSplit) == "kept"
+        assert len(calls) == 4
+
+    def test_unlisted_error_escapes_the_first_draw(self):
+        draw, calls = self._scripted([OnEigensurface(0.0, "surface"), "kept"])
+        with pytest.raises(OnEigensurface):
+            verify._retrying(draw, NearPole)
+        assert len(calls) == 1
+
+    def test_draw_that_always_fails_exhausts_the_budget(self):
+        draw, calls = self._scripted([NearPole(0.0, "pole")])
+        with pytest.raises(RetriesExhausted, match="exhausted retries while drawing a regular instance"):
+            verify._retrying(draw, NearPole)
+        assert len(calls) == verify._ATTEMPTS
