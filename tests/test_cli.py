@@ -965,18 +965,23 @@ _COMMAND_CASES = {
         {"sweeps", "doublecoset"} | _KIND_MODULES["doublecoset"],
     ),
     "surface-multi": ([["surface", "@multi", "--grid", _BALL]], {"sweeps"} | _KIND_MODULES["multi"]),
-    # verify loads the modules of the suite it runs; --list runs none.
+    # verify loads the module of its suite's group and the modules of the
+    # families the suite draws; --list loads every group and runs none.
     **{
         f"verify-{suite}": ([["verify", suite, "--trials", "1"]], {"colligation", "realization", "verify"} | modules)
         for suite, modules in {
-            "charfun-multiplicative": set(),
-            "multi-oracle": {"multi"},
-            "conjugacy-oracle": {"conjugacy"},
-            "doublecoset-rational": {"multi", "doublecoset"},
-            "relation-definiteness": {"multi", "relations"},
+            "charfun-multiplicative": {"verify_scalar"},
+            "multi-oracle": {"multi", "verify_matrix"},
+            "conjugacy-oracle": {"conjugacy", "verify_matrix"},
+            "doublecoset-rational": {"multi", "doublecoset", "verify_matrix"},
+            "relation-definiteness": {"multi", "relations", "verify_relation"},
+            "relation-containment": {"multi", "relations", "verify_relation"},
         }.items()
     },
-    "verify-list": ([["verify", "--list"]], {"colligation", "realization", "verify"}),
+    "verify-list": (
+        [["verify", "--list"]],
+        {"colligation", "realization", "verify", "verify_matrix", "verify_relation", "verify_scalar"},
+    ),
 }
 _LOADED = """\
 import contextlib, io, json, sys
@@ -988,6 +993,18 @@ for argv in json.loads(sys.argv[1]):
     loaded.append([code, sorted(name for name in sys.modules if name.startswith("colligations"))])
 print(json.dumps(loaded))
 """
+
+
+@pytest.mark.parametrize("suite", ["multi-rational", "doublecoset-rational"])
+def test_rational_suites_load_no_numpy_polynomial(suite):
+    code = (
+        "import contextlib, io, sys\n"
+        "from colligations.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify', '{suite}', '--trials', '1']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
+    )
+    assert _in_fresh_process(code) == "[]\n"
 
 
 def test_every_export_resolves_and_is_in_its_module_all():

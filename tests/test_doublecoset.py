@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset, verify
+from colligations import doublecoset, verify, verify_matrix
 from colligations.colligation import identity_colligation
 from colligations.doublecoset import (
     dc_charfun,
@@ -230,7 +230,7 @@ class TestAdjointExperiment:
     def test_plain_reading_holds(self):
         fam = random_multi(1, 2, 2, seed=35)
         s, r = small_arguments(np.random.default_rng(36), 2)
-        plain, negated = verify._adjoint_readings(fam, s, r, dc_charfun(fam, s, r).value, DEFAULT_TOLERANCES)
+        plain, negated = verify_matrix._adjoint_readings(fam, s, r, dc_charfun(fam, s, r).value, DEFAULT_TOLERANCES)
         assert plain < 1e-9
         assert negated > 1e-3
 
@@ -254,7 +254,7 @@ class TestKeptRealization:
         dc_charfun(fam, s, r, tol)
         chi = dc_charfun(fam, s, r, tol).value
         verify._KINDS["doublecoset"].dilation(fam, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
-        verify._adjoint_readings(fam, s, r, chi, tol)
+        verify_matrix._adjoint_readings(fam, s, r, chi, tol)
         assert len(calls) == fam.arity
 
     def test_kept_per_tolerance_profile(self):

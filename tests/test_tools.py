@@ -81,8 +81,8 @@ def test_compare_verify_names_the_parts_that_differ(tmp_path):
     src = Path(colligations.__file__).resolve().parents[1]
     renamed = tmp_path / "b"
     shutil.copytree(src, renamed, ignore=shutil.ignore_patterns("__pycache__"))
-    verify_py = renamed / "colligations" / "verify.py"
-    verify_py.write_text(verify_py.read_text().replace('"charfun-contractive"', '"charfun-contraction"'))
+    suites_py = renamed / "colligations" / "verify_scalar.py"
+    suites_py.write_text(suites_py.read_text().replace('"charfun-contractive"', '"charfun-contraction"'))
     tool = [sys.executable, str(ROOT / "tools" / "compare_verify.py"), str(src), str(renamed)]
     runs = [["verify", "--list"], ["verify", "nope"], ["verify", "multi-oracle", "--trials", "1"]]
     (tmp_path / "runs.json").write_text(json.dumps(runs))
@@ -146,11 +146,22 @@ def startup_run(tmp_path_factory):
     return src, runs, _compare_startup(src, src, "--argv", "runs.json", cwd=tmp_path)
 
 
+def test_compare_startup_prints_the_cached_modules_of_each_tree(startup_run):
+    src, _, result = startup_run
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    modules = len(list(Path(src, "colligations").glob("*.py")))
+    for label, line in zip("AB", result.stdout.splitlines()[:2], strict=True):
+        pattern = rf"{label} {re.escape(src)}: ([0-9]+) of ([0-9]+) package modules have a valid cached pyc"
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        assert int(match.group(1)) <= int(match.group(2)) == modules
+
+
 def test_compare_startup_prints_time_and_peak_rss_of_each_tree(startup_run):
     src, _, result = startup_run
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
     number = r"[0-9]+\.[0-9]+"
-    for label, line in zip("AB", result.stdout.splitlines()[:2], strict=True):
+    for label, line in zip("AB", result.stdout.splitlines()[2:4], strict=True):
         pattern = (
             rf"{label} {re.escape(src)}: median {number} s, quartiles {number} {number} s,"
             rf" lower in [0-9]+ of 10 pairs, median peak RSS ({number}) MiB"
@@ -164,8 +175,8 @@ def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(startup
     _, runs, result = startup_run
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 2 + len(runs)
-    for run, line in zip(runs, lines[2:]):
+    assert len(lines) == 4 + len(runs)
+    for run, line in zip(runs, lines[4:]):
         match = re.fullmatch(r"median peak RSS A ([0-9.]+) MiB, B ([0-9.]+) MiB: (.*)", line)
         assert match and match.group(3) == " ".join(run), line
         assert all(1.0 < float(match.group(i)) < 1000.0 for i in (1, 2))

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from colligations import doublecoset, multi, realization, verify
+from colligations import doublecoset, multi, realization, verify, verify_matrix, verify_scalar
 from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
@@ -25,6 +30,32 @@ class TestRegistry:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope", trials=1)
+
+    def test_each_suite_is_registered_by_the_module_of_its_first_word(self):
+        suites = list_suites()
+        assert len(suites) == len(verify._SUITES) == 43
+        for suite in suites:
+            law = getattr(suite.run_trial, "func", suite.run_trial)  # a kind law is a partial
+            assert law.__module__ == f"colligations.{verify._GROUPS[suite.name.split('-')[0]]}", suite.name
+
+    def test_looking_up_a_suite_loads_no_other_suite_module(self):
+        # One fresh process looks up a suite of each group in turn and lists
+        # the suite modules loaded after each lookup.
+        code = (
+            "import sys\n"
+            "from colligations import verify\n"
+            "for name in ('pole-growth', 'relation-compose', 'single-vs-multi'):\n"
+            "    assert verify._lookup(name).name == name\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('colligations.verify_')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "['colligations.verify_scalar']",
+            "['colligations.verify_relation', 'colligations.verify_scalar']",
+            "['colligations.verify_matrix', 'colligations.verify_relation', 'colligations.verify_scalar']",
+        ]
 
 
 class TestReports:
@@ -59,7 +90,7 @@ class TestReports:
         # These suites cap some drawn sizes with a literal as well; the
         # smaller of the two must win.
         drawn = []
-        random_multi, random_colligation = multi.random_multi, verify.random_colligation
+        random_multi, random_colligation = multi.random_multi, verify_scalar.random_colligation
 
         def drawn_multi(alpha, inner, arity, seed):
             drawn.append((alpha, inner, arity))
@@ -70,7 +101,7 @@ class TestReports:
             return random_colligation(alpha, inner, seed)
 
         monkeypatch.setattr(multi, "random_multi", drawn_multi)
-        monkeypatch.setattr(verify, "random_colligation", drawn_colligation)
+        monkeypatch.setattr(verify_scalar, "random_colligation", drawn_colligation)
         assert run_suite(suite, trials=20, seed=0, dims=Dims(1, 1, 1)).passed
         assert drawn
         assert max(max(sizes) for sizes in drawn) == 1
@@ -92,7 +123,7 @@ class TestReports:
     def test_negative_control_that_never_fails_reports_one_failure(self, monkeypatch):
         # The law held on every trial: the control's aggregate must record it.
         name = "conjugacy-dilation-control"
-        suite = verify._SUITES[name]
+        suite = verify._lookup(name)
 
         def held(rng, dims, tol):
             return verify.TrialResult(float(rng.uniform(0.0, 1e-4)), 0.0)
@@ -245,3 +276,18 @@ class TestRedraw:
         with pytest.raises(RetriesExhausted, match="exhausted retries while drawing a regular instance"):
             verify._retrying(draw, NearPole)
         assert len(calls) == verify._ATTEMPTS
+
+
+class TestPolyval:
+    @pytest.mark.parametrize("degree", range(8))
+    def test_matches_numpy_polyval_bit_for_bit(self, degree):
+        # The rational-fit suites evaluate their fitted polynomials without
+        # loading numpy.polynomial; the values must not move by a bit.
+        rng = np.random.default_rng(degree)
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        points = 0.7 * np.exp(2j * np.pi * (np.arange(2 * degree + 10) + rng.uniform()) / (2 * degree + 10))
+        got, want = verify_matrix._polyval(points, coeffs), npoly.polyval(points, coeffs)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        for point in points:
+            got, want = verify_matrix._polyval(point, coeffs), npoly.polyval(point, coeffs)
+            assert (type(got), np.asarray(got).tobytes()) == (type(want), np.asarray(want).tobytes())

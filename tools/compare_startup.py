@@ -19,26 +19,31 @@ from the current directory), and one sample of a tree is the total wall time
 of one process per listed command line.  To time start-up alone, list
 ``validate`` command lines of small documents.
 
-Every command line first runs once in each tree, untimed.  Then ``N`` (at
-least 10) pairs of samples are taken, the tree that goes first alternating
-from pair to pair.  For each tree the median and quartiles of its samples
-are printed, with the number of pairs in which its sample was the lower
-(ties count for neither), and the median over its samples of the peak RSS
-of a sample, the largest VmHWM of any of its processes.  Then one line per
-listed command line gives the median VmHWM of its process in each tree.
+Every command line first runs once in each tree, untimed.  Then one line
+per tree gives how many of its package's modules have a valid cached pyc
+(one whose header matches the source's mtime and size), which shows whether
+its processes compiled the package.  Then ``N`` (at least 10) pairs of
+samples are taken, the tree that goes first alternating from pair to pair.
+For each tree the median and quartiles of its samples are printed, with the
+number of pairs in which its sample was the lower (ties count for neither),
+and the median over its samples of the peak RSS of a sample, the largest
+VmHWM of any of its processes.  Then one line per listed command line gives
+the median VmHWM of its process in each tree.
 
 The rest of the environment is passed on, so a bytecode cache is written
 and read, or not, as it says (``PYTHONDONTWRITEBYTECODE``,
-``PYTHONPYCACHEPREFIX``).  The exit code is 1 if a process exits other
-than 0, else 0.
+``PYTHONPYCACHEPREFIX``, under which the tool looks for the cache too).
+The exit code is 1 if a process exits other than 0, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -84,6 +89,22 @@ def _sample(env: dict, runs: list[list[str]]) -> tuple[float, tuple[float, ...]]
     return sum(walls), rss
 
 
+def _cached_modules(src: str) -> str:
+    """How many modules of the package in ``src`` have a cached pyc whose
+    header matches the source's mtime and size, out of how many."""
+    sources = sorted(Path(src, "colligations").glob("*.py"))
+    valid = 0
+    for source in sources:
+        stat = source.stat()
+        stamp = struct.pack("<3I", 0, int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF)
+        try:
+            with open(importlib.util.cache_from_source(str(source)), "rb") as pyc:
+                valid += pyc.read(16) == importlib.util.MAGIC_NUMBER + stamp
+        except OSError:
+            pass
+    return f"{valid} of {len(sources)} package modules have a valid cached pyc"
+
+
 def _at_least_ten(text: str) -> int:
     value = int(text)
     if value < 10:
@@ -113,6 +134,8 @@ def main(argv=None) -> int:
             for env in envs:
                 for run in runs:
                     _process(env, run)
+            for label, src in zip("AB", (args.src_a, args.src_b)):
+                print(f"{label} {src}: {_cached_modules(src)}")
             for pair in range(args.pairs):
                 order = (0, 1) if pair % 2 == 0 else (1, 0)
                 for side in order:
