@@ -35,7 +35,6 @@ __all__ = [
     "dc_charfun",
     "dc_charfun_system",
     "dc_realization",
-    "indefinite_form",
     "skew_form",
 ]
 
@@ -155,12 +154,6 @@ def dc_charfun_system(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOL
     row += nm
     assert row == dim
     return solve_coupled(sys, rhs, tol)[: 2 * na, :]
-
-
-def indefinite_form(arity: int, alpha: int) -> np.ndarray:
-    """Hermitian form ``diag(+I, -I)`` on the doubled exposed space."""
-    eye = np.eye(arity * alpha)
-    return block_diag(eye, -eye)
 
 
 def skew_form(arity: int, alpha: int) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "require_real_orthogonal",
     "haar_unitary",
     "haar_orthogonal",
+    "signature_form",
     "rel_defect",
 ]
 
@@ -272,23 +273,31 @@ def haar_unitary(dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return _haar(complex_gauss(np.random.default_rng(seed), dim, dim))
 
 
 def haar_orthogonal(dim: int, seed) -> np.ndarray:
     """Haar-distributed real orthogonal matrix (returned as complex dtype)."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    z = np.random.default_rng(seed).standard_normal((dim, dim))
+    return _haar(np.random.default_rng(seed).standard_normal((dim, dim))).astype(complex)
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The Q factor of ``z`` with each column scaled by the phase of R's
+    diagonal entry (by 1 where it is zero); on a real ``z`` the phases are
+    the signs, bit for bit."""
     q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).astype(complex)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def signature_form(plus: int, minus: int) -> np.ndarray:
+    """Hermitian form matrix ``diag(+1 x plus, -1 x minus)``."""
+    if plus < 0 or minus < 0:
+        raise ValueError("signature counts must be nonnegative")
+    return np.diag(np.concatenate([np.ones(plus), -np.ones(minus)])).astype(complex)
 
 
 def rel_defect(x, y) -> float:
@@ -300,6 +309,12 @@ def rel_defect(x, y) -> float:
 
 
 # Seeded samplers shared by the verification suites and the command line.
+
+def complex_gauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Complex Ginibre ``rows x cols`` matrix: entries ``(N + iN) / sqrt(2)``."""
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return g / np.sqrt(2.0)
+
 
 def sample_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:
     """Uniform sample from the open disc of the given radius."""

@@ -39,7 +39,6 @@ __all__ = [
     "ConstraintSubspace",
     "on_eigensurface",
     "char_relation",
-    "signature_form",
     "form_on_subspace",
 ]
 
@@ -254,13 +253,6 @@ def char_relation(
     solutions = kernel(system, tol.rank_tol)
     basis = orthonormal_columns(solutions[: 2 * na, :], tol.rank_tol)
     return LinearRelation(na, na, basis, tol)
-
-
-def signature_form(plus: int, minus: int) -> np.ndarray:
-    """Hermitian form matrix ``diag(+1 x plus, -1 x minus)``."""
-    if plus < 0 or minus < 0:
-        raise ValueError("signature counts must be nonnegative")
-    return np.diag(np.concatenate([np.ones(plus), -np.ones(minus)])).astype(complex)
 
 
 def form_on_subspace(form, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> str:

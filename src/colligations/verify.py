@@ -16,13 +16,13 @@ This module holds the runner, the registry and the shared drawing helpers;
 the suites live in three modules by what they draw (``verify_scalar``,
 ``verify_matrix``, ``verify_relation``), and a process loads only its suite's.
 A suite loads the modules of the families it draws (``multi``, ``conjugacy``,
-``doublecoset``, ``relations``) when it runs and calls into them through their
-module attributes, so that a wrapper bound at run time (a tracer's) sees every call.
+``doublecoset``, ``relations``) when it runs and calls into them, and into the
+samplers of ``linalg``, through their module attributes, so that a wrapper
+bound at run time (a tracer's) sees every call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import RetriesExhausted
 from .linalg import (
-    DEFAULT_TOLERANCES, Tolerances, block_diag, haar_orthogonal, haar_unitary, op_norm, sample_ball, sigma_extremes,
+    DEFAULT_TOLERANCES, Tolerances, block_diag, complex_gauss, haar_orthogonal, haar_unitary, op_norm, sigma_extremes,
 )
 from .documents import KIND_TABLE, KindSpec, _module
-from . import realization
+from . import linalg, realization
 
 __all__ = [
     "CONTAINMENT_TOL",
@@ -209,11 +209,6 @@ def _draw(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _complex_gauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return g / math.sqrt(2.0)
-
-
 def _budget(tol: Tolerances) -> float:
     # Defects below are already normalized by the operand norms, so the
     # budget is a plain multiple of the residual tolerance.
@@ -258,7 +253,7 @@ def _value(outcome) -> np.ndarray:
 
 # Samplers of one ``n x n`` argument.
 def _gauss(rng, n: int) -> np.ndarray:
-    return _complex_gauss(rng, n, n)
+    return complex_gauss(rng, n, n)
 
 
 def _haar(rng, n: int) -> np.ndarray:
@@ -273,11 +268,11 @@ def _well_conditioned(rng, n: int) -> np.ndarray:
 
 
 def _ball(radius: float):
-    return lambda rng, n: sample_ball(rng, n, radius)
+    return lambda rng, n: linalg.sample_ball(rng, n, radius)
 
 
 def _symmetric_ball(rng, n: int) -> np.ndarray:
-    g = _complex_gauss(rng, n, n)
+    g = complex_gauss(rng, n, n)
     sym = (g + g.T) / 2.0
     top = op_norm(sym)
     if top == 0.0:
@@ -287,7 +282,7 @@ def _symmetric_ball(rng, n: int) -> np.ndarray:
 
 def _unit_sphere(rng, n: int) -> np.ndarray:
     """Operator norm exactly 1, but not unitary."""
-    g = _complex_gauss(rng, n, n)
+    g = complex_gauss(rng, n, n)
     top = op_norm(g)
     if top == 0.0:
         raise _Retry

@@ -5,13 +5,13 @@ import functools
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import op_norm, rel_defect, sigma_extremes, unitarity_defect
+from .linalg import complex_gauss, op_norm, rel_defect, sigma_extremes, signature_form, unitarity_defect
 from .colligation import _charvalues, random_colligation
 from .documents import KIND_TABLE, _module
 from . import realization
 from .verify import (
     CONTROL_THRESHOLD, EXPANSION_SLACK, RATIONAL_FIT_TOL, _FLOOR, _KINDS, TrialResult, _Kind, _Retry, _ball,
-    _budget, _complex_gauss, _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
+    _budget, _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
     _symmetric_ball, _unit_sphere, _value, _well_conditioned,
 )
 
@@ -127,7 +127,8 @@ def _unitary(fam, chi, rng, tol) -> TrialResult:
 
 
 def _form_increase(fam, chi, rng, tol) -> TrialResult:
-    form = _module("doublecoset").indefinite_form(fam.arity, fam.alpha)
+    na = fam.arity * fam.alpha
+    form = signature_form(na, na)
     size = form.shape[0]
     probes = np.random.default_rng(_draw(rng, 0, 2**31 - 1))
     increases = []
@@ -140,7 +141,8 @@ def _form_increase(fam, chi, rng, tol) -> TrialResult:
 
 
 def _pseudo_unitary(fam, chi, rng, tol) -> TrialResult:
-    form = _module("doublecoset").indefinite_form(fam.arity, fam.alpha)
+    na = fam.arity * fam.alpha
+    form = signature_form(na, na)
     defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
     return TrialResult(defect, _budget(tol))
 
@@ -174,8 +176,8 @@ def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
     for varied in range(count):
 
         def attempt():
-            bases = [_complex_gauss(rng, arity, arity) for _ in range(count)]
-            direction = _complex_gauss(rng, arity, arity)
+            bases = [complex_gauss(rng, arity, arity) for _ in range(count)]
+            direction = complex_gauss(rng, arity, arity)
             direction /= max(op_norm(direction), 1e-300)
 
             def evaluate(ts):
@@ -286,7 +288,7 @@ def _surface_consistency(rng, dims, tol):
     nm = arity * inner
 
     def draw():
-        s = _complex_gauss(rng, arity, arity)
+        s = complex_gauss(rng, arity, arity)
         system = multi.elimination_matrix(mc, s)
         return s, system, _conditioned(system, 0.05)
 
@@ -395,7 +397,8 @@ def _adjoint_readings(fam, s, r, chi, tol) -> tuple[float, float]:
     ``(S, R)``, and a reading whose point is singular is NaN."""
     from . import doublecoset
 
-    jm = doublecoset.indefinite_form(fam.arity, fam.alpha)
+    na = fam.arity * fam.alpha
+    jm = signature_form(na, na)
     target = np.linalg.inv(jm @ chi.conj().T @ jm)
     scale = max(1.0, op_norm(target))
 

@@ -3,10 +3,11 @@
 import numpy as np
 
 from .errors import BadSplit
-from .linalg import op_norm, sample_ball
+from .linalg import complex_gauss, op_norm, signature_form
 from .documents import KIND_TABLE
+from . import linalg
 from .verify import (
-    CONTAINMENT_TOL, GRAPH_TOL, _KINDS, TrialResult, _capped_dims, _complex_gauss, _draw, _retrying, _Retry,
+    CONTAINMENT_TOL, GRAPH_TOL, _KINDS, TrialResult, _capped_dims, _draw, _retrying, _Retry,
     _suite, _value,
 )
 
@@ -27,15 +28,15 @@ def _relation_compose(rng, dims, tol):
     from . import relations
 
     dv, dm, dw = (_draw(rng, 1, 3) for _ in range(3))
-    a = _complex_gauss(rng, dm, dv)
-    b = _complex_gauss(rng, dw, dm)
+    a = complex_gauss(rng, dm, dv)
+    b = complex_gauss(rng, dw, dm)
     composed = relations.compose_relations(
         relations.graph_relation(a, tol), relations.graph_relation(b, tol), tol
     )
     defect = relations.subspace_distance(composed, relations.graph_relation(b @ a, tol))
     # Composing with an identity graph must not move a general relation.
     k = _draw(rng, 1, dv + dm)
-    basis = np.linalg.qr(_complex_gauss(rng, dv + dm, k))[0]
+    basis = np.linalg.qr(complex_gauss(rng, dv + dm, k))[0]
     rel = relations.LinearRelation(dv, dm, basis, tol)
     neutral = relations.compose_relations(rel, relations.identity_relation(dm, tol), tol)
     defect = max(defect, relations.subspace_distance(neutral, rel))
@@ -73,7 +74,7 @@ def _relation_containment(rng, arity, families, tol):
     from . import relations
 
     constraint = relations.ConstraintSubspace.from_equations(
-        _complex_gauss(rng, arity, arity), _complex_gauss(rng, arity, arity), tol
+        complex_gauss(rng, arity, arity), complex_gauss(rng, arity, arity), tol
     )
     for fam in families:
         if relations.on_eigensurface(fam, constraint, tol):
@@ -94,8 +95,8 @@ def _relation_containment_surface(rng, arity, families, tol):
     mu, xi = values[idx], vectors[:, idx]
     if np.linalg.norm(d @ xi - mu * xi) > 1e-10 * max(1.0, np.linalg.norm(d)):
         raise _Retry
-    sigma = _complex_gauss(rng, arity, arity)
-    s = _complex_gauss(rng, arity, arity)
+    sigma = complex_gauss(rng, arity, arity)
+    s = complex_gauss(rng, arity, arity)
     s[:, member] = -mu * sigma[:, member]
     constraint = relations.ConstraintSubspace.from_equations(s, sigma, tol)
     if not relations.on_eigensurface(prod, constraint, tol):
@@ -115,7 +116,7 @@ def _relation_definiteness(rng, dims, tol):
     mc = multi.random_multi(alpha, inner, arity, rng)
 
     def draw():
-        s = sample_ball(rng, arity, 0.9)
+        s = linalg.sample_ball(rng, arity, 0.9)
         constraint = relations.ConstraintSubspace.graph_of(s, tol)
         relation = relations.char_relation(mc, constraint, tol)
         if relation.dim != arity * alpha:
@@ -124,11 +125,11 @@ def _relation_definiteness(rng, dims, tol):
 
     constraint, relation = _retrying(draw)
     problems = []
-    upstairs = relations.form_on_subspace(relations.signature_form(arity, arity), constraint.basis(), tol)
+    upstairs = relations.form_on_subspace(signature_form(arity, arity), constraint.basis(), tol)
     if upstairs != "positive-definite":
         problems.append(f"constraint side classified {upstairs}")
     na = arity * alpha
-    downstairs = relations.form_on_subspace(relations.signature_form(na, na), relation.basis, tol)
+    downstairs = relations.form_on_subspace(signature_form(na, na), relation.basis, tol)
     if downstairs != "negative-definite":
         problems.append(f"relation side classified {downstairs}")
     return TrialResult(0.0 if not problems else 1.0, 0.5, "; ".join(problems))

@@ -5,11 +5,12 @@ import math
 import numpy as np
 
 from .errors import NearPole
-from .linalg import block_diag, haar_unitary, op_norm, rel_defect, sample_disc, unitarity_defect
+from .linalg import block_diag, haar_unitary, op_norm, rel_defect, unitarity_defect
 from .colligation import (
     Colligation, _charvalues, colligation_realization, conjugate_inner, equivalent_probe, pad, product,
     random_colligation, spectra_match, unit_spectrum,
 )
+from . import linalg
 from .verify import (
     EXPANSION_SLACK, GROWTH_FACTOR, _FLOOR, TrialResult, _budget, _conditioned, _draw, _evaluate, _retrying,
     _Retry, _suite, _value,
@@ -99,7 +100,7 @@ def _charfun_multiplicative(rng, dims, tol):
     x = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     y = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     prod = product(x, y, tol)
-    zs = [sample_disc(rng, 0.95) for _ in range(3)]  # no poles inside the open disc
+    zs = [linalg.sample_disc(rng, 0.95) for _ in range(3)]  # no poles inside the open disc
     values = _charvalues([x, y, prod], zs, tol)
     return TrialResult(max(rel_defect(vp.value, vx.value @ vy.value) for vx, vy, vp in values), _budget(tol))
 
@@ -107,7 +108,7 @@ def _charfun_multiplicative(rng, dims, tol):
 @_suite("charfun-contractive", "transfer values inside the open disc are contractions")
 def _charfun_contractive(rng, dims, tol):
     col = random_colligation(_draw(rng, 1, dims.max_alpha), _draw(rng, 1, dims.max_inner), rng)
-    zs = [sample_disc(rng, 0.999) for _ in range(4)]
+    zs = [linalg.sample_disc(rng, 0.999) for _ in range(4)]
     worst = max(op_norm(value.value) - 1.0 for (value,) in _charvalues([col], zs, tol))
     return TrialResult(max(worst, 0.0), EXPANSION_SLACK)
 
@@ -150,7 +151,7 @@ def _charfun_conjugation_invariant(rng, dims, tol):
     inner = _draw(rng, 1, dims.max_inner)
     col = random_colligation(_draw(rng, 1, dims.max_alpha), inner, rng)
     other = conjugate_inner(col, haar_unitary(inner, rng), tol)
-    zs = [sample_disc(rng, 0.95) for _ in range(3)]
+    zs = [linalg.sample_disc(rng, 0.95) for _ in range(3)]
     worst = max(rel_defect(u.value, v.value) for u, v in _charvalues([col, other], zs, tol))
     return TrialResult(worst, _budget(tol))
 
@@ -212,7 +213,7 @@ def _padding_invariance(rng, dims, tol):
     alpha = _draw(rng, 1, dims.max_alpha)
     col = random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng)
     padded = pad(col, _draw(rng, 1, 2))
-    zs = [sample_disc(rng, 0.95) for _ in range(3)]
+    zs = [linalg.sample_disc(rng, 0.95) for _ in range(3)]
     worst = max(rel_defect(u.value, v.value) for u, v in _charvalues([col, padded], zs, tol))
     planted = _phase_colligation(rng, alpha, [_draw(rng, 1, _PHASE_GRID - 1) for _ in range(2)], tol)
     padded_planted = pad(planted, _draw(rng, 1, 2))

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -929,8 +930,6 @@ def test_import_does_not_load_verify():
     _in_fresh_process(
         "import sys, colligations.cli\n"
         "assert 'colligations.verify' not in sys.modules\n"
-        "import colligations\n"
-        "assert colligations.run_suite.__module__ == 'colligations.verify'\n"
     )
 
 
@@ -1007,11 +1006,14 @@ def test_rational_suites_load_no_numpy_polynomial(suite):
     assert _in_fresh_process(code) == "[]\n"
 
 
-def test_every_export_resolves_and_is_in_its_module_all():
-    for name in colligations.__all__:
-        module = importlib.import_module(f"colligations.{colligations._MODULE_OF[name]}")
-        assert name in module.__all__, name
-        assert getattr(colligations, name) is getattr(module, name), name
+def test_every_name_in_a_module_all_is_bound_in_that_module():
+    assert not hasattr(colligations, "__all__")  # each module declares its own names
+    modules = [info.name for info in pkgutil.iter_modules(colligations.__path__)]
+    assert {"cli", "linalg", "verify", "verify_scalar"} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"colligations.{name}")
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), (name, public)
 
 
 def test_import_of_the_package_loads_no_module():

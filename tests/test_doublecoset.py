@@ -9,7 +9,6 @@ from colligations.doublecoset import (
     dc_charfun_system,
     dc_equivalent,
     dc_realization,
-    indefinite_form,
     skew_form,
     transpose_inverse,
 )
@@ -28,6 +27,7 @@ from colligations.linalg import (
     haar_unitary,
     op_norm,
     rel_defect,
+    signature_form,
     unitarity_defect,
 )
 from colligations.multi import MultiColligation, multi_product, random_multi
@@ -53,7 +53,8 @@ def form_defects(fam, s, r) -> tuple[float, float, float]:
     """The pseudo-unitary and symplectic defects of the value at (S, R), and
     the budget ``1e-9 max(1, |chi|^2)`` they are held to."""
     chi = dc_charfun(fam, s, r).value
-    signature, skew = indefinite_form(fam.arity, fam.alpha), skew_form(fam.arity, fam.alpha)
+    na = fam.arity * fam.alpha
+    signature, skew = signature_form(na, na), skew_form(fam.arity, fam.alpha)
     return (
         op_norm(chi.conj().T @ signature @ chi - signature),
         op_norm(chi.T @ skew @ chi - skew),
@@ -194,7 +195,7 @@ class TestDilation:
 
 class TestForms:
     def test_form_matrices(self):
-        m = indefinite_form(2, 3)
+        m = signature_form(6, 6)
         npt.assert_array_equal(m, np.diag([1.0] * 6 + [-1.0] * 6))
         j = skew_form(2, 3)
         npt.assert_allclose(j, -j.T, atol=0)

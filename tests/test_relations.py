@@ -4,7 +4,7 @@ import pytest
 
 from colligations.colligation import Colligation, identity_colligation, random_colligation
 from colligations.errors import ArityMismatch, BadSplit
-from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, orthonormal_columns
+from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, orthonormal_columns, signature_form
 from colligations.multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
 from colligations.relations import (
     ConstraintSubspace,
@@ -16,7 +16,6 @@ from colligations.relations import (
     graph_relation,
     identity_relation,
     on_eigensurface,
-    signature_form,
     subspace_distance,
 )
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from colligations import doublecoset, multi, realization, verify, verify_matrix, verify_scalar
+from colligations import doublecoset, linalg, multi, realization, verify, verify_matrix, verify_scalar
 from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
@@ -56,6 +56,28 @@ class TestRegistry:
             "['colligations.verify_relation', 'colligations.verify_scalar']",
             "['colligations.verify_matrix', 'colligations.verify_relation', 'colligations.verify_scalar']",
         ]
+
+    def test_suites_call_the_samplers_through_linalg(self, monkeypatch):
+        # A wrapper bound on ``linalg`` after the suite modules are loaded, as
+        # a tracer binds one, must see the suites' draws.
+        list_suites()
+        calls = {}
+
+        def count(name):
+            sampler = getattr(linalg, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return sampler(*args, **kwargs)
+
+            monkeypatch.setattr(linalg, name, counted)
+
+        count("sample_disc")
+        count("sample_ball")
+        for suite in ("charfun-multiplicative", "multi-expanding", "relation-definiteness"):
+            run_suite(suite, trials=2, seed=0)
+        assert calls["sample_disc"] > 0 and calls["sample_ball"] > 0, calls
 
 
 class TestReports:
