@@ -284,6 +284,13 @@ def main(argv=None) -> int:
             # later collection, the full ones at interpreter shutdown
             # included.  An in-process caller passes argv and keeps its heap.
             gc.freeze()
+            # numpy.random imports secrets, whose hmac and hashlib would load
+            # OpenSSL's _hashlib (3.4 MiB resident, CPython 3.11 on Linux) for
+            # hashes no command computes.  Without it they use the
+            # interpreter's built-in hashes; seed entropy still comes from
+            # os.urandom.  An _hashlib already loaded is kept, and an
+            # in-process caller keeps its own.
+            sys.modules.setdefault("_hashlib", None)
         tol = _resolve_tolerances(args)
         return args.handler(args, tol)
     except CliError as exc:

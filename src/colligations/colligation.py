@@ -234,7 +234,8 @@ def equivalent_probe(
     zs = [sample_disc(rng, 0.95) for _ in range(16)]
     for vx, vy in _charvalues([x, y], zs, tol):
         scale = max(1.0, op_norm(vx.value), op_norm(vy.value))
-        if op_norm(vx.value - vy.value) > tol.residual_tol * scale:
+        # A NaN distance counts as a difference.
+        if not op_norm(vx.value - vy.value) <= tol.residual_tol * scale:
             return False
     # Clustering radius is widened slightly so that clusters formed
     # independently for the two operands still pair up.

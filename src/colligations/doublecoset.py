@@ -51,7 +51,8 @@ def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     shortcut = m.conj()
     explicit = np.linalg.solve(m.T, np.eye(m.shape[0], dtype=complex))
     gap = op_norm(shortcut - explicit)
-    if gap > tol.residual_tol * max(1.0, op_norm(explicit)):
+    # A NaN gap (an SVD that overflowed) fails too.
+    if not gap <= tol.residual_tol * max(1.0, op_norm(explicit)):
         raise NotUnitary(f"transpose-inverse shortcut disagrees with direct solve (gap {gap:.3e})")
     return shortcut
 

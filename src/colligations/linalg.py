@@ -8,6 +8,7 @@ only through explicit seeds or generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,8 +241,11 @@ def unitarity_defect(u) -> float:
         return float("inf")
     if dim == 0:
         return 0.0
-    gram = a.conj().T @ a
-    return float(np.linalg.norm(gram - np.eye(dim)) / np.sqrt(dim))
+    # Entries past about 1e154 overflow the Gram matrix; its defect is then
+    # inf or NaN, and either reads as inf, so every tolerance rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.linalg.norm(a.conj().T @ a - np.eye(dim)) / np.sqrt(dim))
+    return defect if math.isfinite(defect) else float("inf")
 
 
 def require_unitary(u, tol: Tolerances, what: str = "matrix") -> np.ndarray:

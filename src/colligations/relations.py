@@ -55,7 +55,9 @@ class LinearRelation:
         if b.shape[1]:
             gram = b.conj().T @ b
             defect = np.linalg.norm(gram - np.eye(b.shape[1]))
-            if defect > tol.unitarity_tol * max(1.0, np.sqrt(b.shape[1])):
+            # Written as ``not <=`` so that a NaN defect fails too, as in the
+            # other tolerance checks of this module.
+            if not defect <= tol.unitarity_tol * max(1.0, np.sqrt(b.shape[1])):
                 raise BadSplit(f"basis columns are not orthonormal (defect {defect:.3e})")
         b.flags.writeable = False
         self.dim_v = int(dim_v)
@@ -174,7 +176,7 @@ class ConstraintSubspace:
             raise BadSplit(f"basis must be 2n x n, got {b.shape}")
         n = b.shape[1]
         gram = b.conj().T @ b
-        if np.linalg.norm(gram - np.eye(n)) > tol.unitarity_tol * max(1.0, np.sqrt(n)):
+        if not np.linalg.norm(gram - np.eye(n)) <= tol.unitarity_tol * max(1.0, np.sqrt(n)):
             raise BadSplit("basis columns are not orthonormal")
         # Rows annihilating the basis under the plain (bilinear) pairing.
         rows = kernel(b.T, tol.rank_tol).T
@@ -265,7 +267,7 @@ def form_on_subspace(form, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
     j = np.asarray(form, dtype=complex)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise BadSplit(f"form matrix must be square, got {j.shape}")
-    if np.linalg.norm(j - j.conj().T) > tol.rank_tol * max(1.0, np.linalg.norm(j)):
+    if not np.linalg.norm(j - j.conj().T) <= tol.rank_tol * max(1.0, np.linalg.norm(j)):
         raise BadSplit("form matrix must be Hermitian")
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != j.shape[0]:

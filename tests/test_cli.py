@@ -528,6 +528,52 @@ class TestUnparsableJson:
         assert f"error: {flag}: invalid JSON" in err
 
 
+# Each case: the kind of document it starts from, and the message it must give.
+_MALFORMED = {
+    "infinite-entry": ("colligation", "colligation payload: entries must be finite"),
+    "missing-key": ("colligation", "colligation payload: missing key 'inner'"),
+    "payload-not-an-object": ("colligation", "payload must be an object"),
+    "no-members": ("multi", "multi payload: 'members' must be a non-empty list"),
+    "tri-split": ("tri", "tri payload: matrix shape (5, 5) does not match the split"),
+    "not-an-object": ("colligation", "document must be a JSON object"),
+}
+
+
+def _malformed(doc: dict, case: str):
+    """``doc`` made malformed as ``case`` says."""
+    payload = doc["payload"]
+    if case == "infinite-entry":
+        payload["matrix"][0][0] = [float("inf"), 0.0]
+    elif case == "missing-key":
+        del payload["inner"]
+    elif case == "payload-not-an-object":
+        doc["payload"] = [payload]
+    elif case == "no-members":
+        payload["members"] = []
+    elif case == "tri-split":
+        payload["matrix"] = [row[:-1] for row in payload["matrix"][:-1]]
+    elif case == "not-an-object":
+        return [doc]
+    return doc
+
+
+class TestMalformedDocument:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_is_one_parse_error_line(self, capsys, tmp_path, case):
+        kind, message = _MALFORMED[case]
+        path = tmp_path / f"{kind}.json"
+        assert run(capsys, "random", kind, "--seed", 1, "--out", path)[0] == 0
+        # json.dumps writes an infinite float as the JavaScript literal Infinity.
+        path.write_text(json.dumps(_malformed(json.loads(path.read_text()), case)))
+        code, out, err = run(capsys, "validate", path)
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("point", ["Infinity", "[0.5, -Infinity]", "NaN"])
+    def test_non_finite_point_is_one_parse_error_line(self, capsys, swap_doc, point):
+        code, out, err = run(capsys, "eval", swap_doc, "--point", point)
+        assert (code, out, err) == (1, "", "error: --point: entries must be finite\n")
+
+
 _DIAGONAL_POINT = json.dumps([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
 
 
@@ -635,6 +681,19 @@ class TestBadNumbers:
         code, _, err = run(capsys, "validate", bad)
         assert code == 1
         assert one_error_line(err)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "eval", "product"])
+    def test_finite_entry_whose_gram_matrix_overflows_is_not_unitary(self, capsys, tmp_path, command):
+        path = tmp_path / "c.json"
+        assert run(capsys, "random", "colligation", "--seed", 1, "--alpha", 1, "--inner", 1, "--out", path)[0] == 0
+        doc = json.loads(path.read_text())
+        doc["payload"]["matrix"][0][0] = [-1e308, 0.0]
+        path.write_text(json.dumps(doc))
+        argv = {"validate": [path], "eval": [path, "--point", "0.5"], "product": [path, path]}[command]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: NotUnitary: colligation matrix is not unitary (defect inf > 1.0e-10)\n"
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_threads(self, capsys, swap_doc, value):
@@ -1055,3 +1114,45 @@ def test_command_line_main_freezes_the_heap(swap_doc):
         "print(code, before, gc.get_freeze_count() > 0)\n"
     )
     assert _in_fresh_process(code, "validate", swap_doc) == "0 0 True\n"
+
+
+def _drawing_runs(doc: str) -> list[list[str]]:
+    """Commands that load numpy.random, in order: the first writes ``doc``."""
+    return [
+        ["random", "multi", "--out", doc],
+        ["eval", doc, "--grid", '{"type":"ball","count":3,"seed":1,"radius":0.9}'],
+        ["verify", "multi-oracle", "--trials", "1"],
+    ]
+
+
+_HASHLIB_AFTER_MAIN = """\
+import sys
+from colligations.cli import main
+code = main()
+print(code, sys.modules.get("_hashlib"))
+"""
+
+
+def test_command_line_main_loads_no_openssl(tmp_path):
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    for argv in _drawing_runs(str(tmp_path / "multi.json")):
+        result = subprocess.run(
+            [sys.executable, "-c", _HASHLIB_AFTER_MAIN, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        assert result.stdout.splitlines()[-1] == "0 None", argv
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "absent"])
+def test_in_process_main_leaves_hashlib_as_it_found_it(capsys, monkeypatch, tmp_path, loaded):
+    if not loaded:
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    found = sys.modules.get("_hashlib", "absent")
+    for argv in _drawing_runs(str(tmp_path / "multi.json")):
+        assert main(argv) == 0, argv
+        assert sys.modules.get("_hashlib", "absent") is found, argv
+    capsys.readouterr()

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from colligations import colligation
 from colligations.colligation import (
     Colligation,
     charfun_z,
@@ -17,6 +18,7 @@ from colligations.colligation import (
 from colligations.errors import AlphaMismatch, BadSplit, NearPole, NotUnitary
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
+    CharValue,
     Tolerances,
     block_diag,
     haar_unitary,
@@ -218,6 +220,18 @@ class TestEquivalentProbe:
     def test_exposed_dimensions_must_agree(self):
         with pytest.raises(AlphaMismatch):
             equivalent_probe(random_colligation(1, 2, seed=0), random_colligation(2, 2, seed=0))
+
+    def test_distance_that_reads_nan_differs(self, monkeypatch):
+        # A finite value whose SVD overflows has a NaN norm.
+        huge = CharValue(np.array([[1.7e308 + 1.7e308j]]), 1.0)
+        charvalues = colligation._charvalues
+
+        def second_value_huge(cols, zs, tol):
+            return ((vx, huge) for vx, _ in charvalues(cols, zs, tol))
+
+        monkeypatch.setattr(colligation, "_charvalues", second_value_huge)
+        col = swap_colligation()
+        assert not equivalent_probe(col, col)
 
     @staticmethod
     def _outcome(probe, x, y, seed, tol):

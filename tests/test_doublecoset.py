@@ -73,6 +73,11 @@ class TestTransposeInverse:
         with pytest.raises(NotUnitary):
             transpose_inverse(g)
 
+    def test_gap_whose_norm_overflows_is_rejected(self):
+        # The gap is finite, but its SVD overflows to a NaN norm.
+        with pytest.raises(NotUnitary, match="disagrees"):
+            transpose_inverse(np.array([[1.7e308 - 1.7e308j]]))
+
 
 class TestEquivalence:
     def test_identity_action(self):

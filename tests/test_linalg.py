@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colligations.errors import NearSingular, OnEigensurface
+from colligations.errors import NearSingular, NotUnitary, OnEigensurface
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -15,6 +15,7 @@ from colligations.linalg import (
     op_norm,
     orthonormal_columns,
     rel_defect,
+    require_unitary,
     sigma_extremes,
     solve,
     solve_coupled,
@@ -189,3 +190,14 @@ class TestTolerances:
             Tolerances(unitarity_tol=2.0)
         with pytest.raises(ValueError):
             Tolerances(residual_tol=0.0)
+
+
+class TestUnitarityDefect:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [-1e308, 1.4e154, 1e200j], ids=["-1e308", "1.4e154", "1e200j"])
+    def test_an_overflowing_gram_matrix_reads_as_inf(self, entry):
+        u = np.eye(2, dtype=complex)
+        u[0, 0] = entry
+        assert unitarity_defect(u) == np.inf
+        with pytest.raises(NotUnitary, match=r"defect inf > "):
+            require_unitary(u, DEFAULT_TOLERANCES)

@@ -254,3 +254,19 @@ class TestForms:
     def test_non_hermitian_form_rejected(self):
         with pytest.raises(BadSplit):
             form_on_subspace(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+
+class TestNanFailsEveryCheck:
+    """A NaN compares false with every tolerance, so each check must fail on it."""
+
+    def test_relation_basis_with_a_nan_is_not_orthonormal(self):
+        with pytest.raises(BadSplit, match="not orthonormal"):
+            LinearRelation(1, 1, [[np.nan], [0.0]])
+
+    def test_constraint_basis_with_a_nan_is_not_orthonormal(self):
+        with pytest.raises(BadSplit, match="not orthonormal"):
+            ConstraintSubspace.from_basis([[np.nan], [0.0]])
+
+    def test_form_with_a_nan_is_not_hermitian(self):
+        with pytest.raises(BadSplit, match="must be Hermitian"):
+            form_on_subspace(np.diag([np.nan, 1.0]), np.eye(2)[:, :1])

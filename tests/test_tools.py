@@ -177,9 +177,12 @@ def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(startup
     lines = result.stdout.splitlines()
     assert len(lines) == 4 + len(runs)
     for run, line in zip(runs, lines[4:]):
-        match = re.fullmatch(r"median peak RSS A ([0-9.]+) MiB, B ([0-9.]+) MiB: (.*)", line)
-        assert match and match.group(3) == " ".join(run), line
-        assert all(1.0 < float(match.group(i)) < 1000.0 for i in (1, 2))
+        match = re.fullmatch(
+            r"median wall A ([0-9.]+) s, B ([0-9.]+) s; median peak RSS A ([0-9.]+) MiB, B ([0-9.]+) MiB: (.*)", line
+        )
+        assert match and match.group(5) == " ".join(run), line
+        assert all(0.0 < float(match.group(i)) < 100.0 for i in (1, 2))
+        assert all(1.0 < float(match.group(i)) < 1000.0 for i in (3, 4))
 
 
 def test_compare_startup_refuses_fewer_than_ten_pairs(tmp_path):

@@ -28,7 +28,8 @@ For each tree the median and quartiles of its samples are printed, with the
 number of pairs in which its sample was the lower (ties count for neither),
 and the median over its samples of the peak RSS of a sample, the largest
 VmHWM of any of its processes.  Then one line per listed command line gives
-the median VmHWM of its process in each tree.
+the median wall time and the median VmHWM of its process in each tree, so
+that it shows which process moved.
 
 The rest of the environment is passed on, so a bytecode cache is written
 and read, or not, as it says (``PYTHONDONTWRITEBYTECODE``,
@@ -82,11 +83,11 @@ def _process(env: dict, argv: list[str]) -> tuple[float, float]:
     return wall, int(hwm.read_text()) / 1024.0
 
 
-def _sample(env: dict, runs: list[list[str]]) -> tuple[float, tuple[float, ...]]:
-    """One sample's wall time, the total of one process per run, and the peak
-    RSS of each of its processes."""
+def _sample(env: dict, runs: list[list[str]]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The wall time and the peak RSS of each process of one sample, one
+    process per run."""
     walls, rss = zip(*(_process(env, argv) for argv in runs))
-    return sum(walls), rss
+    return walls, rss
 
 
 def _cached_modules(src: str) -> str:
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    walls = [[wall for wall, _ in side] for side in samples]
+    walls = [[sum(times) for times, _ in side] for side in samples]
     rss = [[max(peaks) for _, peaks in side] for side in samples]
     wins = [sum(mine < theirs for mine, theirs in zip(walls[side], walls[1 - side])) for side in (0, 1)]
     for label, src, side_walls, side_rss, won in zip("AB", (args.src_a, args.src_b), walls, rss, wins):
@@ -154,8 +155,14 @@ def main(argv=None) -> int:
             f" lower in {won} of {args.pairs} pairs, median peak RSS {statistics.median(side_rss):.1f} MiB"
         )
     for index, run in enumerate(runs):
-        a, b = (statistics.median(peaks[index] for _, peaks in side) for side in samples)
-        print(f"median peak RSS A {a:.1f} MiB, B {b:.1f} MiB: {' '.join(run)}")
+        (wall_a, rss_a), (wall_b, rss_b) = (
+            (statistics.median(w[index] for w, _ in side), statistics.median(r[index] for _, r in side))
+            for side in samples
+        )
+        print(
+            f"median wall A {wall_a:.4f} s, B {wall_b:.4f} s;"
+            f" median peak RSS A {rss_a:.1f} MiB, B {rss_b:.1f} MiB: {' '.join(run)}"
+        )
     return 0
 
 
