@@ -1,11 +1,11 @@
 """Seeded property-check suites behind the ``verify`` subcommand.
 
-Each suite draws random instances from a seeded generator, measures a defect
-for one structural law, and compares it against an explicit budget.  A report
-lists the trials that exceeded their budget together with the seed that
-reproduces them.  A law that holds for every matrix-argument kind (multi,
-tri, doublecoset) is written once and registered per kind, realizing each
-drawn family once.  Two kinds of suite deviate from the plain pattern:
+Each suite draws random instances from a seeded generator and measures a
+defect for one structural law; the runner compares it with the budget the
+suite is registered with.  A report lists the trials over budget with the
+seeds that reproduce them.  A law that holds for every matrix-argument kind
+(multi, tri, doublecoset) is written once and registered per kind, realizing
+each drawn family once.  Two kinds of suite deviate from the plain pattern:
 
 * negative controls expect the measured identity to *fail* somewhere and
   report a problem only when it held everywhere;
@@ -50,8 +50,8 @@ __all__ = [
     "run_suite",
 ]
 
-# Absolute thresholds shared with the acceptance tests.  These are pinned --
-# they do not move with the tolerances.
+# Pinned budgets and thresholds of the suites that register them; they do
+# not move with the tolerances.
 EXPANSION_SLACK = 1e-8  # singular values may dip this far below 1
 RATIONAL_FIT_TOL = 1e-6  # held-out error of a degree-true rational fit
 CONTAINMENT_TOL = 1e-7  # residual of a subspace containment
@@ -79,12 +79,7 @@ class Dims:
 @dataclass(frozen=True)
 class TrialResult:
     defect: float
-    budget: float
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.defect <= self.budget
 
 
 @dataclass(frozen=True)
@@ -92,9 +87,12 @@ class Suite:
     name: str
     describe: str
     run_trial: Callable[[np.random.Generator, Dims, Tolerances], TrialResult]
-    # Controls and experiments judge the trial list as a whole; the callable
-    # returns the failure records (empty meaning the suite passed).
-    aggregate: Callable[[list[TrialResult], int], list[dict]] | None = None
+    # The largest defect a trial may have; None is ten times the residual
+    # tolerance (the defects are normalized by the operand norms).
+    budget: float | None = None
+    # Controls and experiments judge the trial list (with the seed and the
+    # budget) as a whole, returning the failure records (none: a pass).
+    aggregate: Callable[[list[TrialResult], int, float], list[dict]] | None = None
 
 
 @dataclass
@@ -115,9 +113,9 @@ class SuiteReport:
 _SUITES: dict[str, Suite] = {}
 
 
-def _suite(name: str, describe: str, aggregate=None):
+def _suite(name: str, describe: str, budget: float | None = None, aggregate=None):
     def register(fn):
-        _SUITES[name] = Suite(name, describe, fn, aggregate)
+        _SUITES[name] = Suite(name, describe, fn, budget, aggregate)
         return fn
 
     return register
@@ -162,22 +160,24 @@ def run_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     bounds = dims if dims is not None else Dims()
+    budget = suite.budget if suite.budget is not None else 10.0 * tol.residual_tol
 
     results = [suite.run_trial(np.random.default_rng(seed + t), bounds, tol) for t in range(trials)]
 
     if suite.aggregate is not None:
-        failures = suite.aggregate(results, seed)
+        failures = suite.aggregate(results, seed, budget)
     else:
+        # Written as ``not <=`` so that a NaN defect fails too.
         failures = [
             {
                 "trial": t,
                 "seed": seed + t,
                 "defect": r.defect,
-                "budget": r.budget,
+                "budget": budget,
                 "detail": r.detail,
             }
             for t, r in enumerate(results)
-            if not r.passed
+            if not r.defect <= budget
         ]
     max_defect = max((r.defect for r in results), default=0.0)
     return SuiteReport(suite=name, trials=trials, failures=failures, max_defect=max_defect)
@@ -207,12 +207,6 @@ def _retrying(draw, *redraw_on):
 
 def _draw(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
-
-
-def _budget(tol: Tolerances) -> float:
-    # Defects below are already normalized by the operand norms, so the
-    # budget is a plain multiple of the residual tolerance.
-    return 10.0 * tol.residual_tol
 
 
 def _conditioned(matrix: np.ndarray, ratio: float) -> float:

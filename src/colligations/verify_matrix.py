@@ -11,7 +11,7 @@ from .documents import KIND_TABLE, _module
 from . import realization
 from .verify import (
     CONTROL_THRESHOLD, EXPANSION_SLACK, RATIONAL_FIT_TOL, _FLOOR, _KINDS, TrialResult, _Kind, _Retry, _ball,
-    _budget, _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
+    _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
     _symmetric_ball, _unit_sphere, _value, _well_conditioned,
 )
 
@@ -60,24 +60,24 @@ def _rational_line_defect(rng, evaluate, degree):
     return worst if used >= 5 else None
 
 
-def _control(results: list[TrialResult], seed: int) -> list[dict]:
-    """Aggregate of the negative control: its law must break somewhere."""
+def _control(results: list[TrialResult], seed: int, threshold: float) -> list[dict]:
+    """Aggregate of the negative control: its law must break by ``threshold`` somewhere."""
     worst = max((r.defect for r in results), default=0.0)
-    if worst >= CONTROL_THRESHOLD:
+    if worst >= threshold:
         return []
     return [
         {
             "trial": -1,
             "seed": seed,
             "defect": worst,
-            "budget": CONTROL_THRESHOLD,
+            "budget": threshold,
             "detail": "the diagonal dilation law held on every coupled-slot instance; "
             "the slot coupling appears to be inert",
         }
     ]
 
 
-def _observational(results: list[TrialResult], seed: int) -> list[dict]:
+def _observational(results: list[TrialResult], seed: int, budget: float) -> list[dict]:
     return []
 
 
@@ -85,7 +85,7 @@ def _observational(results: list[TrialResult], seed: int) -> list[dict]:
 def _oracle(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, _, arity = kind.family(rng, dims, tol)
     args, (chi,) = kind.args(rng, arity, [real], tol)
-    return TrialResult(rel_defect(_value(chi), kind.oracle(fam, args, tol)), _budget(tol))
+    return TrialResult(rel_defect(_value(chi), kind.oracle(fam, args, tol)))
 
 
 def _multiplicative(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -95,14 +95,14 @@ def _multiplicative(kind: _Kind, rng, dims, tol) -> TrialResult:
     reals = [kind.spec.realize(fam, tol) for fam in (kind.spec.product(x, y, tol), x, y)]
     _, outcomes = kind.args(rng, arity, reals, tol)
     vp, vx, vy = (_value(outcome) for outcome in outcomes)
-    return TrialResult(rel_defect(vp, vx @ vy), _budget(tol))
+    return TrialResult(rel_defect(vp, vx @ vy))
 
 
 def _invariant(kind: _Kind, rng, dims, tol) -> TrialResult:
     fam, real, inner, arity = kind.family(rng, dims, tol)
     reals = [real, kind.spec.realize(kind.equivalent(fam, inner, rng, tol), tol)]
     _, outcomes = kind.args(rng, arity, reals, tol)
-    return TrialResult(rel_defect(*(_value(outcome) for outcome in outcomes)), _budget(tol))
+    return TrialResult(rel_defect(*(_value(outcome) for outcome in outcomes)))
 
 
 def _at_value(sample, judge):
@@ -119,11 +119,11 @@ def _at_value(sample, judge):
 
 def _expanding(fam, chi, rng, tol) -> TrialResult:
     smin, _ = sigma_extremes(chi)
-    return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK)
+    return TrialResult(max(0.0, 1.0 - smin))
 
 
 def _unitary(fam, chi, rng, tol) -> TrialResult:
-    return TrialResult(unitarity_defect(chi), _budget(tol))
+    return TrialResult(unitarity_defect(chi))
 
 
 def _form_increase(fam, chi, rng, tol) -> TrialResult:
@@ -137,20 +137,20 @@ def _form_increase(fam, chi, rng, tol) -> TrialResult:
         q = chi @ p
         increases.append(float(np.real(q.conj() @ form @ q)) - float(np.real(p.conj() @ form @ p)))
     smallest = min(increases)
-    return TrialResult(max(0.0, -smallest), 1e-10, f"smallest increase {smallest:.3e}")
+    return TrialResult(max(0.0, -smallest), f"smallest increase {smallest:.3e}")
 
 
 def _pseudo_unitary(fam, chi, rng, tol) -> TrialResult:
     na = fam.arity * fam.alpha
     form = signature_form(na, na)
     defect = op_norm(chi.conj().T @ form @ chi - form) / max(1.0, op_norm(chi) ** 2)
-    return TrialResult(defect, _budget(tol))
+    return TrialResult(defect)
 
 
 def _symplectic(fam, chi, rng, tol) -> TrialResult:
     skew = _module("doublecoset").skew_form(fam.arity, fam.alpha)
     defect = op_norm(chi.T @ skew @ chi - skew) / max(1.0, op_norm(chi) ** 2)
-    return TrialResult(defect, _budget(tol))
+    return TrialResult(defect)
 
 
 def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -162,7 +162,7 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
         return kind.dilation(fam, args, _value(chi), lam, tol)
 
     left, right = _retrying(draw, OnEigensurface)
-    return TrialResult(rel_defect(left, right), _budget(tol))
+    return TrialResult(rel_defect(left, right))
 
 
 def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -191,52 +191,53 @@ def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
             return fit
 
         worst = max(worst, _retrying(attempt))
-    return TrialResult(worst, RATIONAL_FIT_TOL)
+    return TrialResult(worst)
 
 
-for _name, _describe, _law, _kind in [
+# A row: name, description, law, kind and budget (None as in ``Suite.budget``).
+for _name, _describe, _law, _kind, _limit in [
     ("multi-oracle", "the several-variable value matches the interleaved full-system solve",
-     _oracle, "multi"),
+     _oracle, "multi", None),
     ("conjugacy-oracle", "the coupled-slot value matches the interleaved full-system solve",
-     _oracle, "tri"),
+     _oracle, "tri", None),
     ("doublecoset-oracle", "the two-argument value matches the coupled full-system solve",
-     _oracle, "doublecoset"),
+     _oracle, "doublecoset", None),
     ("multi-multiplicative", "slotwise products multiply the several-variable values",
-     _multiplicative, "multi"),
+     _multiplicative, "multi", None),
     ("conjugacy-multiplicative", "coupled-slot products multiply the transfer values",
-     _multiplicative, "tri"),
+     _multiplicative, "tri", None),
     ("doublecoset-multiplicative", "paired products multiply the two-argument values",
-     _multiplicative, "doublecoset"),
+     _multiplicative, "doublecoset", None),
     ("multi-conjugation-invariant", "shared inner conjugation leaves the several-variable value unchanged",
-     _invariant, "multi"),
+     _invariant, "multi", None),
     ("conjugacy-conjugation-invariant", "one shared slot conjugation leaves the value unchanged",
-     _invariant, "tri"),
+     _invariant, "tri", None),
     ("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged",
-     _invariant, "doublecoset"),
+     _invariant, "doublecoset", None),
     ("multi-expanding", "values on the closed argument ball expand in every direction",
-     _at_value(_ball(0.95), _expanding), "multi"),
+     _at_value(_ball(0.95), _expanding), "multi", EXPANSION_SLACK),
     ("conjugacy-expanding", "coupled-slot values on the closed argument ball expand",
-     _at_value(_ball(0.95), _expanding), "tri"),
+     _at_value(_ball(0.95), _expanding), "tri", EXPANSION_SLACK),
     ("doublecoset-form-increase", "inside the bi-ball the split form never decreases",
-     _at_value(_ball(0.9), _form_increase), "doublecoset"),
+     _at_value(_ball(0.9), _form_increase), "doublecoset", 1e-10),
     ("multi-boundary-unitary", "unitary arguments give unitary several-variable values",
-     _at_value(_haar, _unitary), "multi"),
+     _at_value(_haar, _unitary), "multi", None),
     ("conjugacy-boundary-unitary", "unitary arguments give unitary coupled-slot values",
-     _at_value(_haar, _unitary), "tri"),
+     _at_value(_haar, _unitary), "tri", None),
     ("doublecoset-pseudo-unitary", "unitary arguments preserve the split form",
-     _at_value(_haar, _pseudo_unitary), "doublecoset"),
+     _at_value(_haar, _pseudo_unitary), "doublecoset", None),
     ("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form",
-     _at_value(_symmetric_ball, _symplectic), "doublecoset"),
+     _at_value(_symmetric_ball, _symplectic), "doublecoset", None),
     ("multi-dilation", "diagonal dilations conjugate the several-variable value",
-     _dilation, "multi"),
+     _dilation, "multi", None),
     ("doublecoset-dilation", "congruence dilations of the arguments conjugate the value",
-     _dilation, "doublecoset"),
+     _dilation, "doublecoset", None),
     ("multi-rational", "entries are rational of the sharp degree along a generic line",
-     _rational, "multi"),
+     _rational, "multi", RATIONAL_FIT_TOL),
     ("doublecoset-rational", "entries are rational of the sharp degree along each argument line",
-     _rational, "doublecoset"),
+     _rational, "doublecoset", RATIONAL_FIT_TOL),
 ]:
-    _suite(_name, _describe)(functools.partial(_law, _KINDS[_kind]))
+    _suite(_name, _describe, _limit)(functools.partial(_law, _KINDS[_kind]))
 
 
 # --- several-variable families ------------------------------------------------
@@ -256,7 +257,7 @@ def _multi_reflection(rng, dims, tol):
 
     value, reflected_value = _retrying(draw)
     target = np.linalg.inv(value.conj().T)
-    return TrialResult(rel_defect(reflected_value, target), _budget(tol))
+    return TrialResult(rel_defect(reflected_value, target))
 
 
 @_suite(
@@ -274,10 +275,10 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
     value = _value(value)
     smin, _ = sigma_extremes(value)
     detail = f"smin(value)-1={smin - 1.0:+.3e} unitarity={unitarity_defect(value):.3e}"
-    return TrialResult(max(0.0, 1.0 - smin), EXPANSION_SLACK, detail)
+    return TrialResult(max(0.0, 1.0 - smin), detail)
 
 
-@_suite("surface-consistency", "determinant and singular-value surface tests agree with evaluation")
+@_suite("surface-consistency", "determinant and singular-value surface tests agree with evaluation", budget=0.5)
 def _surface_consistency(rng, dims, tol):
     from . import multi
 
@@ -316,7 +317,7 @@ def _surface_consistency(rng, dims, tol):
         problems.append("planted point accepted by evaluation")
     except OnEigensurface:
         pass
-    return TrialResult(0.0 if not problems else 1.0, 0.5, "; ".join(problems))
+    return TrialResult(0.0 if not problems else 1.0, "; ".join(problems))
 
 
 @_suite("single-vs-multi", "a one-member family evaluates like the one-variable transfer at the inverse point")
@@ -335,7 +336,7 @@ def _single_vs_multi(rng, dims, tol):
         return value, single.value
 
     value, single = _retrying(draw, NearPole)
-    return TrialResult(rel_defect(_value(value), single), _budget(tol))
+    return TrialResult(rel_defect(_value(value), single))
 
 
 # --- coupled-slot families ----------------------------------------------------
@@ -344,6 +345,7 @@ def _single_vs_multi(rng, dims, tol):
 @_suite(
     "conjugacy-dilation-control",
     "negative control: coupled slots must break the diagonal dilation law",
+    budget=CONTROL_THRESHOLD,
     aggregate=_control,
 )
 def _conjugacy_dilation_control(rng, dims, tol):
@@ -365,7 +367,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
     left, right = _retrying(draw)
     # The value has a single exposed block, so the dilation candidate is plain
     # invariance; it holds exactly when the slots do not couple.
-    return TrialResult(rel_defect(_value(left), _value(right)), CONTROL_THRESHOLD)
+    return TrialResult(rel_defect(_value(left), _value(right)))
 
 
 # --- paired families ----------------------------------------------------------
@@ -387,7 +389,7 @@ def _doublecoset_transpose(rng, dims, tol):
     chi, transposed = _retrying(draw)
     skew = doublecoset.skew_form(fam.arity, fam.alpha)
     target = -skew @ np.linalg.inv(chi.T) @ skew
-    return TrialResult(rel_defect(transposed, target), _budget(tol))
+    return TrialResult(rel_defect(transposed, target))
 
 
 def _adjoint_readings(fam, s, r, chi, tol) -> tuple[float, float]:
@@ -426,4 +428,4 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
 
     plain, negated = _retrying(draw, OnEigensurface)
     detail = f"conjugate-transpose={plain:.3e} negated={negated:.3e}"
-    return TrialResult(plain, EXPANSION_SLACK, detail)
+    return TrialResult(plain, detail)

@@ -23,7 +23,7 @@ def _containment_residual(big, small) -> float:
     return op_norm(small.basis - inside)
 
 
-@_suite("relation-compose", "relation composition matches matrix composition on graphs")
+@_suite("relation-compose", "relation composition matches matrix composition on graphs", budget=GRAPH_TOL)
 def _relation_compose(rng, dims, tol):
     from . import relations
 
@@ -40,7 +40,7 @@ def _relation_compose(rng, dims, tol):
     rel = relations.LinearRelation(dv, dm, basis, tol)
     neutral = relations.compose_relations(rel, relations.identity_relation(dm, tol), tol)
     defect = max(defect, relations.subspace_distance(neutral, rel))
-    return TrialResult(defect, GRAPH_TOL)
+    return TrialResult(defect)
 
 
 def _containment(draw_constraint):
@@ -63,12 +63,13 @@ def _containment(draw_constraint):
             tol,
         )
         detail = f"dims big={big.dim} small={small.dim}"
-        return TrialResult(_containment_residual(big, small), CONTAINMENT_TOL, detail)
+        return TrialResult(_containment_residual(big, small), detail)
 
     return trial
 
 
-@_suite("relation-containment", "the composed factor relations sit inside the product relation")
+@_suite("relation-containment", "the composed factor relations sit inside the product relation",
+        budget=CONTAINMENT_TOL)
 @_containment
 def _relation_containment(rng, arity, families, tol):
     from . import relations
@@ -82,7 +83,7 @@ def _relation_containment(rng, arity, families, tol):
     return constraint
 
 
-@_suite("relation-containment-surface", "the containment persists on the eigensurface")
+@_suite("relation-containment-surface", "the containment persists on the eigensurface", budget=CONTAINMENT_TOL)
 @_containment
 def _relation_containment_surface(rng, arity, families, tol):
     from . import relations
@@ -104,7 +105,8 @@ def _relation_containment_surface(rng, arity, families, tol):
     return constraint
 
 
-@_suite("relation-definiteness", "a definite constraint subspace forces the opposite definiteness downstream")
+@_suite("relation-definiteness", "a definite constraint subspace forces the opposite definiteness downstream",
+        budget=0.5)
 def _relation_definiteness(rng, dims, tol):
     from . import multi, relations
 
@@ -132,10 +134,11 @@ def _relation_definiteness(rng, dims, tol):
     downstairs = relations.form_on_subspace(signature_form(na, na), relation.basis, tol)
     if downstairs != "negative-definite":
         problems.append(f"relation side classified {downstairs}")
-    return TrialResult(0.0 if not problems else 1.0, 0.5, "; ".join(problems))
+    return TrialResult(0.0 if not problems else 1.0, "; ".join(problems))
 
 
-@_suite("relation-charfun-consistency", "off the surface the relation is the graph of the evaluated function")
+@_suite("relation-charfun-consistency", "off the surface the relation is the graph of the evaluated function",
+        budget=GRAPH_TOL)
 def _relation_charfun_consistency(rng, dims, tol):
     from . import multi, relations
 
@@ -151,4 +154,4 @@ def _relation_charfun_consistency(rng, dims, tol):
         relations.ConstraintSubspace.graph_of(s, tol).basis(), tol
     )
     defect = max(defect, relations.subspace_distance(relation, relations.char_relation(mc, rebuilt, tol)))
-    return TrialResult(defect, GRAPH_TOL)
+    return TrialResult(defect)

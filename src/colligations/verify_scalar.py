@@ -12,7 +12,7 @@ from .colligation import (
 )
 from . import linalg
 from .verify import (
-    EXPANSION_SLACK, GROWTH_FACTOR, _FLOOR, TrialResult, _budget, _conditioned, _draw, _evaluate, _retrying,
+    EXPANSION_SLACK, GROWTH_FACTOR, _FLOOR, TrialResult, _conditioned, _draw, _evaluate, _retrying,
     _Retry, _suite, _value,
 )
 
@@ -82,7 +82,7 @@ def _product_welldefined(rng, dims, tol):
     defect = rel_defect(direct.matrix, expected.matrix)
     if not equivalent_probe(direct, expected, tol=tol):
         defect = max(defect, 1.0)
-    return TrialResult(defect, _budget(tol))
+    return TrialResult(defect)
 
 
 @_suite("product-associative", "the triple product agrees bracketed either way")
@@ -91,7 +91,7 @@ def _product_associative(rng, dims, tol):
     cols = [random_colligation(alpha, _draw(rng, 1, dims.max_inner), rng) for _ in range(3)]
     left = product(product(cols[0], cols[1], tol), cols[2], tol)
     right = product(cols[0], product(cols[1], cols[2], tol), tol)
-    return TrialResult(rel_defect(left.matrix, right.matrix), _budget(tol))
+    return TrialResult(rel_defect(left.matrix, right.matrix))
 
 
 @_suite("charfun-multiplicative", "the transfer function of a product is the product of transfer functions")
@@ -102,15 +102,15 @@ def _charfun_multiplicative(rng, dims, tol):
     prod = product(x, y, tol)
     zs = [linalg.sample_disc(rng, 0.95) for _ in range(3)]  # no poles inside the open disc
     values = _charvalues([x, y, prod], zs, tol)
-    return TrialResult(max(rel_defect(vp.value, vx.value @ vy.value) for vx, vy, vp in values), _budget(tol))
+    return TrialResult(max(rel_defect(vp.value, vx.value @ vy.value) for vx, vy, vp in values))
 
 
-@_suite("charfun-contractive", "transfer values inside the open disc are contractions")
+@_suite("charfun-contractive", "transfer values inside the open disc are contractions", budget=EXPANSION_SLACK)
 def _charfun_contractive(rng, dims, tol):
     col = random_colligation(_draw(rng, 1, dims.max_alpha), _draw(rng, 1, dims.max_inner), rng)
     zs = [linalg.sample_disc(rng, 0.999) for _ in range(4)]
     worst = max(op_norm(value.value) - 1.0 for (value,) in _charvalues([col], zs, tol))
-    return TrialResult(max(worst, 0.0), EXPANSION_SLACK)
+    return TrialResult(max(worst, 0.0))
 
 
 @_suite("charfun-boundary-unitary", "transfer values on the unit circle are unitary")
@@ -122,7 +122,7 @@ def _charfun_boundary_unitary(rng, dims, tol):
         z = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         return _value(_evaluate(reals, [z], tol)[0])
 
-    return TrialResult(unitarity_defect(_retrying(draw)), _budget(tol))
+    return TrialResult(unitarity_defect(_retrying(draw)))
 
 
 @_suite("charfun-reflection", "reflecting the point across the circle inverts the adjoint value")
@@ -143,7 +143,7 @@ def _charfun_reflection(rng, dims, tol):
 
     inner, outer = _retrying(draw)
     target = np.linalg.inv(inner.conj().T)
-    return TrialResult(rel_defect(outer, target), _budget(tol))
+    return TrialResult(rel_defect(outer, target))
 
 
 @_suite("charfun-conjugation-invariant", "inner conjugation leaves the transfer function unchanged")
@@ -153,10 +153,10 @@ def _charfun_conjugation_invariant(rng, dims, tol):
     other = conjugate_inner(col, haar_unitary(inner, rng), tol)
     zs = [linalg.sample_disc(rng, 0.95) for _ in range(3)]
     worst = max(rel_defect(u.value, v.value) for u, v in _charvalues([col, other], zs, tol))
-    return TrialResult(worst, _budget(tol))
+    return TrialResult(worst)
 
 
-@_suite("spectrum-union", "unit spectra of factors merge into the product's unit spectrum")
+@_suite("spectrum-union", "unit spectra of factors merge into the product's unit spectrum", budget=0.5)
 def _spectrum_union(rng, dims, tol):
     alpha = _draw(rng, 1, dims.max_alpha)
     # Plant exact grid phases; sometimes include the excluded fixed phase 1.
@@ -173,7 +173,7 @@ def _spectrum_union(rng, dims, tol):
     got = unit_spectrum(product(x, y, tol), tol)
     expected = _expected_phase_spectrum(ks_x, ks_y)
     ok = spectra_match(got, expected, 4.0 * tol.rank_tol)
-    return TrialResult(0.0 if ok else 1.0, 0.5, "" if ok else f"got {got}, expected {expected}")
+    return TrialResult(0.0 if ok else 1.0, "" if ok else f"got {got}, expected {expected}")
 
 
 @_suite("pole-witness", "a planted inner eigenvalue forces the closed-form blow-up toward its pole")
@@ -187,10 +187,10 @@ def _pole_witness(rng, dims, tol):
     ratio = measured[3] / measured[0]
     if ratio < GROWTH_FACTOR:
         defect = max(defect, 1.0)
-    return TrialResult(defect, _budget(tol), f"growth {ratio:.2f}x over three halvings")
+    return TrialResult(defect, f"growth {ratio:.2f}x over three halvings")
 
 
-@_suite("pole-growth", "the blow-up survives multiplication by a random factor")
+@_suite("pole-growth", "the blow-up survives multiplication by a random factor", budget=1e-9)
 def _pole_growth(rng, dims, tol):
     alpha = _draw(rng, 1, dims.max_alpha)
     inner = _draw(rng, 1, dims.max_inner)
@@ -205,7 +205,7 @@ def _pole_growth(rng, dims, tol):
     measured = _retrying(draw, NearPole)
     ratio = measured[3] / measured[0]
     defect = max(0.0, (GROWTH_FACTOR - ratio) / GROWTH_FACTOR)
-    return TrialResult(defect, 1e-9, f"growth {ratio:.2f}x over three halvings")
+    return TrialResult(defect, f"growth {ratio:.2f}x over three halvings")
 
 
 @_suite("padding-invariance", "padding the inner space changes neither transfer nor unit spectrum")
@@ -220,4 +220,4 @@ def _padding_invariance(rng, dims, tol):
     ok = spectra_match(
         unit_spectrum(padded_planted, tol), unit_spectrum(planted, tol), 4.0 * tol.rank_tol
     )
-    return TrialResult(max(worst, 0.0 if ok else 1.0), _budget(tol))
+    return TrialResult(max(worst, 0.0 if ok else 1.0))

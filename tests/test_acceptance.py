@@ -1,9 +1,13 @@
 """Acceptance gate: one test per shipped criterion.
 
 Every criterion runs its verification suites at 200 seeded trials with the
-default tolerance profile, whose per-trial budget is the relative-defect
-bound of 1e-8 times the product of operand norms.  Criteria with explicit
-point counts add fixed-instance spot checks on top of the suites.  Each test
+default tolerance profile; a suite passes when no trial's defect exceeds the
+budget the suite is registered with (``Suite.budget``).  Most budgets are the
+relative-defect bound of 1e-8 (ten times the residual tolerance); the others
+are pinned, such as 1e-6 for the rational fits of criterion 9 and, in
+criterion 6, 1e-7 for containment and 1e-9 for graph composition.  Criteria
+with explicit point counts add fixed-instance spot checks on top of the
+suites, held to ``DEFECT_BUDGET``.  Each test
 registers its scoreboard line before asserting so a failure still prints the
 complete pass/fail table.
 """

@@ -80,6 +80,19 @@ class TestCompose:
             matching = first.dim + second.dim - np.linalg.matrix_rank(match, tol=1e-9)
             assert compose_relations(first, second).dim <= matching
 
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_relation_composes_to_empty(self, empty_first):
+        # A 0-dimensional factor on either side gives a 0-dimensional
+        # relation on the outer split.
+        rng = np.random.default_rng(4)
+        if empty_first:
+            first, second = LinearRelation(2, 3, np.zeros((5, 0))), random_relation(rng, 3, 4, 2)
+        else:
+            first, second = random_relation(rng, 2, 3, 2), LinearRelation(3, 4, np.zeros((7, 0)))
+        composed = compose_relations(first, second)
+        assert (composed.dim_v, composed.dim_w, composed.dim) == (2, 4, 0)
+        assert composed.basis.shape == (6, 0)
+
     def test_middle_dimensions_must_agree(self):
         with pytest.raises(BadSplit):
             compose_relations(identity_relation(2), identity_relation(3))
@@ -232,6 +245,12 @@ class TestForms:
     def test_null_vector_is_degenerate(self):
         basis = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         assert form_on_subspace(np.diag([1.0, -1.0]), basis) == "degenerate"
+
+    def test_split_form_on_the_whole_space_is_indefinite(self):
+        assert form_on_subspace(np.diag([1.0, -1.0]), np.eye(2)) == "indefinite"
+
+    def test_empty_basis_is_degenerate(self):
+        assert form_on_subspace(np.eye(3), np.zeros((3, 0))) == "degenerate"
 
     def test_signature_form_layout(self):
         npt.assert_array_equal(signature_form(2, 1), np.diag([1.0, 1.0, -1.0]))

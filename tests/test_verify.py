@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from colligations import doublecoset, linalg, multi, realization, verify, verify_matrix, verify_scalar
+from colligations import doublecoset, linalg, multi, realization, relations, verify, verify_matrix, verify_scalar
 from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
@@ -26,6 +26,27 @@ class TestRegistry:
         names = {s.name for s in list_suites()}
         for prefix in ("charfun-", "multi-", "relation-", "conjugacy-", "doublecoset-"):
             assert any(name.startswith(prefix) for name in names)
+
+    def test_each_suite_declares_its_budget(self):
+        # A pinned budget is a float; None is ten times the residual tolerance.
+        pinned = {s.name: s.budget for s in list_suites() if s.budget is not None}
+        assert pinned == {
+            "charfun-contractive": verify.EXPANSION_SLACK,
+            "multi-expanding": verify.EXPANSION_SLACK,
+            "conjugacy-expanding": verify.EXPANSION_SLACK,
+            "doublecoset-form-increase": 1e-10,
+            "pole-growth": 1e-9,
+            "multi-rational": verify.RATIONAL_FIT_TOL,
+            "doublecoset-rational": verify.RATIONAL_FIT_TOL,
+            "relation-compose": verify.GRAPH_TOL,
+            "relation-charfun-consistency": verify.GRAPH_TOL,
+            "relation-containment": verify.CONTAINMENT_TOL,
+            "relation-containment-surface": verify.CONTAINMENT_TOL,
+            "spectrum-union": 0.5,
+            "surface-consistency": 0.5,
+            "relation-definiteness": 0.5,
+            "conjugacy-dilation-control": verify.CONTROL_THRESHOLD,
+        }
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -140,6 +161,47 @@ class TestReports:
         assert not failing.passed
         assert [f["seed"] for f in failing.failures] == [5, 6, 7]
         assert all({"trial", "seed", "defect", "budget"} <= set(f) for f in failing.failures)
+        assert all(f["budget"] == 10.0 * 1e-300 for f in failing.failures)
+
+    def test_nan_defect_fails(self, monkeypatch):
+        name = "multi-oracle"
+        nan = verify.TrialResult(float("nan"))
+        monkeypatch.setitem(verify._SUITES, name, dataclasses.replace(verify._lookup(name), run_trial=lambda *_: nan))
+        report = run_suite(name, trials=2, seed=0)
+        assert [(f["trial"], f["budget"]) for f in report.failures] == [(0, 1e-8), (1, 1e-8)]
+
+    @pytest.mark.parametrize(
+        "evaluation_accepts, guard, detail",
+        [
+            # Evaluation accepts every point, and the guard flags none.
+            (
+                True,
+                1e-300,
+                "planted point not flagged by the singular-value test; "
+                "planted point not flagged by the determinant test; planted point accepted by evaluation",
+            ),
+            # Evaluation rejects every point, and the guard flags the generic ones too.
+            (False, 0.999, "generic point flagged by the determinant test; generic point rejected by evaluation"),
+        ],
+    )
+    def test_surface_consistency_reports_every_disagreement(self, monkeypatch, evaluation_accepts, guard, detail):
+        def charfun(mc, s, tol):
+            if not evaluation_accepts:
+                raise OnEigensurface(0.0, "rejected")
+
+        monkeypatch.setattr(multi, "multi_charfun", charfun)
+        report = run_suite("surface-consistency", trials=2, seed=0, tol=Tolerances(surface_guard=guard))
+        assert report.failures == [
+            {"trial": t, "seed": t, "defect": 1.0, "budget": 0.5, "detail": detail} for t in range(2)
+        ]
+
+    def test_relation_definiteness_reports_both_sides(self, monkeypatch):
+        monkeypatch.setattr(relations, "form_on_subspace", lambda form, basis, tol: "indefinite")
+        report = run_suite("relation-definiteness", trials=2, seed=0)
+        detail = "constraint side classified indefinite; relation side classified indefinite"
+        assert report.failures == [
+            {"trial": t, "seed": t, "defect": 1.0, "budget": 0.5, "detail": detail} for t in range(2)
+        ]
 
 
     def test_negative_control_that_never_fails_reports_one_failure(self, monkeypatch):
@@ -148,7 +210,7 @@ class TestReports:
         suite = verify._lookup(name)
 
         def held(rng, dims, tol):
-            return verify.TrialResult(float(rng.uniform(0.0, 1e-4)), 0.0)
+            return verify.TrialResult(float(rng.uniform(0.0, 1e-4)))
 
         monkeypatch.setitem(verify._SUITES, name, dataclasses.replace(suite, run_trial=held))
         report = run_suite(name, trials=5, seed=4)
