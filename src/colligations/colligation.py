@@ -11,6 +11,8 @@ unit-circle inner eigenvalues which is a product invariant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AlphaMismatch, BadSplit
@@ -234,8 +236,10 @@ def equivalent_probe(
     zs = [sample_disc(rng, 0.95) for _ in range(16)]
     for vx, vy in _charvalues([x, y], zs, tol):
         scale = max(1.0, op_norm(vx.value), op_norm(vy.value))
-        # A NaN distance counts as a difference.
-        if not op_norm(vx.value - vy.value) <= tol.residual_tol * scale:
+        distance = op_norm(vx.value - vy.value)
+        # A distance whose norm overflows counts as a difference, even
+        # against a value whose norm overflows too.
+        if distance == math.inf or not distance <= tol.residual_tol * scale:
             return False
     # Clustering radius is widened slightly so that clusters formed
     # independently for the two operands still pair up.

@@ -120,11 +120,21 @@ def op_norm(m) -> float:
 
 
 def sigma_extremes(m) -> tuple[float, float]:
-    """Smallest and largest singular value of ``m``."""
+    """Smallest and largest singular value of ``m`` (inf where one exceeds
+    the float range).
+
+    LAPACK's SVD gives NaN for finite entries only when the modulus of one
+    overflows; then, and only then, it runs again on ``m`` scaled by 2**-4,
+    which keeps every modulus in range and is exact but for subnormal
+    entries.
+    """
     a = _as_complex(m)
     if a.size == 0:
         return 0.0, 0.0
     s = np.linalg.svd(a, compute_uv=False)
+    if math.isnan(s[0]):
+        s = np.linalg.svd(a * 0.0625, compute_uv=False)
+        return float(s[-1]) / 0.0625, float(s[0]) / 0.0625
     return float(s[-1]), float(s[0])
 
 

@@ -32,17 +32,23 @@ from .realization import evaluate, surface_indicators
 
 __all__ = ["cmd_eval", "cmd_surface"]
 
-# Matrix entries of eliminated systems per kernel call: a chunk of grid
-# points holds about this many, whatever the system size, which bounds the
-# memory of one call (a 256 KiB stack of systems).  Values do not depend on
-# it.  The largest process of the benchmark's sweeps peaked 0.9 MiB lower
-# at 2**12 and 4.4 MiB higher at 2**16 (38.7 MiB here, VmHWM).
-_CHUNK_ENTRIES = 2**14
+# Entries per chunk at --threads 1.  A point of a chunk holds its eliminated
+# system (N**2 entries, N the system size), its value (the entries of A),
+# and its label and record line, counted as _POINT_FLOOR entries; a chunk
+# holds about this many of the largest of the three per point, which bounds
+# the memory of one kernel call and of its records whatever the document's
+# shape.  Values do not depend on it.  At 2**14 entries counted by the
+# system alone, a resolution-200 disc eval of a colligation with one inner
+# dimension peaked at 43.8 MiB for alpha 1 and 424.5 MiB for alpha 12, and
+# at 31.9 and 32.1 MiB under this rule; the largest process of the
+# benchmark's sweeps peaked 0.7 MiB lower, at 34.4 MiB (VmHWM, numpy 2.4).
+_CHUNK_ENTRIES = 2**12
+_POINT_FLOOR = 16
 # With more than one --threads worker, a chunk is the unit of work handed to
 # a worker and pays its hand-offs between threads, so it is this many times
-# larger: at 2**14 entries a disc eval at --threads 2 took 14% longer than
-# at 2**16.
-_THREADED_CHUNK_SCALE = 4
+# larger (2**16 entries): at 2**14 entries a disc eval at --threads 2 took
+# 14% longer than at 2**16.
+_THREADED_CHUNK_SCALE = 16
 
 
 # --- input parsing ------------------------------------------------------------
@@ -357,6 +363,14 @@ def _map_ordered(fn, items, threads: int):
             yield pending.popleft().result()
 
 
+def _chunk_points(real, threads: int) -> int:
+    """Points per chunk of a sweep of ``real`` with ``threads`` workers: the
+    chunk's entries over the entries one point holds (see _CHUNK_ENTRIES)."""
+    order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
+    entries = _CHUNK_ENTRIES if threads == 1 else _CHUNK_ENTRIES * _THREADED_CHUNK_SCALE
+    return max(1, entries // max(order**2, real.a.size, _POINT_FLOOR))
+
+
 def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
     """Check the sweep's arguments, in the order ``--variable``, the points,
     ``--fixed``, the realization; then run ``kernel(real, arguments)`` on the
@@ -367,9 +381,7 @@ def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
     points = _eval_points(args, doc)
     stack = _stacker(doc, variable, args.fixed)
     real = _realize(doc, tol)
-    order = real.c.shape[0]  # the systems are square with the rows of the right-hand side
-    entries = _CHUNK_ENTRIES if args.threads == 1 else _CHUNK_ENTRIES * _THREADED_CHUNK_SCALE
-    size = max(1, entries // order**2)
+    size = _chunk_points(real, args.threads)
 
     def work(chunk):
         labels, arguments = chunk

@@ -1,13 +1,16 @@
 import contextlib
+import copy
 import gc
 import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -845,12 +848,48 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
-def _key_paths(obj, prefix=()):
-    """The path of every key of every object nested in ``obj`` through objects."""
-    for key, value in obj.items():
+def _node_paths(obj, prefix=()):
+    """The path of every value nested in ``obj`` through objects and lists."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
         yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from _key_paths(value, prefix + (key,))
+        yield from _node_paths(value, prefix + (key,))
+
+
+# Values near the edges of the float range and of unitarity, and integers
+# past it, beside the values the other fuzz tests draw.
+_entries = st.sampled_from([1.7e308, -1e308, 5e-324, -0.0, 1e-13, math.nan, math.inf, 10**400, 2**53 + 1])
+_MUTATIONS = ["replace", "scale", "drop", "duplicate", "swap"]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` (parsed JSON) with one to three mutations, each at a value
+    drawn anywhere in it: replaced, a number scaled, an element or key
+    dropped, a list element duplicated, or two list elements swapped.  Rows
+    or members swapped, or a number scaled by one, leave a valid document."""
+    doc = copy.deepcopy(doc)
+    for mutation in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3)):
+        paths = list(_node_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        value = target[key]
+        if mutation == "replace":
+            target[key] = draw(_entries | _json_values)
+        elif mutation == "scale" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            target[key] = value * draw(st.sampled_from([1.0, 1 + 1e-12, -1.0, 0.0, 1e300]))
+        elif mutation == "drop":
+            del target[key]
+        elif mutation == "duplicate" and isinstance(target, list):
+            target.insert(key, value)
+        elif mutation == "swap" and isinstance(target, list):
+            other = draw(st.integers(0, len(target) - 1))
+            target[key], target[other] = target[other], value
+    return doc
 
 
 def _error_lines(err: str) -> list[str]:
@@ -899,27 +938,33 @@ class TestFuzzMain:
             else:
                 assert (other_code, _error_lines(other_err)) == (code, _error_lines(err))
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(
         kind=st.sampled_from(KINDS),
-        command=st.sampled_from(["validate", "product"]),
+        command=st.sampled_from(["validate", "product", "eval", "surface"]),
         data=st.data(),
-        value=_json_values,
     )
-    def test_document_with_one_key_replaced(self, fuzz_dir, kind, command, data, value):
-        doc = json.loads((fuzz_dir / f"{kind}.json").read_text())
-        *parents, key = data.draw(st.sampled_from(list(_key_paths(doc))))
-        target = doc
-        for parent in parents:
-            target = target[parent]
-        target[key] = value
-        fuzzed = fuzz_dir / "fuzzed.json"
+    def test_mutated_document(self, fuzz_dir, kind, command, data):
+        doc = data.draw(_mutated(json.loads((fuzz_dir / f"{kind}.json").read_text())))
+        fuzzed = fuzz_dir / "mutated.json"
         fuzzed.write_text(json.dumps(doc))
-        argv = ["validate", fuzzed] if command == "validate" else ["product", fuzzed, fuzz_dir / f"{kind}.json"]
-        code, _, err = _run_captured([str(a) for a in argv])
-        assert code in range(6)
-        if code not in (0, 4):
-            assert one_error_line(err), err
+        argv = [command, str(fuzzed)]
+        if command == "product":
+            argv.append(str(fuzz_dir / f"{kind}.json"))
+        elif command in ("eval", "surface"):
+            argv += ["--threads", "1", "--grid", '{"type":"ball","count":3,"seed":1,"radius":0.9}']
+            if kind == "doublecoset":
+                argv += ["--fixed", _DIAGONAL_POINT]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _run_captured(argv)
+        assert not caught, [str(warning.message) for warning in caught]
+        assert code in range(5)
+        if code in (0, 4):
+            assert err == ""
+        else:
+            (line,) = err.splitlines()
+            assert line.startswith("error: ")
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(command=st.sampled_from(list(_COMMAND_FLAGS)), data=st.data())

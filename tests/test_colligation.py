@@ -221,8 +221,9 @@ class TestEquivalentProbe:
         with pytest.raises(AlphaMismatch):
             equivalent_probe(random_colligation(1, 2, seed=0), random_colligation(2, 2, seed=0))
 
-    def test_distance_that_reads_nan_differs(self, monkeypatch):
-        # A finite value whose SVD overflows has a NaN norm.
+    def test_distance_that_overflows_differs(self, monkeypatch):
+        # A finite value whose modulus overflows has an infinite norm, and so
+        # has its distance from any value of finite norm.
         huge = CharValue(np.array([[1.7e308 + 1.7e308j]]), 1.0)
         charvalues = colligation._charvalues
 

@@ -150,6 +150,23 @@ class TestSubspaceHelpers:
         smin, smax = sigma_extremes(np.diag([3.0, 0.5]))
         assert (smin, smax) == (pytest.approx(0.5), pytest.approx(3.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "m, want",
+        [([[1.7e308 + 1.7e308j, 0], [0, 1]], (1.0, np.inf)), ([[1.7e308 + 1.7e308j]], (np.inf, np.inf))],
+        ids=["two-by-two", "one-by-one"],
+    )
+    def test_an_entry_whose_modulus_overflows_has_an_infinite_norm(self, m, want):
+        # Not NaN, and without a warning.
+        assert sigma_extremes(m) == want
+        assert op_norm(m) == want[1]
+
+    @pytest.mark.parametrize("m", [[[1e308 + 1e308j]], [[8e307 + 8e307j, 0], [0, 1]]], ids=["one-by-one", "two-by-two"])
+    def test_entries_near_overflow_keep_the_svds_bits(self, m):
+        s = np.linalg.svd(np.array(m, dtype=complex), compute_uv=False)
+        assert sigma_extremes(m) == (float(s[-1]), float(s[0]))
+        assert sigma_extremes(m)[1] == pytest.approx(abs(m[0][0]), rel=1e-15)
+
     @pytest.mark.parametrize(
         "s, nullity, rank",
         [(np.nextafter(1e-9, 1.0), 1, 2), (1e-9, 2, 1), (np.nextafter(1e-9, 0.0), 2, 1)],

@@ -118,7 +118,7 @@ def _chunk_peak(realize, kernel):
     """The tracemalloc peak of ``kernel`` on one chunk sized as a sweep sizes
     it, and the bytes of that chunk's stack of systems."""
     real = realize(random_multi(2, 4, 3, 1))
-    size = max(1, sweeps._CHUNK_ENTRIES // real.c.shape[0] ** 2)
+    size = sweeps._chunk_points(real, 1)
     rng = np.random.default_rng(0)
     args = [_stack(rng, size, 3, 0.9) for _ in range(2 if real.form == "SR" else 1)]
     stack_bytes = system(real, args).nbytes
@@ -151,9 +151,10 @@ def test_one_surface_chunk_needs_under_two_system_stacks(realize):
 @pytest.mark.parametrize("realize", [multi_realization, dc_realization], ids=["multi", "doublecoset"])
 def test_one_sweep_chunk_needs_under_one_mebibyte(realize):
     # The chunk size itself is pinned: a sweep's chunk of 12- or 24-row
-    # systems peaks at about 0.76 MiB in evaluate (3.1 MiB at 2**16 entries).
+    # systems peaks at about 0.19 MiB in evaluate (0.76 MiB at 2**14 entries,
+    # 3.1 MiB at 2**16).
     peak, _ = _chunk_peak(realize, evaluate)
-    assert peak <= 2**20, peak
+    assert peak <= 2**18, peak
 
 
 def _signed_zeros(rng, shape):

@@ -3,14 +3,16 @@ chunk at a time, the direct record formatter, and in-order streaming."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from colligations import cli, sweeps
 from colligations.colligation import Colligation
-from colligations.documents import SCHEMA_VERSION, Document, matrix_to_json, save_document
-from colligations.linalg import sample_ball, sample_balls
+from colligations.documents import SCHEMA_VERSION, Document, matrix_to_json, random_document, save_document
+from colligations.linalg import DEFAULT_TOLERANCES, sample_ball, sample_balls
+from colligations.realization import evaluate
 
 EDGE = [-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, 1.0, -2.5e-10, 0.0, 123456.789]
 
@@ -232,7 +234,7 @@ def test_records_are_written_chunk_by_chunk(capsys, monkeypatch, swap_doc):
 def test_threaded_sweeps_take_larger_chunks(capsys, monkeypatch, swap_doc):
     # A chunk handed to a worker pays its hand-offs between threads, so with
     # more than one worker a chunk holds _THREADED_CHUNK_SCALE times the
-    # entries (the swap's systems are 1x1).
+    # entries (a point of the swap counts _POINT_FLOOR entries).
     sizes = []
     evaluate = sweeps.evaluate
 
@@ -240,17 +242,59 @@ def test_threaded_sweeps_take_larger_chunks(capsys, monkeypatch, swap_doc):
         sizes.append(len(arguments[0]))
         return evaluate(real, arguments, tol)
 
-    monkeypatch.setattr(sweeps, "_CHUNK_ENTRIES", 16)
+    monkeypatch.setattr(sweeps, "_CHUNK_ENTRIES", 3 * sweeps._POINT_FLOOR)
     monkeypatch.setattr(sweeps, "evaluate", evaluated)
+    real = sweeps._realize(cli._load(swap_doc, DEFAULT_TOLERANCES), DEFAULT_TOLERANCES)
+    assert sweeps._chunk_points(real, 2) == sweeps._THREADED_CHUNK_SCALE * sweeps._chunk_points(real, 1) > 1
     grid = '{"type":"ball","count":200,"seed":1}'
     outputs = []
     for threads in ("1", "2"):
         sizes.clear()
         assert cli.main(["eval", swap_doc, "--grid", grid, "--threads", threads]) == 0
         outputs.append(capsys.readouterr().out)
-        size = 16 if threads == "1" else 16 * sweeps._THREADED_CHUNK_SCALE
-        assert sizes == [size] * (200 // size) + [200 % size], sizes
+        size = sweeps._chunk_points(real, int(threads))
+        assert sizes == [min(size, 200 - start) for start in range(0, 200, size)], sizes
     assert outputs[0] == outputs[1]
+
+
+_SEGMENT = {"type": "segment", "base": 0, "direction": 1, "t_min": -0.9, "t_max": 0.9, "resolution": 10**5}
+_BALL = {"type": "ball", "count": 10**5, "seed": 2, "radius": 0.9}
+
+
+@pytest.mark.parametrize(
+    "kind, shape, grid",
+    [
+        ("colligation", {"alpha": 12, "inner": 1}, _SEGMENT),
+        ("colligation", {"alpha": 1, "inner": 1}, _SEGMENT),
+        ("multi", {"alpha": 2, "inner": 4, "arity": 3}, _BALL),
+        ("doublecoset", {"alpha": 2, "inner": 4, "arity": 3}, _BALL),
+    ],
+    ids=["colligation-12-1", "colligation-1-1", "multi", "doublecoset"],
+)
+def test_one_chunk_of_records_needs_under_one_mebibyte(tmp_path, kind, shape, grid):
+    # A chunk is sized by what each of its points holds: its system, its
+    # value, and its label and record line.  From its points through its
+    # formatted records it peaks at 0.15-0.65 MiB whatever the shape; sized
+    # by the system alone at 2**14 entries, a chunk of 1x1 systems took
+    # 16384 points and peaked at 9.8 MiB, and at 380 MiB with 12x12 values.
+    path = tmp_path / f"{kind}.json"
+    save_document(random_document(kind, 3, **shape), path)
+    tol = DEFAULT_TOLERANCES
+    doc = cli._load(str(path), tol)
+    fixed = json.dumps(matrix_to_json(sample_ball(np.random.default_rng(4), 3, 0.9))) if kind == "doublecoset" else None
+    stack = sweeps._stacker(doc, sweeps._variable_for(doc, None), fixed)
+    points = sweeps._grid_points(grid, doc)
+    real = sweeps._realize(doc, tol)
+    size = sweeps._chunk_points(real, 1)
+    tracemalloc.start()
+    try:
+        labels, arguments = next(points.chunks(size))
+        records = sweeps._eval_text(points.label, labels, *evaluate(real, stack(arguments), tol))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == size and records.count('"regular":true') == size
+    assert peak <= 2**20, peak
 
 
 def test_error_before_the_first_byte_leaves_no_output(capsys, tmp_path, swap_doc):

@@ -160,15 +160,22 @@ def test_compare_startup_prints_the_cached_modules_of_each_tree(startup_run):
 def test_compare_startup_prints_time_and_peak_rss_of_each_tree(startup_run):
     src, _, result = startup_run
     assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    number = r"[0-9]+\.[0-9]+"
+    number = r"([0-9]+\.[0-9]+)"
+    wins = []
     for label, line in zip("AB", result.stdout.splitlines()[2:4], strict=True):
         pattern = (
             rf"{label} {re.escape(src)}: median {number} s, quartiles {number} {number} s,"
-            rf" lower in [0-9]+ of 10 pairs, median peak RSS ({number}) MiB"
+            rf" lower in ([0-9]+) of 10 pairs; peak RSS median {number} MiB,"
+            rf" quartiles {number} {number} MiB, lower in ([0-9]+) of 10 pairs"
         )
         match = re.fullmatch(pattern, line)
         assert match, line
-        assert 1.0 < float(match.group(1)) < 1000.0
+        wall, wall_q1, wall_q3, _, rss, rss_q1, rss_q3, _ = (float(group) for group in match.groups())
+        assert wall_q1 <= wall <= wall_q3 and rss_q1 <= rss <= rss_q3
+        assert 1.0 < rss_q1 and rss_q3 < 1000.0
+        wins.append((int(match.group(4)), int(match.group(8))))
+    # A pair won by one tree is lost by the other; a tie counts for neither.
+    assert all(a + b <= 10 for a, b in zip(*wins))
 
 
 def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(startup_run):

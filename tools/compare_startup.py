@@ -24,12 +24,12 @@ per tree gives how many of its package's modules have a valid cached pyc
 (one whose header matches the source's mtime and size), which shows whether
 its processes compiled the package.  Then ``N`` (at least 10) pairs of
 samples are taken, the tree that goes first alternating from pair to pair.
-For each tree the median and quartiles of its samples are printed, with the
-number of pairs in which its sample was the lower (ties count for neither),
-and the median over its samples of the peak RSS of a sample, the largest
-VmHWM of any of its processes.  Then one line per listed command line gives
-the median wall time and the median VmHWM of its process in each tree, so
-that it shows which process moved.
+For each tree the median and quartiles of its samples' wall times are
+printed, with the number of pairs in which its sample was the lower (ties
+count for neither), and the same three figures for the peak RSS of a sample,
+the largest VmHWM of any of its processes.  Then one line per listed
+command line gives the median wall time and the median VmHWM of its process
+in each tree, so that it shows which process moved.
 
 The rest of the environment is passed on, so a bytecode cache is written
 and read, or not, as it says (``PYTHONDONTWRITEBYTECODE``,
@@ -147,13 +147,15 @@ def main(argv=None) -> int:
 
     walls = [[sum(times) for times, _ in side] for side in samples]
     rss = [[max(peaks) for _, peaks in side] for side in samples]
-    wins = [sum(mine < theirs for mine, theirs in zip(walls[side], walls[1 - side])) for side in (0, 1)]
-    for label, src, side_walls, side_rss, won in zip("AB", (args.src_a, args.src_b), walls, rss, wins):
-        q1, median, q3 = statistics.quantiles(side_walls, n=4)
-        print(
-            f"{label} {src}: median {median:.4f} s, quartiles {q1:.4f} {q3:.4f} s,"
-            f" lower in {won} of {args.pairs} pairs, median peak RSS {statistics.median(side_rss):.1f} MiB"
-        )
+
+    def spread(values, side, digits, unit):
+        """Median, quartiles and pairs won of one tree's ``values``."""
+        q1, median, q3 = (f"{q:.{digits}f}" for q in statistics.quantiles(values[side], n=4))
+        won = sum(mine < theirs for mine, theirs in zip(values[side], values[1 - side]))
+        return f"median {median} {unit}, quartiles {q1} {q3} {unit}, lower in {won} of {args.pairs} pairs"
+
+    for side, (label, src) in enumerate(zip("AB", (args.src_a, args.src_b))):
+        print(f"{label} {src}: {spread(walls, side, 4, 's')}; peak RSS {spread(rss, side, 2, 'MiB')}")
     for index, run in enumerate(runs):
         (wall_a, rss_a), (wall_b, rss_b) = (
             (statistics.median(w[index] for w, _ in side), statistics.median(r[index] for _, r in side))
