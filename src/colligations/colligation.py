@@ -29,7 +29,6 @@ from . import realization
 
 __all__ = [
     "Colligation",
-    "identity_colligation",
     "random_colligation",
     "conjugate_inner",
     "pad",
@@ -86,10 +85,6 @@ class Colligation:
 
     def __repr__(self):
         return f"Colligation(alpha={self.alpha}, inner={self.inner})"
-
-
-def identity_colligation(alpha: int, inner: int) -> Colligation:
-    return Colligation(np.eye(alpha + inner), alpha)
 
 
 def random_colligation(alpha: int, inner: int, seed) -> Colligation:

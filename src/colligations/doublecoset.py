@@ -49,9 +49,11 @@ def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     m = np.asarray(g, dtype=complex)
     shortcut = m.conj()
-    explicit = np.linalg.solve(m.T, np.eye(m.shape[0], dtype=complex))
+    try:
+        explicit = np.linalg.solve(m.T, np.eye(m.shape[0], dtype=complex))
+    except np.linalg.LinAlgError:
+        raise NotUnitary("transpose-inverse cross-check found the matrix singular") from None
     gap = op_norm(shortcut - explicit)
-    # A NaN gap (an SVD that overflowed) fails too.
     if not gap <= tol.residual_tol * max(1.0, op_norm(explicit)):
         raise NotUnitary(f"transpose-inverse shortcut disagrees with direct solve (gap {gap:.3e})")
     return shortcut

@@ -22,6 +22,7 @@ __all__ = [
     "block_diag",
     "op_norm",
     "sigma_extremes",
+    "near_singular",
     "guarded_solve",
     "identity_where_not_finite",
     "solve",
@@ -121,21 +122,38 @@ def op_norm(m) -> float:
 
 def sigma_extremes(m) -> tuple[float, float]:
     """Smallest and largest singular value of ``m`` (inf where one exceeds
-    the float range).
-
-    LAPACK's SVD gives NaN for finite entries only when the modulus of one
-    overflows; then, and only then, it runs again on ``m`` scaled by 2**-4,
-    which keeps every modulus in range and is exact but for subnormal
-    entries.
-    """
+    the float range)."""
     a = _as_complex(m)
     if a.size == 0:
         return 0.0, 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    if math.isnan(s[0]):
-        s = np.linalg.svd(a * 0.0625, compute_uv=False)
-        return float(s[-1]) / 0.0625, float(s[0]) / 0.0625
-    return float(s[-1]), float(s[0])
+    scale, s = _svd(a, compute_uv=False)
+    return float(s[-1]) / scale, float(s[0]) / scale
+
+
+def near_singular(m, ratio: float) -> bool:
+    """Whether the smallest singular value of ``m`` is at most ``ratio`` times
+    the largest (an empty or zero ``m`` is), read from :func:`_svd`'s scaled
+    values so that it holds where a singular value overflows."""
+    a = _as_complex(m)
+    if a.size == 0:
+        return True
+    _, s = _svd(a, compute_uv=False)
+    return not s[-1] > ratio * s[0]
+
+
+def _svd(a: np.ndarray, **options):
+    """``(scale, np.linalg.svd(a * scale, **options))`` for a nonempty ``a``:
+    ``scale`` is 1.0 unless LAPACK's largest singular value overflows (NaN or
+    inf), and then the power of two that brings every real and imaginary part
+    to at most 1, where no singular value can overflow; exact but for parts it
+    takes below the normal range."""
+    result = np.linalg.svd(a, **options)
+    s = result.S if options.get("compute_uv", True) else result
+    if math.isfinite(s[0]):
+        return 1.0, result
+    top = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    return scale, np.linalg.svd(a * scale, **options)
 
 
 def guarded_solve(consumed: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -206,17 +224,15 @@ def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
 
 def solve_coupled(system: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
     """The brute-force oracles' dense LU solve, kept apart from the kernel's
-    SVD solve; :class:`OnEigensurface` unless ``sigma_min > surface_guard * sigma_max``."""
-    smin, smax = sigma_extremes(system)
-    if smax == 0.0 or smin <= tol.surface_guard * smax:
-        raise OnEigensurface(smin, "coupled system is singular")
+    SVD solve; :class:`OnEigensurface` where :func:`near_singular` at ``surface_guard``."""
+    if near_singular(system, tol.surface_guard):
+        raise OnEigensurface(sigma_extremes(system)[0], "coupled system is singular")
     return np.linalg.solve(system, rhs)
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:
     """Count of the descending singular values ``s`` above ``rtol`` times the largest."""
-    smax = float(s[0])
-    return int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+    return int(np.sum(s > rtol * s[0]))
 
 
 def kernel(m, rtol: float) -> np.ndarray:
@@ -230,7 +246,7 @@ def kernel(m, rtol: float) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if rows == 0 or not a.any():
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    _, (_, s, vh) = _svd(a)
     return vh[_rank(s, rtol) :].conj().T
 
 
@@ -239,7 +255,7 @@ def orthonormal_columns(m, rtol: float) -> np.ndarray:
     a = _as_complex(m)
     if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    _, (u, s, _) = _svd(a, full_matrices=False)
     return u[:, : _rank(s, rtol)]
 
 

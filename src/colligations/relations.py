@@ -23,9 +23,9 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     kernel,
+    near_singular,
     op_norm,
     orthonormal_columns,
-    sigma_extremes,
 )
 from .multi import MultiColligation, multi_realization
 
@@ -153,8 +153,7 @@ class ConstraintSubspace:
         eq = np.array(equations, dtype=complex)
         if eq.ndim != 2 or eq.shape[0] < 1 or eq.shape[1] != 2 * eq.shape[0]:
             raise BadSplit(f"equations must be n x 2n with n >= 1, got shape {eq.shape}")
-        smin, smax = sigma_extremes(eq)
-        if smax == 0.0 or smin <= tol.rank_tol * smax:
+        if near_singular(eq, tol.rank_tol):
             raise BadSplit("equation rows are rank deficient")
         eq.flags.writeable = False
         self.n = eq.shape[0]
@@ -226,8 +225,7 @@ def on_eigensurface(
 
     Decided by the smallest relative singular value of the stacked system.
     """
-    smin, smax = sigma_extremes(_surface_system(mc, constraint))
-    return smax == 0.0 or smin <= tol.surface_guard * smax
+    return near_singular(_surface_system(mc, constraint), tol.surface_guard)
 
 
 def char_relation(

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import RetriesExhausted
 from .linalg import (
-    DEFAULT_TOLERANCES, Tolerances, block_diag, complex_gauss, haar_orthogonal, haar_unitary, op_norm, sigma_extremes,
+    DEFAULT_TOLERANCES, Tolerances, block_diag, complex_gauss, haar_orthogonal, haar_unitary, near_singular, op_norm,
 )
 from .documents import KIND_TABLE, KindSpec, _module
 from . import linalg, realization
@@ -210,12 +210,11 @@ def _draw(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def _conditioned(matrix: np.ndarray, ratio: float) -> float:
-    """The largest singular value of ``matrix``; a matrix whose smallest one
-    falls below ``ratio`` of it is drawn again."""
-    smin, smax = sigma_extremes(matrix)
-    if smax == 0.0 or smin < ratio * smax:
+    """The largest singular value of ``matrix``; a matrix that is
+    :func:`near_singular` at ``ratio`` is drawn again."""
+    if near_singular(matrix, ratio):
         raise _Retry
-    return smax
+    return op_norm(matrix)
 
 
 def _evaluate(reals, args, tol) -> list:

@@ -5,7 +5,9 @@ import functools
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import complex_gauss, op_norm, rel_defect, sigma_extremes, signature_form, unitarity_defect
+from .linalg import (
+    complex_gauss, near_singular, op_norm, rel_defect, sigma_extremes, signature_form, unitarity_defect,
+)
 from .colligation import _charvalues, random_colligation
 from .documents import KIND_TABLE, _module
 from . import realization
@@ -307,10 +309,9 @@ def _surface_consistency(rng, dims, tol):
     mu = eigenvalues[_draw(rng, 0, inner - 1)]
     on = np.eye(arity, dtype=complex) * mu
     system = multi.elimination_matrix(mc, on)
-    smin_on, smax_on = sigma_extremes(system)
-    if not (smax_on == 0.0 or smin_on <= tol.surface_guard * smax_on):
+    if not near_singular(system, tol.surface_guard):
         problems.append("planted point not flagged by the singular-value test")
-    if abs(np.linalg.det(system)) > tol.surface_guard * max(smax_on, 1.0) ** nm:
+    if abs(np.linalg.det(system)) > tol.surface_guard * max(op_norm(system), 1.0) ** nm:
         problems.append("planted point not flagged by the determinant test")
     try:
         multi.multi_charfun(mc, on, tol)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import colligations
 from colligations import cli
 from colligations.cli import main
-from colligations.colligation import Colligation, equivalent_probe, identity_colligation
+from colligations.colligation import Colligation, equivalent_probe
 from colligations.documents import (
     KINDS,
     SCHEMA_VERSION,
@@ -55,7 +55,7 @@ def swap_pair_doc(tmp_path):
 @pytest.fixture()
 def all_identity_doc(tmp_path):
     path = tmp_path / "all_identity.json"
-    members = [identity_colligation(1, 1), identity_colligation(1, 1)]
+    members = [Colligation(np.eye(2), 1), Colligation(np.eye(2), 1)]
     save_document(Document("multi", MultiColligation(members), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
@@ -116,7 +116,7 @@ class TestProduct:
 
     def test_identity_factor_is_neutral(self, capsys, tmp_path, swap_doc):
         ident = tmp_path / "ident.json"
-        save_document(Document("colligation", identity_colligation(1, 1), {"schema_version": SCHEMA_VERSION}), ident)
+        save_document(Document("colligation", Colligation(np.eye(2), 1), {"schema_version": SCHEMA_VERSION}), ident)
         out = tmp_path / "combined.json"
         assert run(capsys, "product", swap_doc, ident, "--out", out)[0] == 0
         combined = load_document(out).payload

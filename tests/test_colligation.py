@@ -8,7 +8,6 @@ from colligations.colligation import (
     charfun_z,
     conjugate_inner,
     equivalent_probe,
-    identity_colligation,
     pad,
     product,
     random_colligation,
@@ -113,7 +112,7 @@ class TestPad:
 class TestProduct:
     def test_identity_factor_acts_as_padding(self):
         other = random_colligation(1, 2, seed=3)
-        combined = product(identity_colligation(1, 2), other)
+        combined = product(Colligation(np.eye(3), 1), other)
         assert equivalent_probe(combined, pad(other, 2))
 
     def test_swap_squared_matrix(self):
@@ -159,7 +158,7 @@ class TestCharfun:
 
     def test_pole_raises(self):
         with pytest.raises(NearPole) as err:
-            charfun_z(identity_colligation(1, 1), 1.0)
+            charfun_z(Colligation(np.eye(2), 1), 1.0)
         assert err.value.sigma_min <= DEFAULT_TOLERANCES.surface_guard
 
     def test_certificate_reported(self):
@@ -215,7 +214,7 @@ class TestEquivalentProbe:
         assert equivalent_probe(col, pad(col, 2))
 
     def test_swap_differs_from_identity(self):
-        assert not equivalent_probe(swap_colligation(), identity_colligation(1, 1))
+        assert not equivalent_probe(swap_colligation(), Colligation(np.eye(2), 1))
 
     def test_exposed_dimensions_must_agree(self):
         with pytest.raises(AlphaMismatch):
@@ -259,7 +258,7 @@ class TestEquivalentProbe:
         col = random_colligation(2, 1, seed=2)
         big = random_colligation(2, 3, seed=3)
         pairs = [
-            (swap_colligation(), identity_colligation(1, 1)),
+            (swap_colligation(), Colligation(np.eye(2), 1)),
             (col, conjugate_inner(col, haar_unitary(1, seed=4))),
             (col, pad(col, 1)),
             (big, conjugate_inner(big, haar_unitary(3, seed=5))),

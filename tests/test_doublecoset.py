@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from colligations import doublecoset, verify, verify_matrix
-from colligations.colligation import identity_colligation
+from colligations.colligation import Colligation
 from colligations.doublecoset import (
     dc_charfun,
     dc_charfun_system,
@@ -34,7 +34,7 @@ from colligations.multi import MultiColligation, multi_product, random_multi
 
 
 def identity_family(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([identity_colligation(alpha, inner) for _ in range(arity)])
+    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
 
 
 def small_arguments(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +74,14 @@ class TestTransposeInverse:
             transpose_inverse(g)
 
     def test_gap_whose_norm_overflows_is_rejected(self):
-        # The gap is finite, but its SVD overflows to a NaN norm.
+        # The gap is finite, but its norm overflows.
         with pytest.raises(NotUnitary, match="disagrees"):
             transpose_inverse(np.array([[1.7e308 - 1.7e308j]]))
+
+    @pytest.mark.parametrize("g", [[[1 / (1.5e308 + 1.5e308j)]], np.zeros((2, 2))], ids=["underflow", "zero"])
+    def test_singular_input_is_not_unitary(self, g):
+        with pytest.raises(NotUnitary, match="singular"):
+            transpose_inverse(np.array(g))
 
 
 class TestEquivalence:

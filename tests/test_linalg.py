@@ -12,6 +12,7 @@ from colligations.linalg import (
     haar_orthogonal,
     haar_unitary,
     kernel,
+    near_singular,
     op_norm,
     orthonormal_columns,
     rel_defect,
@@ -21,6 +22,9 @@ from colligations.linalg import (
     solve_coupled,
     unitarity_defect,
 )
+
+# A finite entry whose modulus overflows, so LAPACK's SVD of it gives NaN.
+_BIG = 1.7e308 + 1.7e308j
 
 
 class TestBlockDiag:
@@ -98,6 +102,11 @@ class TestSolveCoupled:
     def test_singular_raises_on_eigensurface(self, m):
         with pytest.raises(OnEigensurface, match=r"^coupled system is singular \(sigma_min="):
             solve_coupled(m, np.ones((m.shape[0], 1)), Tolerances(surface_guard=1e-8))
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_regular_system_whose_singular_value_overflows_is_solved(self):
+        x = solve_coupled(np.array([[_BIG]]), np.array([[1.0]]), DEFAULT_TOLERANCES)
+        assert x.shape == (1, 1) and np.isfinite(x).all()
 
 
 class TestHaarSampling:
@@ -178,6 +187,37 @@ class TestSubspaceHelpers:
         assert np.linalg.svd(m, compute_uv=False)[1] == s
         assert kernel(m, 1e-9).shape == (3, nullity)
         assert orthonormal_columns(m, 1e-9).shape == (3, rank)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_holds_where_a_singular_value_overflows(self):
+        k = kernel([[_BIG, 0]], 1e-9)
+        npt.assert_array_equal(np.abs(k), [[0.0], [1.0]])
+        q = orthonormal_columns([[_BIG], [0]], 1e-9)
+        npt.assert_array_equal(np.abs(q), [[1.0], [0.0]])
+
+
+class TestNearSingular:
+    @pytest.mark.parametrize(
+        "s, want", [(np.nextafter(1e-9, 1.0), False), (1e-9, True), (np.nextafter(1e-9, 0.0), True)],
+        ids=["above", "at", "below"],
+    )
+    def test_at_or_below_ratio_times_the_largest(self, s, want):
+        assert near_singular(np.diag([1.0, s]), 1e-9) is want
+
+    @pytest.mark.parametrize(
+        "m", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros((0, 2))], ids=["empty", "zero", "no-rows"]
+    )
+    def test_empty_or_zero_is_near_singular(self, m):
+        assert near_singular(m, 1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "m, want", [(np.diag([_BIG, _BIG / 2]), False), (np.diag([_BIG, 1.0]), True), ([[_BIG, 0]], False)],
+        ids=["conditioned", "ill-conditioned", "wide"],
+    )
+    def test_holds_where_a_singular_value_overflows(self, m, want):
+        assert np.isnan(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
+        assert near_singular(m, 1e-9) is want
 
 
 class TestRelDefect:

@@ -7,7 +7,6 @@ from colligations.colligation import (
     charfun_z,
     conjugate_inner,
     equivalent_probe,
-    identity_colligation,
     pad,
     product,
     random_colligation,
@@ -34,7 +33,7 @@ def swap_pair() -> MultiColligation:
 
 
 def all_identity(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([identity_colligation(alpha, inner) for _ in range(arity)])
+    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
 
 
 def regular_argument(rng, arity: int) -> np.ndarray:

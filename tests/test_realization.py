@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from colligations import cli, sweeps
-from colligations.colligation import charfun_z, colligation_realization, identity_colligation, random_colligation
+from colligations.colligation import Colligation, charfun_z, colligation_realization, random_colligation
 from colligations.conjugacy import TriColligation, random_tri, tri_charfun, tri_charfun_system, tri_realization
 from colligations.documents import KIND_TABLE, random_document, save_document, matrix_to_json
 from colligations.doublecoset import dc_charfun, dc_charfun_system, dc_realization
@@ -90,7 +90,7 @@ def test_batch_values_do_not_depend_on_a_non_finite_member():
     # raises no warning.
     rng = np.random.default_rng(6)
     fam = random_multi(2, 3, 3, 6)
-    identities = MultiColligation([identity_colligation(1, 1)] * 2)
+    identities = MultiColligation([Colligation(np.eye(2), 1)] * 2)
 
     def inf(arg):
         return np.full(arg.shape[1:], np.inf)
@@ -101,7 +101,7 @@ def test_batch_values_do_not_depend_on_a_non_finite_member():
         (dc_realization(fam), [_stack(rng, 9, 3, 0.9), _stack(rng, 9, 3, 0.9)], inf),
         # At z = 1 and at S = I the system is exactly zero; the last
         # realization's solve there divides 1 by 0, the others' 0 by 0.
-        (colligation_realization(identity_colligation(1, 1)), [_disc(rng, 9)], lambda arg: 1.0),
+        (colligation_realization(Colligation(np.eye(2), 1)), [_disc(rng, 9)], lambda arg: 1.0),
         (multi_realization(identities), [_stack(rng, 9, 2, 0.9)], lambda arg: np.eye(2)),
         (Realization("z", *np.ones((4, 1, 1), dtype=complex)), [_disc(rng, 9)], lambda arg: 1.0),
     ]
@@ -188,7 +188,7 @@ def test_systems_are_built_bit_for_bit_as_kron_forms_them(k, m):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-_IDENTITIES = [identity_colligation(1, 1), identity_colligation(1, 1)]
+_IDENTITIES = [Colligation(np.eye(2), 1), Colligation(np.eye(2), 1)]
 _ON_SURFACE = "argument lies on the eigensurface"
 _COUPLED = "coupled system is singular"
 

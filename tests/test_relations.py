@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations.colligation import Colligation, identity_colligation, random_colligation
+from colligations.colligation import Colligation, random_colligation
 from colligations.errors import ArityMismatch, BadSplit
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, orthonormal_columns, signature_form
 from colligations.multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
@@ -27,7 +27,7 @@ def swap_pair() -> MultiColligation:
 
 
 def all_identity(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([identity_colligation(alpha, inner) for _ in range(arity)])
+    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
 
 
 def random_relation(rng, dim_v: int, dim_w: int, dim: int) -> LinearRelation:
@@ -142,6 +142,14 @@ class TestConstraintSubspace:
     def test_rank_deficient_equations_rejected(self):
         with pytest.raises(BadSplit):
             ConstraintSubspace.from_equations(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_holds_where_a_singular_value_overflows(self):
+        big = 1.7e308 + 1.7e308j
+        assert ConstraintSubspace([[big, 0]]).n == 1
+        # Condition number 1e10, past 1 / rank_tol.
+        with pytest.raises(BadSplit, match="rank deficient"):
+            ConstraintSubspace([[big, 0, 0, 0], [0, big * 1e-10, 0, 0]])
 
     def test_exactly_one_representation(self):
         with pytest.raises(BadSplit):

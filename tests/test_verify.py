@@ -203,6 +203,43 @@ class TestReports:
             {"trial": t, "seed": t, "defect": 1.0, "budget": 0.5, "detail": detail} for t in range(2)
         ]
 
+    def test_spectrum_union_reports_both_spectra(self, monkeypatch):
+        planted = verify_scalar._expected_phase_spectrum
+        expected = []
+
+        def spectrum(*index_lists):
+            expected.append(planted(*index_lists))
+            return expected[-1]
+
+        monkeypatch.setattr(verify_scalar, "_expected_phase_spectrum", spectrum)
+        monkeypatch.setattr(verify_scalar, "unit_spectrum", lambda col, tol: [])
+        report = run_suite("spectrum-union", trials=2, seed=0)
+        assert report.failures == [
+            {"trial": t, "seed": t, "defect": 1.0, "budget": 0.5, "detail": f"got [], expected {expected[t]}"}
+            for t in range(2)
+        ]
+        assert all(expected)
+
+    def test_pole_growth_reports_growth_under_the_factor(self, monkeypatch):
+        # Every value has norm 1, so the blow-up toward the pole is flat.
+        monkeypatch.setattr(verify_scalar, "op_norm", lambda m: 1.0)
+        report = run_suite("pole-growth", trials=2, seed=0)
+        defect = (verify.GROWTH_FACTOR - 1.0) / verify.GROWTH_FACTOR
+        detail = "growth 1.00x over three halvings"
+        assert report.failures == [
+            {"trial": t, "seed": t, "defect": defect, "budget": 1e-9, "detail": detail} for t in range(2)
+        ]
+
+    def test_form_increase_reports_a_negative_increase(self, monkeypatch):
+        # With the split form negated, every increase changes sign.
+        form = verify_matrix.signature_form
+        monkeypatch.setattr(verify_matrix, "signature_form", lambda plus, minus: -form(plus, minus))
+        report = run_suite("doublecoset-form-increase", trials=2, seed=0)
+        assert [(f["trial"], f["seed"], f["budget"]) for f in report.failures] == [(0, 0, 1e-10), (1, 1, 1e-10)]
+        for failure in report.failures:
+            assert failure["defect"] > 1e-10
+            assert failure["detail"] == f"smallest increase {-failure['defect']:.3e}"
+
 
     def test_negative_control_that_never_fails_reports_one_failure(self, monkeypatch):
         # The law held on every trial: the control's aggregate must record it.
