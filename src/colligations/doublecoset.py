@@ -53,6 +53,8 @@ def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         explicit = np.linalg.solve(m.T, np.eye(m.shape[0], dtype=complex))
     except np.linalg.LinAlgError:
         raise NotUnitary("transpose-inverse cross-check found the matrix singular") from None
+    if not np.isfinite(explicit).all():
+        raise NotUnitary("transpose-inverse cross-check found the inverse not finite")
     gap = op_norm(shortcut - explicit)
     if not gap <= tol.residual_tol * max(1.0, op_norm(explicit)):
         raise NotUnitary(f"transpose-inverse shortcut disagrees with direct solve (gap {gap:.3e})")

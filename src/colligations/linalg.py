@@ -1,7 +1,7 @@
 """Dense complex linear algebra substrate.
 
 Everything downstream goes through the helpers here: operator norms, guarded
-linear solves, rank-revealing kernels, and seeded Haar-distributed random
+dense LU solves, rank-revealing kernels, and seeded Haar-distributed random
 matrices.  All routines are pure functions of their inputs; randomness enters
 only through explicit seeds or generators.
 """
@@ -23,8 +23,6 @@ __all__ = [
     "op_norm",
     "sigma_extremes",
     "near_singular",
-    "guarded_solve",
-    "identity_where_not_finite",
     "solve",
     "solve_coupled",
     "kernel",
@@ -134,11 +132,16 @@ def near_singular(m, ratio: float) -> bool:
     """Whether the smallest singular value of ``m`` is at most ``ratio`` times
     the largest (an empty or zero ``m`` is), read from :func:`_svd`'s scaled
     values so that it holds where a singular value overflows."""
-    a = _as_complex(m)
+    return _singularity(_as_complex(m), ratio)[0]
+
+
+def _singularity(a: np.ndarray, ratio: float) -> tuple[bool, float, float]:
+    """``(near_singular(a, ratio), scale, sigma_min)``: :func:`_svd`'s scale,
+    and the smallest singular value as :func:`sigma_extremes` gives it."""
     if a.size == 0:
-        return True
-    _, s = _svd(a, compute_uv=False)
-    return not s[-1] > ratio * s[0]
+        return True, 1.0, 0.0
+    scale, s = _svd(a, compute_uv=False)
+    return not s[-1] > ratio * s[0], scale, float(s[-1]) / scale
 
 
 def _svd(a: np.ndarray, **options):
@@ -156,52 +159,27 @@ def _svd(a: np.ndarray, **options):
     return scale, np.linalg.svd(a * scale, **options)
 
 
-def guarded_solve(consumed: np.ndarray, rhs: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """Solve a stack of square systems through one stacked SVD, guarded per system.
-
-    ``consumed`` is a ``(k, N, N)`` stack that the solve may overwrite and
-    let go, ``rhs`` one ``(N, q)`` right-hand side for all of them.  Returns
-    ``(x, sigma_min, passed)``: system ``i`` passes when it is finite and
-    ``sigma_min[i] > surface_guard * sigma_max[i]``, and ``x[i]`` is its
-    solution, meaningful only where ``passed[i]``.  Every system is solved,
-    so an exactly singular one gives infinite or NaN entries there, without
-    a warning.  Each non-finite system is overwritten in ``consumed`` by the
-    identity (:func:`identity_where_not_finite`), and its ``sigma_min`` is
-    NaN.  The stack is let go once the SVD has read it, so a caller that
-    passes it as a temporary frees it then.
-    """
-    finite = identity_where_not_finite(consumed)
-    u, s, vh = np.linalg.svd(consumed)
-    del consumed
-    sigma_min = s[:, -1]
-    passed = finite & (sigma_min > tol.surface_guard * s[:, 0])
-    # Each adjoint is a transposed view of its stack conjugated in place, so
-    # no stack is copied; u is let go before the second product.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = np.conjugate(u, out=u).swapaxes(-1, -2) @ rhs
-        del u
-        y /= s[:, :, None]
-        x = np.conjugate(vh, out=vh).swapaxes(-1, -2) @ y
-    sigma_min[~finite] = np.nan
-    return x, sigma_min, passed
-
-
-def identity_where_not_finite(systems: np.ndarray) -> np.ndarray:
-    """Overwrite each non-finite system of the ``(k, N, N)`` stack in place
-    by the identity, so that a stacked factorization accepts it; the mask of
-    the finite ones.  A caller reports the overwritten ones with a NaN
-    ``sigma_min``."""
-    finite = np.isfinite(systems).all(axis=(1, 2))
-    systems[~finite] = np.eye(systems.shape[1])
-    return finite
+def _guarded_lu(a: np.ndarray, rhs, ratio: float, error: type, message: str):
+    """``(np.linalg.solve(a, rhs), sigma_min)`` for a square ``a``, with
+    ``sigma_min`` as :func:`sigma_extremes` gives it; ``error(sigma_min,
+    message)`` where ``a`` is :func:`near_singular` at ``ratio``.  Where
+    :func:`_svd` scaled ``a``, both sides are multiplied by that power of two
+    first, so that no pivot overflows; LU with partial pivoting is backward
+    stable, so a system that passed the guard needs no SVD to be solved."""
+    near, scale, sigma_min = _singularity(a, ratio)
+    if near:
+        raise error(sigma_min, message)
+    if scale != 1.0:
+        a, rhs = a * scale, np.multiply(rhs, scale)
+    return np.linalg.solve(a, rhs), sigma_min
 
 
 def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
     """Solve ``m @ x = rhs`` for square ``m``, guarding against singularity.
 
     Returns ``(x, sigma_min)`` where ``sigma_min`` is the smallest singular
-    value of ``m``.  Raises :class:`NearSingular` when
-    ``sigma_min <= surface_guard * sigma_max``.
+    value of ``m``.  Raises :class:`NearSingular` where ``m`` is
+    :func:`near_singular` at ``surface_guard``.
     """
     a = _as_complex(m, "coefficient matrix")
     rows, cols = a.shape
@@ -216,18 +194,14 @@ def solve(m, rhs, tol: Tolerances = DEFAULT_TOLERANCES):
     if rows == 0:
         x = np.zeros_like(b)
         return (x[:, 0] if vector_rhs else x), 0.0
-    x, sigma, passed = guarded_solve(a[None], b, tol)
-    if not passed[0]:
-        raise NearSingular(sigma[0], "linear system is singular or nearly so")
-    return (x[0, :, 0] if vector_rhs else x[0]), float(sigma[0])
+    x, sigma = _guarded_lu(a, b, tol.surface_guard, NearSingular, "linear system is singular or nearly so")
+    return (x[:, 0] if vector_rhs else x), sigma
 
 
 def solve_coupled(system: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """The brute-force oracles' dense LU solve, kept apart from the kernel's
-    SVD solve; :class:`OnEigensurface` where :func:`near_singular` at ``surface_guard``."""
-    if near_singular(system, tol.surface_guard):
-        raise OnEigensurface(sigma_extremes(system)[0], "coupled system is singular")
-    return np.linalg.solve(system, rhs)
+    """The brute-force oracles' dense solve, :func:`solve`'s guarded LU;
+    :class:`OnEigensurface` where :func:`near_singular` at ``surface_guard``."""
+    return _guarded_lu(_as_complex(system), rhs, tol.surface_guard, OnEigensurface, "coupled system is singular")[0]
 
 
 def _rank(s: np.ndarray, rtol: float) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, guarded_solve, identity_where_not_finite
+from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances
 
 __all__ = ["Realization", "system", "evaluate", "surface_indicators", "not_regular", "charvalues", "charvalue"]
 
@@ -120,23 +120,44 @@ def _value(real: Realization, args, x: np.ndarray) -> np.ndarray:
     return real.a + np.concatenate([real.b @ x_plus, (real.bt @ big_r) @ x_plus], axis=1)
 
 
+def _finite_svd(systems: np.ndarray, compute_uv: bool):
+    """``(finite, np.linalg.svd(systems))`` for a ``(k, N, N)`` stack: each
+    system that is not finite is first overwritten in place by the identity,
+    so that the stacked SVD accepts it, and ``finite`` masks the others.  A
+    stack passed as a temporary is let go once the SVD has read it."""
+    finite = np.isfinite(systems).all(axis=(1, 2))
+    systems[~finite] = np.eye(systems.shape[1])
+    return finite, np.linalg.svd(systems, compute_uv=compute_uv)
+
+
 def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
     """Guarded values at ``k`` stacked arguments: ``(values, sigma_min, regular)``.
 
     A point is regular when its system is finite, clears the guard
     ``sigma_min > surface_guard * sigma_max`` and gives a finite value.
     ``values[i]`` is NaN where the point is not regular; ``sigma_min[i]`` is
-    NaN where the system is not finite.  The whole stack is solved in one
-    pass (:func:`~colligations.linalg.guarded_solve`), a non-finite system
-    replaced by the identity, and let go once its SVD has read it.
+    NaN where the system is not finite.  The whole stack is solved through
+    one stacked SVD (:func:`_finite_svd`), so an exactly singular system
+    gives infinite or NaN entries there rather than a warning.
     """
     # Huge arguments overflow; the point's system or value is then not
     # finite, which is reported per point rather than warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, sigma, passed = guarded_solve(system(real, args), real.c, tol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite, (u, s, vh) = _finite_svd(system(real, args), compute_uv=True)
+        sigma = s[:, -1]
+        regular = finite & (sigma > tol.surface_guard * s[:, 0])
+        # x = V S^-1 U* C.  Each adjoint is a transposed view of its stack
+        # conjugated in place, so no stack is copied; u is let go before the
+        # second product, and vh and y before the value.
+        y = np.conjugate(u, out=u).swapaxes(-1, -2) @ real.c
+        del u
+        y /= s[:, :, None]
+        x = np.conjugate(vh, out=vh).swapaxes(-1, -2) @ y
+        del vh, y
         values = _value(real, args, x)
-        regular = passed & np.isfinite(values).all(axis=(1, 2))
+        regular &= np.isfinite(values).all(axis=(1, 2))
     values[~regular] = np.nan
+    sigma[~finite] = np.nan
     return values, sigma, regular
 
 
@@ -146,8 +167,8 @@ def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]
     that overflows is not finite; as in :func:`evaluate`, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         systems = system(real, args)
-        finite = identity_where_not_finite(systems)
-        sigma = np.linalg.svd(systems, compute_uv=False)[:, -1]
+        finite, s = _finite_svd(systems, compute_uv=False)
+        sigma = s[:, -1]
         dets = np.linalg.det(systems)
     sigma[~finite] = np.nan
     dets[~finite] = np.nan

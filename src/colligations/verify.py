@@ -209,12 +209,10 @@ def _draw(rng: np.random.Generator, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _conditioned(matrix: np.ndarray, ratio: float) -> float:
-    """The largest singular value of ``matrix``; a matrix that is
-    :func:`near_singular` at ``ratio`` is drawn again."""
+def _conditioned(matrix: np.ndarray, ratio: float) -> None:
+    """Draw again (:class:`_Retry`) where ``matrix`` is :func:`near_singular` at ``ratio``."""
     if near_singular(matrix, ratio):
         raise _Retry
-    return op_norm(matrix)
 
 
 def _evaluate(reals, args, tol) -> list:

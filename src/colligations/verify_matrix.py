@@ -293,11 +293,12 @@ def _surface_consistency(rng, dims, tol):
     def draw():
         s = complex_gauss(rng, arity, arity)
         system = multi.elimination_matrix(mc, s)
-        return s, system, _conditioned(system, 0.05)
+        _conditioned(system, 0.05)
+        return s, system
 
-    s, system, smax = _retrying(draw)
+    s, system = _retrying(draw)
     problems = []
-    if abs(np.linalg.det(system)) <= tol.surface_guard * smax**nm:
+    if abs(np.linalg.det(system)) <= tol.surface_guard * op_norm(system) ** nm:
         problems.append("generic point flagged by the determinant test")
     try:
         multi.multi_charfun(mc, s, tol)

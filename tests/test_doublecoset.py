@@ -78,6 +78,12 @@ class TestTransposeInverse:
         with pytest.raises(NotUnitary, match="disagrees"):
             transpose_inverse(np.array([[1.7e308 - 1.7e308j]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_that_overflows_is_rejected(self):
+        # LAPACK raises no error for it, and the inverse it returns is NaN.
+        with pytest.raises(NotUnitary, match="inverse not finite"):
+            transpose_inverse(np.array([[1e-310]]))
+
     @pytest.mark.parametrize("g", [[[1 / (1.5e308 + 1.5e308j)]], np.zeros((2, 2))], ids=["underflow", "zero"])
     def test_singular_input_is_not_unitary(self, g):
         with pytest.raises(NotUnitary, match="singular"):

@@ -23,8 +23,10 @@ from colligations.linalg import (
     unitarity_defect,
 )
 
-# A finite entry whose modulus overflows, so LAPACK's SVD of it gives NaN.
+# A finite entry whose modulus overflows, so LAPACK's SVD of it gives NaN;
+# its inverse (1 - 1j) / 3.4e308 is representable.
 _BIG = 1.7e308 + 1.7e308j
+_INVERSE_OF_BIG = (0.5 - 0.5j) / 1.7e308
 
 
 class TestBlockDiag:
@@ -88,6 +90,23 @@ class TestSolve:
         x, _ = solve(m, rhs, DEFAULT_TOLERANCES)
         assert op_norm(m @ x - rhs) <= 1e-9 * max(1.0, op_norm(m) * op_norm(x))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("columns", [None, 2], ids=["vector", "matrix"])
+    def test_is_the_dense_lu_solve(self, columns):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rhs = rng.standard_normal((4,) if columns is None else (4, columns)) + 0j
+        assert solve(m, rhs)[0].tobytes() == np.linalg.solve(m, rhs).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_regular_system_whose_singular_value_overflows_is_solved(self):
+        x, smin = solve(np.array([[_BIG]]), np.array([1.0]))
+        npt.assert_allclose(x, [_INVERSE_OF_BIG], rtol=1e-14)
+        assert smin == np.inf
+        x, smin = solve(np.diag([_BIG, _BIG / 2]), np.ones(2))
+        npt.assert_allclose(x, [_INVERSE_OF_BIG, 2 * _INVERSE_OF_BIG], rtol=1e-14)
+        assert np.all(x != 0) and smin == sigma_extremes(np.diag([_BIG, _BIG / 2]))[0]
+
 
 class TestSolveCoupled:
     def test_is_the_dense_lu_solve(self):
@@ -107,6 +126,7 @@ class TestSolveCoupled:
     def test_a_regular_system_whose_singular_value_overflows_is_solved(self):
         x = solve_coupled(np.array([[_BIG]]), np.array([[1.0]]), DEFAULT_TOLERANCES)
         assert x.shape == (1, 1) and np.isfinite(x).all()
+        npt.assert_allclose(solve_coupled([[_BIG]], [[1]], DEFAULT_TOLERANCES), [[_INVERSE_OF_BIG]], rtol=1e-14)
 
 
 class TestHaarSampling:

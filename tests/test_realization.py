@@ -87,7 +87,9 @@ def test_batch_values_do_not_depend_on_a_non_finite_member():
     # Every batch is solved whole, a non-finite system in the identity's
     # place; one non-finite or exactly singular argument more leaves the
     # other points' bits, comes out not regular with a NaN value, and
-    # raises no warning.
+    # raises no warning.  Its surface indicators are NaN where its system is
+    # not finite and 0 where it is exactly singular, the other points' bits
+    # again unchanged.
     rng = np.random.default_rng(6)
     fam = random_multi(2, 3, 3, 6)
     identities = MultiColligation([Colligation(np.eye(2), 1)] * 2)
@@ -112,6 +114,10 @@ def test_batch_values_do_not_depend_on_a_non_finite_member():
         assert np.isnan(with_member[0][-1]).all()
         for got, want in zip(clean, with_member):
             assert got.tobytes() == want[:-1].tobytes()
+        clean, with_member = surface_indicators(real, args), surface_indicators(real, mixed)
+        for got, want in zip(clean, with_member):
+            assert got.tobytes() == want[:-1].tobytes()
+            assert np.isnan(want[-1]) if member is inf else want[-1] == 0.0
 
 
 def _chunk_peak(realize, kernel):

@@ -215,8 +215,9 @@ def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
     for kind in KINDS:
         assert (tmp_path / "docs" / f"{kind}.json").read_text() == emit_document(random_document(kind, 3))
     runs = json.loads(result.stdout)
-    # eval and surface, four kinds, every combination of grid, point, fixed and variable.
-    assert len(runs) == 3920
+    # eval and surface, four kinds, every combination of grid, point, fixed and
+    # variable (3,920), then 28 large grids; the last run taken is the first of these.
+    assert len(runs) == 3948
     (tmp_path / "runs.json").write_text(json.dumps(runs[::196]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--argv", "runs.json"],
@@ -226,4 +227,4 @@ def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.splitlines() == ["20 of 20 runs identical"]
+    assert result.stdout.splitlines() == ["21 of 21 runs identical"]

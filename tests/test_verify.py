@@ -398,6 +398,19 @@ class TestRedraw:
             verify._retrying(draw, NearPole)
         assert len(calls) == verify._ATTEMPTS
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-5], ids=["on", "next-to"])
+    @pytest.mark.parametrize("guard", [Tolerances().surface_guard, 0.5], ids=["default", "0.5"])
+    def test_point_that_is_not_comfortably_regular_is_drawn_again(self, guard, offset):
+        # mu I, with mu an eigenvalue of one member's d, lies on the
+        # eigensurface, and mu I + 1e-5 I next to it: neither clears the floor
+        # guard, so whatever guard the run sets, the point is drawn again.
+        fam = multi.random_multi(2, 3, 2, 8)
+        mu = np.linalg.eigvals(fam.members[1].d)[0]
+        real = multi.multi_realization(fam)
+        assert not realization.evaluate(real, [(mu + offset) * np.eye(2)[None]], verify._FLOOR)[2][0]
+        with pytest.raises(verify._Retry):
+            verify._evaluate([real], [(mu + offset) * np.eye(2)], Tolerances(surface_guard=guard))
+
 
 class TestPolyval:
     @pytest.mark.parametrize("degree", range(8))

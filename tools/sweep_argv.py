@@ -13,8 +13,12 @@ value of each of ``--grid``, ``--point``, ``--fixed`` and ``--variable``,
 where each flag may also be absent; every line runs with ``--threads 1``.
 The values mix valid arguments with a wrong size, a wrong kind of grid,
 an empty grid and text that is not JSON, so most lines fail, many with two
-independent input errors.  The paths in it are ``DIR/KIND.json`` as ``DIR``
-was given, so run ``compare_verify.py`` from the same directory.
+independent input errors.  After them come large grids, each at
+``--threads 1`` and ``2``: a resolution-30 disc for the colligation, a
+600-point ball for each matrix kind under both commands (3 to 10 chunks at
+one thread), and a 40-point ball of radius 1.7e308, whose points overflow,
+for every kind.  The paths in it are ``DIR/KIND.json`` as ``DIR`` was given,
+so run ``compare_verify.py`` from the same directory.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ GRIDS = [
 POINTS = [None, "0.5", _matrix(2, 0.5), _matrix(1, 0.5), "{"]
 FIXED = [None, _matrix(2, 0.3), _matrix(1, 0.3), "{"]
 VARIABLES = {"eval": [None, "z", "S", "R"], "surface": [None, "S", "R"]}
+LARGE_GRIDS = {
+    "disc": '{"type":"disc","resolution":30,"radius":1.4}',
+    "ball": '{"type":"ball","count":600,"seed":2}',
+    "overflow": '{"type":"ball","count":40,"seed":4,"radius":1.7e308}',
+}
 
 
 def write_documents(directory: str) -> list[str]:
@@ -68,6 +77,21 @@ def command_lines(paths: list[str]) -> list[list[str]]:
                 if value is not None:
                     argv += [flag, value]
             runs.append(argv)
+    return runs + large_grid_lines(paths)
+
+
+def large_grid_lines(paths: list[str]) -> list[list[str]]:
+    """The large grids' command lines, for ``paths`` in kind order; the
+    double-coset ones take ``--fixed``."""
+    runs = []
+    for kind, path in zip(KINDS, paths):
+        fixed = ["--fixed", FIXED[1]] if kind == "doublecoset" else []
+        if kind == "colligation":
+            lines = [("eval", "disc"), ("eval", "overflow")]
+        else:
+            lines = [(command, grid) for grid in ("ball", "overflow") for command in VARIABLES]
+        for (command, grid), threads in itertools.product(lines, ("1", "2")):
+            runs.append([command, path, "--threads", threads, "--grid", LARGE_GRIDS[grid], *fixed])
     return runs
 
 
