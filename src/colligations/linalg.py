@@ -132,31 +132,33 @@ def near_singular(m, ratio: float) -> bool:
     """Whether the smallest singular value of ``m`` is at most ``ratio`` times
     the largest (an empty or zero ``m`` is), read from :func:`_svd`'s scaled
     values so that it holds where a singular value overflows."""
-    return _singularity(_as_complex(m), ratio)[0]
+    a = _as_complex(m)
+    return a.size == 0 or not _clears(_svd(a, compute_uv=False)[1], ratio)
 
 
-def _singularity(a: np.ndarray, ratio: float) -> tuple[bool, float, float]:
-    """``(near_singular(a, ratio), scale, sigma_min)``: :func:`_svd`'s scale,
-    and the smallest singular value as :func:`sigma_extremes` gives it."""
-    if a.size == 0:
-        return True, 1.0, 0.0
-    scale, s = _svd(a, compute_uv=False)
-    return not s[-1] > ratio * s[0], scale, float(s[-1]) / scale
+def _clears(s: np.ndarray, ratio: float):
+    """The one guard: the smallest of descending singular values ``s`` (per row) above ``ratio`` times the largest."""
+    return s[..., -1] > ratio * s[..., 0]
 
 
-def _svd(a: np.ndarray, **options):
-    """``(scale, np.linalg.svd(a * scale, **options))`` for a nonempty ``a``:
-    ``scale`` is 1.0 unless LAPACK's largest singular value overflows (NaN or
-    inf), and then the power of two that brings every real and imaginary part
-    to at most 1, where no singular value can overflow; exact but for parts it
-    takes below the normal range."""
-    result = np.linalg.svd(a, **options)
-    s = result.S if options.get("compute_uv", True) else result
-    if math.isfinite(s[0]):
+def _svd(a: np.ndarray, compute_uv: bool, full_matrices: bool = True):
+    """``(scale, np.linalg.svd(a * scale, full_matrices, compute_uv))`` for a
+    nonempty matrix or ``(k, M, N)`` stack ``a``.  ``scale`` is 1.0 unless the
+    largest singular value LAPACK gives a matrix overflows; then it is one factor
+    per matrix (an array for a stack), 1.0 but for those, which get the power of
+    two that brings every real and imaginary part to at most 1, where none can
+    overflow, and are decomposed again; exact but for parts below the normal range."""
+    result = np.linalg.svd(a, full_matrices, compute_uv)
+    s = result.S if compute_uv else result
+    if math.isfinite(s.max(initial=0.0)):
         return 1.0, result
-    top = max(np.abs(a.real).max(), np.abs(a.imag).max())
-    scale = math.ldexp(1.0, -math.frexp(top)[1])
-    return scale, np.linalg.svd(a * scale, **options)
+    over = ~np.isfinite(s[..., 0])
+    b, scale = a[over], np.ones(over.shape)
+    scale[over] = np.ldexp(1.0, -np.frexp(np.abs(b.view(float)).max(axis=(1, 2)))[1])
+    again = np.linalg.svd(b * scale[over][:, None, None], full_matrices, compute_uv)
+    for part, redone in zip(result, again) if compute_uv else [(result, again)]:
+        part[over] = redone
+    return (float(scale) if a.ndim == 2 else scale), result
 
 
 def _guarded_lu(a: np.ndarray, rhs, ratio: float, error: type, message: str):
@@ -166,8 +168,10 @@ def _guarded_lu(a: np.ndarray, rhs, ratio: float, error: type, message: str):
     :func:`_svd` scaled ``a``, both sides are multiplied by that power of two
     first, so that no pivot overflows; LU with partial pivoting is backward
     stable, so a system that passed the guard needs no SVD to be solved."""
-    near, scale, sigma_min = _singularity(a, ratio)
-    if near:
+    # An empty matrix counts as singular, with sigma_min 0.
+    scale, s = _svd(a, compute_uv=False) if a.size else (1.0, np.zeros(1))
+    sigma_min = float(s[-1]) / scale
+    if not _clears(s, ratio):
         raise error(sigma_min, message)
     if scale != 1.0:
         a, rhs = a * scale, np.multiply(rhs, scale)
@@ -220,7 +224,7 @@ def kernel(m, rtol: float) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if rows == 0 or not a.any():
         return np.eye(cols, dtype=complex)
-    _, (_, s, vh) = _svd(a)
+    _, (_, s, vh) = _svd(a, compute_uv=True)
     return vh[_rank(s, rtol) :].conj().T
 
 
@@ -229,7 +233,7 @@ def orthonormal_columns(m, rtol: float) -> np.ndarray:
     a = _as_complex(m)
     if a.shape[1] == 0 or not a.any():
         return np.zeros((a.shape[0], 0), dtype=complex)
-    _, (u, s, _) = _svd(a, full_matrices=False)
+    _, (u, s, _) = _svd(a, compute_uv=True, full_matrices=False)
     return u[:, : _rank(s, rtol)]
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances
+from .linalg import CharValue, DEFAULT_TOLERANCES, Tolerances, _clears, _svd
 
 __all__ = ["Realization", "system", "evaluate", "surface_indicators", "not_regular", "charvalues", "charvalue"]
 
@@ -121,32 +121,34 @@ def _value(real: Realization, args, x: np.ndarray) -> np.ndarray:
 
 
 def _finite_svd(systems: np.ndarray, compute_uv: bool):
-    """``(finite, np.linalg.svd(systems))`` for a ``(k, N, N)`` stack: each
-    system that is not finite is first overwritten in place by the identity,
-    so that the stacked SVD accepts it, and ``finite`` masks the others.  A
-    stack passed as a temporary is let go once the SVD has read it."""
+    """``(finite, scale, svd)``, :func:`linalg._svd` of a ``(k, N, N)`` stack:
+    each system that is not finite is first overwritten in place by the
+    identity, so that the stacked SVD accepts it, and ``finite`` masks the
+    others.  A stack passed as a temporary is let go once the SVD has read it."""
     finite = np.isfinite(systems).all(axis=(1, 2))
     systems[~finite] = np.eye(systems.shape[1])
-    return finite, np.linalg.svd(systems, compute_uv=compute_uv)
+    scale, result = _svd(systems, compute_uv=compute_uv)
+    return finite, scale, result
 
 
 def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
     """Guarded values at ``k`` stacked arguments: ``(values, sigma_min, regular)``.
 
     A point is regular when its system is finite, clears the guard
-    ``sigma_min > surface_guard * sigma_max`` and gives a finite value.
-    ``values[i]`` is NaN where the point is not regular; ``sigma_min[i]`` is
-    NaN where the system is not finite.  The whole stack is solved through
-    one stacked SVD (:func:`_finite_svd`), so an exactly singular system
-    gives infinite or NaN entries there rather than a warning.
+    ``sigma_min > surface_guard * sigma_max`` (:func:`linalg._clears`) and
+    gives a finite value.  ``values[i]`` is NaN where the point is not
+    regular; ``sigma_min[i]`` is NaN where the system is not finite and inf
+    where it exceeds the float range.  The whole stack is solved through one
+    stacked SVD (:func:`_finite_svd`), so an exactly singular system gives
+    infinite or NaN entries there rather than a warning.
     """
     # Huge arguments overflow; the point's system or value is then not
     # finite, which is reported per point rather than warned about.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite, (u, s, vh) = _finite_svd(system(real, args), compute_uv=True)
-        sigma = s[:, -1]
-        regular = finite & (sigma > tol.surface_guard * s[:, 0])
-        # x = V S^-1 U* C.  Each adjoint is a transposed view of its stack
+        finite, scale, (u, s, vh) = _finite_svd(system(real, args), compute_uv=True)
+        regular = finite & _clears(s, tol.surface_guard)
+        sigma = np.abs(s[:, -1]) / scale  # this SVD can give -0.0 where values-only gives 0.0
+        # x = scale V S^-1 U* C.  Each adjoint is a transposed view of its stack
         # conjugated in place, so no stack is copied; u is let go before the
         # second product, and vh and y before the value.
         y = np.conjugate(u, out=u).swapaxes(-1, -2) @ real.c
@@ -154,6 +156,9 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
         y /= s[:, :, None]
         x = np.conjugate(vh, out=vh).swapaxes(-1, -2) @ y
         del vh, y
+        if np.ndim(scale):  # some system was scaled
+            scaled = scale != 1.0
+            x[scaled] *= scale[scaled, None, None]
         values = _value(real, args, x)
         regular &= np.isfinite(values).all(axis=(1, 2))
     values[~regular] = np.nan
@@ -162,13 +167,14 @@ def evaluate(real: Realization, args, tol: Tolerances = DEFAULT_TOLERANCES):
 
 
 def surface_indicators(real: Realization, args) -> tuple[np.ndarray, np.ndarray]:
-    """Determinant and smallest singular value of the systems at ``k`` stacked
-    arguments.  Both are NaN where a system is not finite, and a determinant
-    that overflows is not finite; as in :func:`evaluate`, without a warning."""
+    """Determinant and smallest singular value (as :func:`linalg.sigma_extremes`
+    gives it) of the systems at ``k`` stacked arguments.  Both are NaN where a
+    system is not finite, and a determinant that overflows is not finite; as
+    in :func:`evaluate`, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         systems = system(real, args)
-        finite, s = _finite_svd(systems, compute_uv=False)
-        sigma = s[:, -1]
+        finite, scale, s = _finite_svd(systems, compute_uv=False)
+        sigma = s[:, -1] / scale
         dets = np.linalg.det(systems)
     sigma[~finite] = np.nan
     dets[~finite] = np.nan

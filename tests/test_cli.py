@@ -24,15 +24,19 @@ from colligations import cli
 from colligations.cli import main
 from colligations.colligation import Colligation, equivalent_probe
 from colligations.documents import (
+    KIND_TABLE,
     KINDS,
     SCHEMA_VERSION,
     Document,
     emit_document,
     load_document,
+    matrix_to_json,
     random_document,
     save_document,
 )
+from colligations.linalg import DEFAULT_TOLERANCES, sigma_extremes
 from colligations.multi import MultiColligation
+from colligations.realization import system
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -282,10 +286,11 @@ class TestEval:
         code, out, err = run(capsys, "eval", swap_doc, "--point", "-1e5")
         assert (code, out) == (1, "") and one_error_line(err)
 
-    @pytest.mark.parametrize("resolution, radius", [(5, 1.7e308), (2, 1e308), (100, 1e307)])
+    @pytest.mark.parametrize("resolution, radius", [(5, 1.7e308), (2, 1e308), (100, 1e307), (10**400, 1.0)])
     def test_disc_lattice_that_overflows_is_rejected(self, capsys, swap_doc, resolution, radius):
         # 2.0 * radius * (resolution - 1) is not finite: the lattice would
         # hold inf and NaN coordinates and sweep none or part of the disc.
+        # A resolution too large for a float raises OverflowError there.
         grid = json.dumps({"type": "disc", "resolution": resolution, "radius": radius})
         code, out, err = run(capsys, "eval", swap_doc, "--grid", grid)
         assert (code, out) == (1, "")
@@ -773,15 +778,63 @@ class TestBadNumbers:
         grid = {"type": "segment", "base": big, "direction": big, "t_min": -1, "t_max": 1, "resolution": 5}
         code, out, err = run(capsys, "eval", path, "--grid", json.dumps(grid))
         assert (code, err) == (0, "")
-        # At t = -1 the point is exactly 0; past it, base + t * direction overflows.
+        # At t = -1 the point is exactly 0; past it, base + t * direction
+        # overflows.  At t = -0.5 and 0 the system is finite but its largest
+        # singular value is not, and sigma_min is linalg.sigma_extremes's,
+        # read off the rescaled SVD; the true one is 0.386, so it is rounding
+        # noise below eps * sigma_max and neither point is regular.
         lines = out.splitlines()
         assert json.loads(lines[0])["regular"] is True
         assert lines[1:] == [
-            '{"point":[-0.5,0.0],"regular":false,"sigma_min":9.436895709313829e+291,"value":null}',
-            '{"point":[0.0,0.0],"regular":false,"sigma_min":null,"value":null}',
+            '{"point":[-0.5,0.0],"regular":false,"sigma_min":7.056361085187291e+291,"value":null}',
+            '{"point":[0.0,0.0],"regular":false,"sigma_min":1.4112722170374583e+292,"value":null}',
             '{"point":[0.5,0.0],"regular":false,"sigma_min":null,"value":null}',
             '{"point":[1.0,0.0],"regular":false,"sigma_min":null,"value":null}',
         ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["multi", "tri", "doublecoset"])
+    def test_point_whose_largest_singular_value_overflows(self, capsys, tmp_path, kind):
+        # The system is finite, but a singular value exceeds the float range.
+        # surface reports sigma_min as linalg.sigma_extremes does, and eval
+        # (from the SVD with vectors) agrees but for the last bits; inf is
+        # written null.  For multi and tri, S - D is 1x1 and chi(S) -> A as S
+        # grows, so the point is regular with the value at 1e308 (1 + i); the
+        # double-coset system holds an identity block beside S and is singular.
+        path = tmp_path / "doc.json"
+        assert run(capsys, "random", kind, "--seed", 3, "--alpha", 1, "--inner", 1, "--arity", 1, "--out", path)[0] == 0
+        point, fixed = np.array([[1.5e308 + 1.5e308j]]), np.array([[0.3 + 0j]])
+        args = [point, fixed] if kind == "doublecoset" else [point]
+        argv = []
+        for flag, arg in zip(["--point", "--fixed"], args):
+            argv += [flag, json.dumps(matrix_to_json(arg))]
+        real = KIND_TABLE[kind].realize(load_document(path).payload, DEFAULT_TOLERANCES)
+        want = sigma_extremes(system(real, [arg[None] for arg in args])[0])[0]
+        want = None if math.isinf(want) else want
+        code, out, err = run(capsys, "surface", path, *argv)
+        assert (code, err) == (0, "") and strict_records(out)[0]["sigma_min"] == want
+        code, out, err = run(capsys, "eval", path, *argv)
+        (record,) = strict_records(out)
+        assert err == "" and record["sigma_min"] == (None if want is None else pytest.approx(want, rel=1e-14))
+        if kind == "doublecoset":
+            assert code == 4 and record["regular"] is False and want is not None
+        else:
+            assert code == 0 and record["regular"] is True
+            near = strict_records(run(capsys, "eval", path, "--point", "[[[1e308,1e308]]]")[1])[0]
+            npt.assert_allclose(record["value"], near["value"], rtol=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sigma_min_is_never_negative_zero(self, capsys, tmp_path, threads):
+        # LAPACK's SVD with vectors gives -0.0 at some of these points, where
+        # the values-only SVD gives 0.0.
+        path = tmp_path / "doc.json"
+        save_document(random_document("doublecoset", 3), path)
+        grid = '{"type":"ball","count":40,"seed":4,"radius":1.7e308}'
+        fixed = json.dumps(matrix_to_json(0.3 * np.eye(2)))
+        code, out, err = run(capsys, "eval", path, "--threads", threads, "--grid", grid, "--fixed", fixed)
+        assert (code, err) == (4, "")
+        zeros = [r["sigma_min"] for r in strict_records(out) if r["sigma_min"] == 0.0]
+        assert zeros and not any(math.copysign(1.0, zero) < 0 for zero in zeros)
 
     def test_overflowing_value_is_not_regular(self, capsys, swap_pair_doc):
         # chi(S) = S^-1 for the swap pair; at S = 1e-310 I it exceeds the float range.

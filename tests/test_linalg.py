@@ -8,6 +8,7 @@ from colligations.errors import NearSingular, NotUnitary, OnEigensurface
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _svd,
     block_diag,
     haar_orthogonal,
     haar_unitary,
@@ -214,6 +215,20 @@ class TestSubspaceHelpers:
         npt.assert_array_equal(np.abs(k), [[0.0], [1.0]])
         q = orthonormal_columns([[_BIG], [0]], 1e-9)
         npt.assert_array_equal(np.abs(q), [[1.0], [0.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    def test_a_stack_is_scaled_matrix_by_matrix(self, compute_uv):
+        # Only the members whose largest singular value overflows are scaled
+        # and decomposed again; each gets the bits it gets alone.
+        rng = np.random.default_rng(2)
+        stack = np.array([np.diag([_BIG, 1.0]), rng.standard_normal((2, 2)) + 0j, np.diag([_BIG, _BIG / 2])])
+        scale, got = _svd(stack, compute_uv=compute_uv)
+        for k, member in enumerate(stack):
+            one_scale, want = _svd(member, compute_uv=compute_uv)
+            assert type(one_scale) is float and scale[k] == one_scale == (1.0 if k == 1 else 2.0**-1024)
+            for got_part, want_part in zip(got, want) if compute_uv else [(got, want)]:
+                assert got_part[k].tobytes() == want_part.tobytes()
 
 
 class TestNearSingular:

@@ -230,6 +230,17 @@ def test_each_form_raises_its_one_error(at_singular_point, error, message):
     assert str(raised.value) == f"{message} (sigma_min={raised.value.sigma_min:.3e})"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, charfun", [("multi", multi_charfun), ("tri", tri_charfun)])
+def test_a_regular_point_whose_singular_value_overflows_has_a_value(kind, charfun):
+    # S - D is finite and 1x1, but its modulus exceeds the float range; the
+    # point is regular, with chi(S) close to A, and sigma_min is inf.
+    payload = random_document(kind, 3, alpha=1, inner=1, arity=1).payload
+    got = charfun(payload, [[1.5e308 + 1.5e308j]])
+    assert got.sigma_min == np.inf
+    np.testing.assert_allclose(got.value, charfun(payload, [[1e308 + 1e308j]]).value, rtol=1e-12)
+
+
 def _disc(rng, count):
     return 0.5 * np.exp(2j * np.pi * rng.uniform(size=count))
 

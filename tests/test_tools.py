@@ -216,8 +216,9 @@ def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
         assert (tmp_path / "docs" / f"{kind}.json").read_text() == emit_document(random_document(kind, 3))
     runs = json.loads(result.stdout)
     # eval and surface, four kinds, every combination of grid, point, fixed and
-    # variable (3,920), then 28 large grids; the last run taken is the first of these.
-    assert len(runs) == 3948
+    # variable (3,920), then 28 large grids and 19 lines whose largest singular
+    # value overflows; the last run taken is the first large grid.
+    assert len(runs) == 3967
     (tmp_path / "runs.json").write_text(json.dumps(runs[::196]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--argv", "runs.json"],

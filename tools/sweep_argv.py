@@ -17,8 +17,12 @@ independent input errors.  After them come large grids, each at
 ``--threads 1`` and ``2``: a resolution-30 disc for the colligation, a
 600-point ball for each matrix kind under both commands (3 to 10 chunks at
 one thread), and a 40-point ball of radius 1.7e308, whose points overflow,
-for every kind.  The paths in it are ``DIR/KIND.json`` as ``DIR`` was given,
-so run ``compare_verify.py`` from the same directory.
+for every kind.  Last come points whose system is finite but whose largest
+singular value overflows: one ``--point`` per kind (under both commands for
+the matrix kinds), and for each matrix kind a segment from 0 into overflow
+under both commands at ``--threads 1`` and ``2``.  The paths in it are
+``DIR/KIND.json`` as ``DIR`` was given, so run ``compare_verify.py`` from the
+same directory.
 """
 
 from __future__ import annotations
@@ -54,6 +58,12 @@ LARGE_GRIDS = {
     "ball": '{"type":"ball","count":600,"seed":2}',
     "overflow": '{"type":"ball","count":40,"seed":4,"radius":1.7e308}',
 }
+# Entries whose modulus, 2.1e308, exceeds the float range.
+_HUGE = [1.5e308, 1.5e308]
+_BIG = json.dumps([[[1.7e308, 1.7e308], [1.7e308, -1.7e308]], [[-1.7e308, 1.7e308], [1.7e308, 1.7e308]]])
+OVERFLOW_POINTS = {"colligation": json.dumps(_HUGE), "matrix": json.dumps([[_HUGE, [0.0, 0.0]], [[0.0, 0.0], _HUGE]])}
+# t = -1 is the point 0; the system is finite at t = -0.5 and 0 and not past them.
+OVERFLOW_SEGMENT = '{"type":"segment","base":%s,"direction":%s,"t_min":-1,"t_max":1,"resolution":5}' % (_BIG, _BIG)
 
 
 def write_documents(directory: str) -> list[str]:
@@ -77,7 +87,7 @@ def command_lines(paths: list[str]) -> list[list[str]]:
                 if value is not None:
                     argv += [flag, value]
             runs.append(argv)
-    return runs + large_grid_lines(paths)
+    return runs + large_grid_lines(paths) + overflow_lines(paths)
 
 
 def large_grid_lines(paths: list[str]) -> list[list[str]]:
@@ -92,6 +102,22 @@ def large_grid_lines(paths: list[str]) -> list[list[str]]:
             lines = [(command, grid) for grid in ("ball", "overflow") for command in VARIABLES]
         for (command, grid), threads in itertools.product(lines, ("1", "2")):
             runs.append([command, path, "--threads", threads, "--grid", LARGE_GRIDS[grid], *fixed])
+    return runs
+
+
+def overflow_lines(paths: list[str]) -> list[list[str]]:
+    """The command lines at finite systems whose largest singular value
+    overflows, for ``paths`` in kind order."""
+    runs = []
+    for kind, path in zip(KINDS, paths):
+        fixed = ["--fixed", FIXED[1]] if kind == "doublecoset" else []
+        if kind == "colligation":
+            runs.append(["eval", path, "--threads", "1", "--point", OVERFLOW_POINTS[kind]])
+            continue
+        for command in VARIABLES:
+            runs.append([command, path, "--threads", "1", "--point", OVERFLOW_POINTS["matrix"], *fixed])
+            for threads in ("1", "2"):
+                runs.append([command, path, "--threads", threads, "--grid", OVERFLOW_SEGMENT, *fixed])
     return runs
 
 
