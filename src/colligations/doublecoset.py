@@ -75,14 +75,9 @@ def _check_arguments(fam: MultiColligation, s, r):
 
 
 def dc_realization(fam: MultiColligation, tol: Tolerances = DEFAULT_TOLERANCES) -> Realization:
-    """The blocks of the core system (the ``"SR"`` form), built on first use
-    and kept by the family, one per ``Tolerances`` value: the transposed
-    inverses of the members are cross-checked under ``tol`` when built.
+    """The blocks of the core system (the ``"SR"`` form); the transposed
+    inverses of the members are cross-checked under ``tol`` as they are built.
     """
-    return fam._kept(("SR", tol), lambda: _core_realization(fam, tol))
-
-
-def _core_realization(fam: MultiColligation, tol: Tolerances) -> Realization:
     tildes = [transpose_inverse(g.matrix, tol) for g in fam.members]
     al, na, nm = fam.alpha, fam.arity * fam.alpha, fam.arity * fam.inner
     plus = multi_realization(fam)

@@ -47,12 +47,10 @@ class MultiColligation:
     """A tuple of colligations sharing one exposed/inner split.
 
     The double-coset family of :mod:`.doublecoset` is the same tuple; which
-    characteristic function applies is a property of the document kind.  A
-    family keeps each realization built from it (see :meth:`_kept`); the
-    members' matrices are read-only, so a kept one cannot go stale.
+    characteristic function applies is a property of the document kind.
     """
 
-    __slots__ = ("members", "_realizations")
+    __slots__ = ("members",)
 
     def __init__(self, members):
         members = tuple(members)
@@ -67,20 +65,6 @@ class MultiColligation:
             if g.inner != inner:
                 raise ArityMismatch("members disagree on the inner dimension")
         self.members = members
-        self._realizations = {}
-
-    def _kept(self, key, build) -> Realization:
-        """The realization kept under ``key``, made by ``build()`` on first
-        use; one whose build raised is not kept, so the next call raises too.
-        Threads that race here each build the same blocks, and one is kept."""
-        real = self._realizations.get(key)
-        if real is None:
-            real = build()
-            for block in (real.a, real.b, real.c, real.d, real.bt, real.dt):
-                if block is not None:
-                    block.flags.writeable = False
-            self._realizations[key] = real
-        return real
 
     @property
     def arity(self) -> int:
@@ -104,18 +88,14 @@ def random_multi(alpha: int, inner: int, arity: int, seed) -> MultiColligation:
 
 
 def multi_realization(mc: MultiColligation) -> Realization:
-    """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form),
-    built on first use and kept by the family."""
-    return mc._kept(
+    """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form)."""
+    return Realization(
         "S",
-        lambda: Realization(
-            "S",
-            block_diag(*(g.a for g in mc.members)),
-            block_diag(*(g.b for g in mc.members)),
-            block_diag(*(g.c for g in mc.members)),
-            block_diag(*(g.d for g in mc.members)),
-            mc.inner,
-        ),
+        block_diag(*(g.a for g in mc.members)),
+        block_diag(*(g.b for g in mc.members)),
+        block_diag(*(g.c for g in mc.members)),
+        block_diag(*(g.d for g in mc.members)),
+        mc.inner,
     )
 
 

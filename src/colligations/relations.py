@@ -206,14 +206,14 @@ class ConstraintSubspace:
         return f"ConstraintSubspace(n={self.n})"
 
 
-def _surface_system(mc: MultiColligation, constraint: ConstraintSubspace) -> np.ndarray:
-    # Stacked system on (x, y): inner dynamics y_j = d_j x_j plus the
-    # slotwise-lifted constraint equations.
+def _surface_system(mc: MultiColligation, d: np.ndarray, constraint: ConstraintSubspace) -> np.ndarray:
+    # Stacked system on (x, y): inner dynamics y = d x, d the family's
+    # block-diagonal inner block, plus the slotwise-lifted constraint equations.
     if constraint.n != mc.arity:
         raise ArityMismatch(f"constraint has {constraint.n} slots, family has {mc.arity}")
     s, sigma = constraint.equations()
     eye_m = np.eye(mc.inner)
-    top = np.hstack([-multi_realization(mc).d, np.eye(mc.arity * mc.inner)])
+    top = np.hstack([-d, np.eye(mc.arity * mc.inner)])
     bottom = np.hstack([np.kron(s, eye_m), np.kron(sigma, eye_m)])
     return np.vstack([top, bottom])
 
@@ -225,7 +225,7 @@ def on_eigensurface(
 
     Decided by the smallest relative singular value of the stacked system.
     """
-    return near_singular(_surface_system(mc, constraint), tol.surface_guard)
+    return near_singular(_surface_system(mc, multi_realization(mc).d, constraint), tol.surface_guard)
 
 
 def char_relation(
@@ -237,8 +237,8 @@ def char_relation(
     the exposed coordinates (p, q).  Off the eigensurface this is the graph
     of the characteristic function; on it the relation is still defined.
     """
-    lower = _surface_system(mc, constraint)
     real = multi_realization(mc)
+    lower = _surface_system(mc, real.d, constraint)
     na, nm = mc.arity * mc.alpha, mc.arity * mc.inner
     # Columns ordered (p, q, x, y): the output rows q = A p + B x, then the
     # (x, y) system with y = C p + D x.

@@ -313,8 +313,9 @@ class _Kind:
     ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
     cap of the multiplicative law, the brute-force oracle ``(fam, args,
     tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
-    dilation check ``(fam, args, chi, lam, tol) -> (left, right)``, given
-    the value ``chi`` at ``args``."""
+    dilation check ``(fam, real, args, chi, lam, tol) -> (left, right)``,
+    given the family's realization ``real`` and the value ``chi`` at
+    ``args``."""
 
     spec: KindSpec
     dims: Callable
@@ -341,16 +342,16 @@ class _Kind:
         return _retrying(draw)
 
 
-def _multi_dilation(fam, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
+def _multi_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the diagonal dilation identity ``(chi(lam S lam^{-1}),
     Lam chi(S) Lam^{-1})``, ``Lam`` acting as ``lam_j I_alpha`` on block ``j``."""
-    left = _module("multi").multi_charfun(fam, (lam[:, None] * args[0]) / lam[None, :], tol).value
+    left = realization.charvalue(real, ((lam[:, None] * args[0]) / lam[None, :],), tol).value
     lam_big = np.kron(np.diag(lam), np.eye(fam.alpha))
     lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(fam.alpha))
     return left, lam_big @ chi @ lam_big_inv
 
 
-def _dc_dilation(fam, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
+def _dc_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the congruence dilation identity,
     ``(Lam chi(S, R) Lam^{-1}, chi(lam S lam, lam^{-1} R lam^{-1}))``:
     ``Lam`` scales the plus blocks by ``lam_j`` and the minus blocks by
@@ -364,7 +365,7 @@ def _dc_dilation(fam, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
     left = lam_big @ chi @ lam_big_inv
     scaled_s = lam[:, None] * s * lam[None, :]
     scaled_r = r / lam[:, None] / lam[None, :]
-    return left, _module("doublecoset").dc_charfun(fam, scaled_s, scaled_r, tol).value
+    return left, realization.charvalue(real, (scaled_s, scaled_r), tol).value
 
 
 _KINDS = {

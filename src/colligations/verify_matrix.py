@@ -161,7 +161,7 @@ def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
     def draw():
         args, (chi,) = kind.args(rng, arity, [real], tol)
         lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
-        return kind.dilation(fam, args, _value(chi), lam, tol)
+        return kind.dilation(fam, real, args, _value(chi), lam, tol)
 
     left, right = _retrying(draw, OnEigensurface)
     return TrialResult(rel_defect(left, right))
@@ -394,13 +394,12 @@ def _doublecoset_transpose(rng, dims, tol):
     return TrialResult(rel_defect(transposed, target))
 
 
-def _adjoint_readings(fam, s, r, chi, tol) -> tuple[float, float]:
+def _adjoint_readings(fam, real, s, r, chi, tol) -> tuple[float, float]:
     """Relative defects of the reflection law chi(box(S)^{-1}, box(R)^{-1}) =
     box(chi)^{-1}, box(X) = J X* J for the signature form J, with box on the
     arguments read plain, then with an extra sign; ``chi`` is the value at
-    ``(S, R)``, and a reading whose point is singular is NaN."""
-    from . import doublecoset
-
+    ``(S, R)`` of the family ``fam`` realized as ``real``, and a reading
+    whose point is singular is NaN."""
     na = fam.arity * fam.alpha
     jm = signature_form(na, na)
     target = np.linalg.inv(jm @ chi.conj().T @ jm)
@@ -409,7 +408,7 @@ def _adjoint_readings(fam, s, r, chi, tol) -> tuple[float, float]:
     def reading(sign):
         try:
             args = np.linalg.inv(sign * s.conj().T), np.linalg.inv(sign * r.conj().T)
-            return op_norm(doublecoset.dc_charfun(fam, *args, tol).value - target) / scale
+            return op_norm(realization.charvalue(real, args, tol).value - target) / scale
         except (OnEigensurface, np.linalg.LinAlgError):
             return float("nan")
 
@@ -426,7 +425,7 @@ def _doublecoset_adjoint_experiment(rng, dims, tol):
 
     def draw():
         (s, r), (chi,) = _KINDS["doublecoset"].args(rng, arity, [real], tol)
-        return _adjoint_readings(fam, s, r, _value(chi), tol)
+        return _adjoint_readings(fam, real, s, r, _value(chi), tol)
 
     plain, negated = _retrying(draw, OnEigensurface)
     detail = f"conjugate-transpose={plain:.3e} negated={negated:.3e}"

@@ -544,6 +544,9 @@ _MALFORMED = {
     "no-members": ("multi", "multi payload: 'members' must be a non-empty list"),
     "tri-split": ("tri", "tri payload: matrix shape (5, 5) does not match the split"),
     "not-an-object": ("colligation", "document must be a JSON object"),
+    "zero-alpha": ("colligation", "colligation payload: 'alpha' must be a positive integer"),
+    "boolean-inner": ("multi", "multi payload: 'inner' must be a positive integer"),
+    "string-slot-dim": ("tri", "tri payload: 'p' must be a positive integer"),
 }
 
 
@@ -562,6 +565,12 @@ def _malformed(doc: dict, case: str):
         payload["matrix"] = [row[:-1] for row in payload["matrix"][:-1]]
     elif case == "not-an-object":
         return [doc]
+    elif case == "zero-alpha":
+        payload["alpha"] = 0
+    elif case == "boolean-inner":
+        payload["inner"] = True
+    elif case == "string-slot-dim":
+        payload["p"] = "2"
     return doc
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset, verify, verify_matrix
+from colligations import doublecoset, realization, verify, verify_matrix
 from colligations.colligation import Colligation
 from colligations.doublecoset import (
     dc_charfun,
@@ -46,7 +46,8 @@ def small_arguments(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dilation_check(fam, s, r, lam):
-    return verify._KINDS["doublecoset"].dilation(fam, (s, r), dc_charfun(fam, s, r).value, lam, DEFAULT_TOLERANCES)
+    real = dc_realization(fam)
+    return verify._KINDS["doublecoset"].dilation(fam, real, (s, r), dc_charfun(fam, s, r).value, lam, DEFAULT_TOLERANCES)
 
 
 def form_defects(fam, s, r) -> tuple[float, float, float]:
@@ -247,15 +248,19 @@ class TestAdjointExperiment:
     def test_plain_reading_holds(self):
         fam = random_multi(1, 2, 2, seed=35)
         s, r = small_arguments(np.random.default_rng(36), 2)
-        plain, negated = verify_matrix._adjoint_readings(fam, s, r, dc_charfun(fam, s, r).value, DEFAULT_TOLERANCES)
+        chi = dc_charfun(fam, s, r).value
+        plain, negated = verify_matrix._adjoint_readings(fam, dc_realization(fam), s, r, chi, DEFAULT_TOLERANCES)
         assert plain < 1e-9
         assert negated > 1e-3
 
 
 class TestKeptRealization:
+    """A realization is kept by the code that built it, such as a verify
+    trial, and handed to the laws that evaluate the family again."""
+
     def test_each_member_is_cross_checked_once(self, monkeypatch):
-        # The dilation and adjoint laws evaluate through the realization the
-        # family keeps for one Tolerances value, built by the first call.
+        # Given the family's realization, the dilation and adjoint helpers
+        # run no transpose-inverse cross-check of their own.
         calls = []
         original = doublecoset.transpose_inverse
 
@@ -267,21 +272,19 @@ class TestKeptRealization:
         tol = Tolerances(residual_tol=1e-8)
         fam = random_multi(1, 2, 3, seed=37)
         s, r = small_arguments(np.random.default_rng(38), 3)
-        dc_charfun(fam, s, r, tol)
-        dc_charfun(fam, s, r, tol)
-        chi = dc_charfun(fam, s, r, tol).value
-        verify._KINDS["doublecoset"].dilation(fam, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
-        verify_matrix._adjoint_readings(fam, s, r, chi, tol)
+        real = dc_realization(fam, tol)
+        chi = realization.charvalue(real, (s, r), tol).value
+        verify._KINDS["doublecoset"].dilation(fam, real, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
+        verify_matrix._adjoint_readings(fam, real, s, r, chi, tol)
         assert len(calls) == fam.arity
 
     def test_kept_per_tolerance_profile(self):
+        # Each call cross-checks the members under its own tolerances.
         fam = random_multi(1, 2, 2, seed=39)
-        loose = dc_realization(fam)
-        assert dc_realization(fam, Tolerances()) is loose
         strict = Tolerances(residual_tol=1e-300)
-        for _ in range(2):  # a build that raised is not kept
+        for _ in range(2):
             with pytest.raises(NotUnitary):
                 dc_realization(fam, strict)
-        with pytest.raises(NotUnitary):
-            dc_charfun(fam, *small_arguments(np.random.default_rng(40), 2), strict)
-        assert dc_realization(fam) is loose
+            with pytest.raises(NotUnitary):
+                dc_charfun(fam, *small_arguments(np.random.default_rng(40), 2), strict)
+        dc_realization(fam)

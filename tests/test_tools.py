@@ -229,3 +229,23 @@ def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == ["21 of 21 runs identical"]
+
+
+def test_line_coverage_lists_the_lines_a_test_file_never_runs():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_coverage.py"), "tests/test_documents.py", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert re.fullmatch(r"\d+ of \d+ executable lines run", lines[-1])
+    # The document tests never import the relation suites, and every
+    # document they load reads its dimensions through _natural.
+    assert "src/colligations/verify_relation.py:1" in lines
+    source = (ROOT / "src" / "colligations" / "documents.py").read_text().splitlines()
+    natural = source.index("def _natural(obj: dict, key: str, what: str) -> int:") + 2
+    assert source[natural - 1] == "    value = obj[key]"
+    assert f"src/colligations/documents.py:{natural}" not in lines

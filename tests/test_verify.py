@@ -230,6 +230,23 @@ class TestReports:
             {"trial": t, "seed": t, "defect": defect, "budget": 1e-9, "detail": detail} for t in range(2)
         ]
 
+    def test_product_welldefined_reports_products_found_inequivalent(self, monkeypatch):
+        # The probe finds the two products inequivalent, whatever they are.
+        monkeypatch.setattr(verify_scalar, "equivalent_probe", lambda x, y, tol: False)
+        report = run_suite("product-welldefined", trials=2, seed=0)
+        assert report.failures == [
+            {"trial": t, "seed": t, "defect": 1.0, "budget": 1e-8, "detail": ""} for t in range(2)
+        ]
+
+    def test_pole_witness_reports_growth_under_the_factor(self, monkeypatch):
+        # Every value has norm 1, so nothing grows toward the planted pole.
+        monkeypatch.setattr(verify_scalar, "op_norm", lambda m: 1.0)
+        report = run_suite("pole-witness", trials=2, seed=0)
+        assert [(f["trial"], f["seed"], f["budget"]) for f in report.failures] == [(0, 0, 1e-8), (1, 1, 1e-8)]
+        for failure in report.failures:
+            assert failure["defect"] >= 1.0
+            assert failure["detail"] == "growth 1.00x over three halvings"
+
     def test_form_increase_reports_a_negative_increase(self, monkeypatch):
         # With the split form negated, every increase changes sign.
         form = verify_matrix.signature_form
