@@ -12,7 +12,8 @@ its compiled code objects map instructions to (``co_lines()``).  Prints
 executable lines run``; the exit code is pytest's.  Tests that start a
 subprocess (the command-line process tests and the tools' tests) are not
 traced, so the lines only those processes run are listed as never run.
-Tracing makes the run slower: tier-1 took about 1.5 times as long.
+Tracing slows the run: on a shared 2-core machine the whole suite took 51 s
+traced against 46 s untraced.
 """
 
 from __future__ import annotations
