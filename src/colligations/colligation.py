@@ -20,6 +20,7 @@ from .linalg import (
     CharValue,
     DEFAULT_TOLERANCES,
     Tolerances,
+    block_diag,
     haar_unitary,
     op_norm,
     require_unitary,
@@ -113,11 +114,7 @@ def pad(col: Colligation, extra: int) -> Colligation:
         raise ValueError(f"extra inner dimensions must be nonnegative, got {extra}")
     if extra == 0:
         return col
-    al, m = col.alpha, col.inner
-    out = np.zeros((al + m + extra, al + m + extra), dtype=complex)
-    out[: al + m, : al + m] = col.matrix
-    out[al + m :, al + m :] = np.eye(extra)
-    return Colligation(out, al)
+    return Colligation(block_diag(col.matrix, np.eye(extra)), col.alpha)
 
 
 def product(x: Colligation, y: Colligation, tol: Tolerances = DEFAULT_TOLERANCES) -> Colligation:

@@ -92,7 +92,7 @@ def matrix_from_json(obj, what: str) -> np.ndarray:
                 raise _parse_error(f"{what}: entry ({i},{j}) is too large for a float") from None
         rows.append(entries)
     m = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise _parse_error(f"{what}: entries must be finite")
     return m
 

@@ -26,7 +26,7 @@ from .linalg import (
     require_real_orthogonal,
     solve_coupled,
 )
-from .multi import MultiColligation, multi_realization
+from .multi import MultiColligation, _diagonal_blocks, multi_realization
 from .realization import Realization, charvalue
 
 __all__ = [
@@ -78,17 +78,9 @@ def dc_realization(fam: MultiColligation, tol: Tolerances = DEFAULT_TOLERANCES) 
     """The blocks of the core system (the ``"SR"`` form); the transposed
     inverses of the members are cross-checked under ``tol`` as they are built.
     """
-    tildes = [transpose_inverse(g.matrix, tol) for g in fam.members]
-    al, na, nm = fam.alpha, fam.arity * fam.alpha, fam.arity * fam.inner
+    at, bt, ct, dt = _diagonal_blocks([transpose_inverse(g.matrix, tol) for g in fam.members], fam.alpha)
     plus = multi_realization(fam)
-    at = block_diag(*(t[:al, :al] for t in tildes))
-    bt = block_diag(*(t[:al, al:] for t in tildes))
-    ct = block_diag(*(t[al:, :al] for t in tildes))
-    dt = block_diag(*(t[al:, al:] for t in tildes))
-    zeros = np.zeros((na, na))
-    a = np.block([[plus.a, zeros], [zeros, at]])
-    rhs = np.block([[plus.c, np.zeros((nm, na))], [np.zeros((nm, na)), ct]])
-    return Realization("SR", a, plus.b, rhs, plus.d, fam.inner, bt, dt)
+    return Realization("SR", block_diag(plus.a, at), plus.b, block_diag(plus.c, ct), plus.d, fam.inner, bt, dt)
 
 
 def dc_charfun(fam: MultiColligation, s, r, tol: Tolerances = DEFAULT_TOLERANCES) -> CharValue:

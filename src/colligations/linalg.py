@@ -84,7 +84,7 @@ def _as_complex(m, name="matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {a.shape}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

@@ -87,16 +87,16 @@ def random_multi(alpha: int, inner: int, arity: int, seed) -> MultiColligation:
     return MultiColligation(random_colligation(alpha, inner, rng) for _ in range(arity))
 
 
+def _diagonal_blocks(matrices, alpha: int) -> tuple:
+    """The block-diagonal ``a``, ``b``, ``c`` and ``d`` blocks of the square
+    ``matrices`` split at ``alpha``."""
+    parts = (slice(None, alpha), slice(alpha, None))
+    return tuple(block_diag(*(m[rows, cols] for m in matrices)) for rows in parts for cols in parts)
+
+
 def multi_realization(mc: MultiColligation) -> Realization:
     """The block-diagonal ``bigA..bigD`` of the closed form (the ``"S"`` form)."""
-    return Realization(
-        "S",
-        block_diag(*(g.a for g in mc.members)),
-        block_diag(*(g.b for g in mc.members)),
-        block_diag(*(g.c for g in mc.members)),
-        block_diag(*(g.d for g in mc.members)),
-        mc.inner,
-    )
+    return Realization("S", *_diagonal_blocks([g.matrix for g in mc.members], mc.alpha), mc.inner)
 
 
 def elimination_matrix(mc: MultiColligation, s) -> np.ndarray:

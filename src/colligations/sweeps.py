@@ -263,16 +263,17 @@ def _grid_points(obj, doc: Document) -> _Points:
         t_min, t_max = (_parse_scalar(obj[key], f"grid {key}") for key in ("t_min", "t_max"))
         base, direction = _arguments(doc, (obj["base"], "grid base"), (obj["direction"], "grid direction"))
 
-        def ts(start, stop):
-            for k in range(start, stop):
-                yield t_min + (t_max - t_min) * (k / (steps - 1) if steps > 1 else 0.0)
+        def t_at(k):
+            return t_min + (t_max - t_min) * (k / (steps - 1) if steps > 1 else 0.0)
 
-        if not all(cmath.isfinite(t) for t in ts(0, steps)):
+        # Each part of t_at(k) is monotone in k under rounding, and a difference
+        # that is not finite makes t_at(0) NaN, so the ends decide.
+        if not (cmath.isfinite(t_at(0)) and cmath.isfinite(t_at(steps - 1))):
             raise CliError(EXIT_PARSE, "grid: the segment parameter overflows a float")
 
         def segment(size):
             for start in range(0, steps, size):
-                part = list(ts(start, min(start + size, steps)))
+                part = [t_at(k) for k in range(start, min(start + size, steps))]
                 # A point that overflows is not regular, which its record says.
                 with np.errstate(over="ignore", invalid="ignore"):
                     arguments = np.array([base + t * direction for t in part], dtype=complex)

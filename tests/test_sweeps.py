@@ -303,3 +303,22 @@ def test_error_before_the_first_byte_leaves_no_output(capsys, tmp_path, swap_doc
     assert cli.main(["eval", swap_doc, "--grid", grid, "--out", str(path)]) == 1
     assert not path.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_a_segment_computes_its_parameter_at_most_twice_before_its_first_chunk(monkeypatch, swap_doc):
+    # Only the ends of a segment decide whether its parameter overflows, so
+    # the time to the first record does not grow with the resolution.
+    computed = []
+
+    class Parameter(complex):
+        def __add__(self, other):
+            computed.append(other)
+            return complex.__add__(self, other)
+
+    parse = sweeps._parse_scalar
+    monkeypatch.setattr(sweeps, "_parse_scalar", lambda obj, what: Parameter(parse(obj, what)))
+    points = sweeps._grid_points(dict(_SEGMENT, resolution=10**6), cli._load(swap_doc, DEFAULT_TOLERANCES))
+    assert len(computed) <= 2
+    labels, arguments = next(points.chunks(3))
+    assert arguments.tolist() == [complex(*label) for label in labels]
+    assert labels[0] == [-0.9, 0.0] and -0.9 < labels[2][0] < -0.8999

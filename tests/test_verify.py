@@ -428,6 +428,59 @@ class TestRedraw:
         with pytest.raises(verify._Retry):
             verify._evaluate([real], [(mu + offset) * np.eye(2)], Tolerances(surface_guard=guard))
 
+    def test_reflection_draws_again_where_the_reflected_point_is_a_pole(self, monkeypatch):
+        # The first draw's reflected point is read as a pole; only that draw
+        # is taken again, and the trial passes on the next one.
+        original = verify_scalar._charvalues
+        draws, poles = [], []
+
+        def charvalues(cols, zs, tol):
+            draws.append(zs)
+            values = original(cols, zs, tol)
+            yield next(values)
+            if len(draws) == 1:
+                poles.append(zs[1])
+                raise NearPole(0.0, "pole")
+            yield from values
+
+        monkeypatch.setattr(verify_scalar, "_charvalues", charvalues)
+        report = run_suite("charfun-reflection", trials=1, seed=0)
+        assert report.passed
+        assert len(poles) == 1 and len(draws) == 2 and draws[1][0] != draws[0][0]
+
+    def test_adjoint_reading_at_a_singular_point_is_nan(self, monkeypatch):
+        # Every reflected point lies on the eigensurface, so both readings are
+        # NaN: the observation fails no trial and reports a NaN defect.
+        def singular(real, args, tol):
+            raise OnEigensurface(0.0, "arguments lie on the eigensurface")
+
+        monkeypatch.setattr(realization, "charvalue", singular)
+        report = run_suite("doublecoset-adjoint-experiment", trials=2, seed=0)
+        assert report.failures == [] and np.isnan(report.max_defect)
+
+    @pytest.mark.parametrize(
+        "module, name, unusable",
+        [
+            (np.linalg, "eig", lambda eig, d: (eig(d)[0] + 1.0, eig(d)[1])),
+            (relations, "on_eigensurface", lambda on_eigensurface, *args: False),
+        ],
+        ids=["eigenpair", "off-surface"],
+    )
+    def test_containment_surface_draws_again(self, monkeypatch, module, name, unusable):
+        # The first constraint drawn is unusable, once because its eigenpair
+        # is inexact and once because it misses the eigensurface; the suite
+        # draws again and passes.
+        original = getattr(module, name)
+        calls = []
+
+        def first_unusable(*args):
+            calls.append(1)
+            return unusable(original, *args) if len(calls) == 1 else original(*args)
+
+        monkeypatch.setattr(module, name, first_unusable)
+        report = run_suite("relation-containment-surface", trials=1, seed=0)
+        assert report.passed and len(calls) == 2
+
 
 class TestPolyval:
     @pytest.mark.parametrize("degree", range(8))

@@ -20,7 +20,11 @@ one thread), and a 40-point ball of radius 1.7e308, whose points overflow,
 for every kind.  Last come points whose system is finite but whose largest
 singular value overflows: one ``--point`` per kind (under both commands for
 the matrix kinds), and for each matrix kind a segment from 0 into overflow
-under both commands at ``--threads 1`` and ``2``.  The paths in it are
+under both commands at ``--threads 1`` and ``2``.  Then come long grids, each
+at ``--threads 1`` and ``2``: a 10,000-step segment for every kind (under
+both commands for the matrix kinds; 3 to 157 chunks), whose colligation
+points overflow at its far end, and a 20,000-point ball for the
+colligation.  The paths in it are
 ``DIR/KIND.json`` as ``DIR`` was given, so run ``compare_verify.py`` from the
 same directory.
 """
@@ -66,6 +70,17 @@ OVERFLOW_POINTS = {"colligation": json.dumps(_HUGE), "matrix": json.dumps([[_HUG
 OVERFLOW_SEGMENT = '{"type":"segment","base":%s,"direction":%s,"t_min":-1,"t_max":1,"resolution":5}' % (_BIG, _BIG)
 
 
+# 10,000 steps: 3 chunks at two threads for the colligation, multi and tri
+# documents, 10 for the double-coset one.  The colligation's points
+# base + t * direction overflow a float for t past about 180.
+LONG_GRIDS = {
+    "colligation": '{"type":"segment","base":0.5,"direction":[1e306,1e306],"t_min":0,"t_max":200,"resolution":10000}',
+    "matrix": '{"type":"segment","base":%s,"direction":%s,"t_min":-1,"t_max":1,"resolution":10000}'
+    % (_matrix(2, 0.1), _matrix(2, 0.6)),
+    "ball": '{"type":"ball","count":20000,"seed":5,"radius":1.3}',
+}
+
+
 def write_documents(directory: str) -> list[str]:
     """Write ``KIND.json`` for every kind into ``directory``; the paths, in kind order."""
     os.makedirs(directory, exist_ok=True)
@@ -87,7 +102,7 @@ def command_lines(paths: list[str]) -> list[list[str]]:
                 if value is not None:
                     argv += [flag, value]
             runs.append(argv)
-    return runs + large_grid_lines(paths) + overflow_lines(paths)
+    return runs + large_grid_lines(paths) + overflow_lines(paths) + long_grid_lines(paths)
 
 
 def large_grid_lines(paths: list[str]) -> list[list[str]]:
@@ -118,6 +133,21 @@ def overflow_lines(paths: list[str]) -> list[list[str]]:
             runs.append([command, path, "--threads", "1", "--point", OVERFLOW_POINTS["matrix"], *fixed])
             for threads in ("1", "2"):
                 runs.append([command, path, "--threads", threads, "--grid", OVERFLOW_SEGMENT, *fixed])
+    return runs
+
+
+def long_grid_lines(paths: list[str]) -> list[list[str]]:
+    """The long segments' and the one-variable ball's command lines, for
+    ``paths`` in kind order."""
+    runs = []
+    for kind, path in zip(KINDS, paths):
+        fixed = ["--fixed", FIXED[1]] if kind == "doublecoset" else []
+        if kind == "colligation":
+            lines = [("eval", LONG_GRIDS["colligation"]), ("eval", LONG_GRIDS["ball"])]
+        else:
+            lines = [(command, LONG_GRIDS["matrix"]) for command in VARIABLES]
+        for (command, grid), threads in itertools.product(lines, ("1", "2")):
+            runs.append([command, path, "--threads", threads, "--grid", grid, *fixed])
     return runs
 
 
