@@ -173,10 +173,13 @@ def _seed(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # One --tol-* flag per Tolerances field, in field order, named after it.
     tol_flags = argparse.ArgumentParser(add_help=False)
-    for name in ("unitarity", "residual", "rank", "surface-guard"):
+    for field in dataclasses.fields(Tolerances):
+        name = field.name.removesuffix("_tol").replace("_", "-")
         tol_flags.add_argument(
             f"--tol-{name}",
+            dest=field.name,
             type=float,
             default=None,
             metavar="X",
@@ -252,13 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    overrides = {
-        "unitarity_tol": args.tol_unitarity,
-        "residual_tol": args.tol_residual,
-        "rank_tol": args.tol_rank,
-        "surface_guard": args.tol_surface_guard,
-    }
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(Tolerances)}
+    overrides = {name: value for name, value in values.items() if value is not None}
     try:
         return dataclasses.replace(DEFAULT_TOLERANCES, **overrides)
     except ValueError as exc:

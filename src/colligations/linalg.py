@@ -9,7 +9,7 @@ only through explicit seeds or generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,10 +58,10 @@ class Tolerances:
     surface_guard: float = 1e-8
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "residual_tol", "rank_tol", "surface_guard"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
+                raise ValueError(f"{field.name} must lie strictly between 0 and 1, got {value}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -326,9 +326,19 @@ def complex_gauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def sample_disc(rng: np.random.Generator, radius: float = 1.0) -> complex:
     """Uniform sample from the open disc of the given radius."""
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0))
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(r * np.cos(theta), r * np.sin(theta))
+    return complex(sample_discs(rng, 1, radius)[0])
+
+
+def sample_discs(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
+    """``count`` successive :func:`sample_disc` draws, from one ``(count, 2)``
+    uniform draw: each point's radius, then its angle ``2 pi u`` as ``uniform(0, 2 pi)`` forms it."""
+    u = rng.uniform(0.0, 1.0, (count, 2))
+    r = radius * np.sqrt(u[:, 0])
+    theta = 2.0 * np.pi * u[:, 1]
+    points = np.empty(count, dtype=complex)
+    points.real = r * np.cos(theta)
+    points.imag = r * np.sin(theta)
+    return points
 
 
 def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:

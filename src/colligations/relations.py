@@ -34,6 +34,7 @@ __all__ = [
     "graph_relation",
     "identity_relation",
     "compose_relations",
+    "containment_residual",
     "contains",
     "subspace_distance",
     "ConstraintSubspace",
@@ -120,15 +121,19 @@ def compose_relations(
     return LinearRelation(first.dim_v, second.dim_w, basis, tol)
 
 
-def contains(big: LinearRelation, small: LinearRelation, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """Whether every basis column of ``small`` lies in ``big`` within rank_tol."""
+def containment_residual(big: LinearRelation, small: LinearRelation) -> float:
+    """How far ``small`` sticks out of ``big``: the operator norm of the part
+    of its basis outside ``big`` (0.0 for an empty ``small``)."""
     if (big.dim_v, big.dim_w) != (small.dim_v, small.dim_w):
         raise BadSplit("relations live on different spaces")
     if small.dim == 0:
-        return True
-    proj = big.basis @ (big.basis.conj().T @ small.basis)
-    residual = small.basis - proj
-    return float(np.max(np.linalg.norm(residual, axis=0))) <= tol.rank_tol
+        return 0.0
+    return op_norm(small.basis - big.basis @ (big.basis.conj().T @ small.basis))
+
+
+def contains(big: LinearRelation, small: LinearRelation, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """Whether ``small`` lies in ``big``: its :func:`containment_residual` within rank_tol."""
+    return containment_residual(big, small) <= tol.rank_tol
 
 
 def subspace_distance(x: LinearRelation, y: LinearRelation) -> float:

@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-# ``cli._emit_records``, ``documents.matrix_to_json`` and ``linalg.sample_disc``
-# are called through their modules, so a wrapper bound to those names at run
-# time (a tracer's) sees every call, whenever this module was imported.
+# ``cli._emit_records``, ``documents.matrix_to_json`` and the ``linalg``
+# samplers are called through their modules, so a wrapper bound to those names
+# at run time (a tracer's) sees every call, whenever this module was imported.
 from . import cli, documents, linalg
 from .cli import EXIT_ALL_SINGULAR, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, CliError, _load, _open_out
 from .documents import KIND_TABLE, Document, matrix_from_json
@@ -290,7 +290,7 @@ def _grid_points(obj, doc: Document) -> _Points:
         for start in range(0, count, size):
             part = min(size, count - start)
             if n is None:
-                arguments = np.array([linalg.sample_disc(rng, radius) for _ in range(part)], dtype=complex)
+                arguments = linalg.sample_discs(rng, part, radius)
             else:
                 arguments = linalg.sample_balls(rng, part, n, radius)
             yield [(index,) for index in range(start, start + part)], arguments

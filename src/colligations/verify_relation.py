@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import BadSplit
-from .linalg import complex_gauss, op_norm, signature_form
+from .linalg import complex_gauss, signature_form
 from .documents import KIND_TABLE
 from . import linalg
 from .verify import (
@@ -13,14 +13,6 @@ from .verify import (
 
 
 _relation_dims = _capped_dims(2, 3, 3)
-
-
-def _containment_residual(big, small) -> float:
-    """How far the small relation sticks out of the big one (0 if inside)."""
-    if small.dim == 0:
-        return 0.0
-    inside = big.basis @ (big.basis.conj().T @ small.basis)
-    return op_norm(small.basis - inside)
 
 
 @_suite("relation-compose", "relation composition matches matrix composition on graphs", budget=GRAPH_TOL)
@@ -63,7 +55,7 @@ def _containment(draw_constraint):
             tol,
         )
         detail = f"dims big={big.dim} small={small.dim}"
-        return TrialResult(_containment_residual(big, small), detail)
+        return TrialResult(relations.containment_residual(big, small), detail)
 
     return trial
 

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -34,7 +36,7 @@ from colligations.documents import (
     random_document,
     save_document,
 )
-from colligations.linalg import DEFAULT_TOLERANCES, sigma_extremes
+from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, sigma_extremes
 from colligations.multi import MultiColligation
 from colligations.realization import system
 
@@ -1068,6 +1070,28 @@ class TestTolerances:
 
     def test_invalid_override_rejected(self, capsys, swap_doc):
         assert run(capsys, "validate", swap_doc, "--tol-unitarity", "2.0")[0] == 1
+
+    def test_every_command_has_one_flag_per_field_in_field_order(self):
+        names = [field.name for field in dataclasses.fields(Tolerances)]
+        flags = [["--tol-unitarity"], ["--tol-residual"], ["--tol-rank"], ["--tol-surface-guard"]]
+        commands = _subcommands()
+        assert set(commands) == {"validate", "product", "eval", "surface", "verify", "random"}
+        for command, parser in commands.items():
+            tol = [action for action in parser._actions if any(s.startswith("--tol-") for s in action.option_strings)]
+            assert [action.dest for action in tol] == names, command
+            assert [action.option_strings for action in tol] == flags, command
+
+    def test_each_flag_overrides_its_field_alone(self):
+        for field in dataclasses.fields(Tolerances):
+            flag = "--tol-" + field.name.removesuffix("_tol").replace("_", "-")
+            tol = cli._resolve_tolerances(cli._build_parser().parse_args(["validate", "doc.json", flag, "0.5"]))
+            assert tol == dataclasses.replace(DEFAULT_TOLERANCES, **{field.name: 0.5})
+
+
+def _subcommands() -> dict:
+    """``{name: parser}`` of the command line's subcommands."""
+    (sub,) = [action for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return dict(sub.choices)
 
 
 def _in_fresh_process(code: str, *argv) -> str:

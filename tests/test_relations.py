@@ -11,6 +11,7 @@ from colligations.relations import (
     LinearRelation,
     char_relation,
     compose_relations,
+    containment_residual,
     contains,
     form_on_subspace,
     graph_relation,
@@ -113,6 +114,36 @@ class TestContains:
         full = LinearRelation(2, 2, np.eye(4))
         small = random_relation(np.random.default_rng(6), 2, 2, 1)
         assert not contains(small, full)
+
+
+class TestContainmentResidual:
+    def test_empty_small_sticks_out_nowhere(self):
+        rel = random_relation(np.random.default_rng(9), 2, 1, 1)
+        assert containment_residual(rel, LinearRelation(2, 1, np.zeros((3, 0)))) == 0.0
+
+    def test_relations_on_different_spaces_raise(self):
+        rng = np.random.default_rng(10)
+        with pytest.raises(BadSplit):
+            containment_residual(random_relation(rng, 2, 2, 2), random_relation(rng, 1, 3, 2))
+
+    def test_is_the_operator_norm_of_the_part_outside(self):
+        # The measure the containment suites judged, written out.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            dim_v, dim_w = rng.integers(1, 4, size=2)
+            big = random_relation(rng, dim_v, dim_w, rng.integers(1, dim_v + dim_w + 1))
+            small = random_relation(rng, dim_v, dim_w, rng.integers(1, dim_v + dim_w + 1))
+            outside = small.basis - big.basis @ (big.basis.conj().T @ small.basis)
+            assert containment_residual(big, small) == op_norm(outside)
+
+    def test_contains_is_the_residual_within_rank_tol(self):
+        rng = np.random.default_rng(12)
+        full = LinearRelation(2, 2, np.eye(4))
+        for tol in (DEFAULT_TOLERANCES, Tolerances(rank_tol=0.5), Tolerances(rank_tol=0.999)):
+            for _ in range(10):
+                big, small = random_relation(rng, 2, 2, 2), random_relation(rng, 2, 2, 1)
+                for x, y in ((big, small), (full, small), (small, big)):
+                    assert contains(x, y, tol) == (containment_residual(x, y) <= tol.rank_tol)
 
 
 class TestConstraintSubspace:

@@ -11,7 +11,7 @@ import pytest
 from colligations import cli, sweeps
 from colligations.colligation import Colligation
 from colligations.documents import SCHEMA_VERSION, Document, matrix_to_json, random_document, save_document
-from colligations.linalg import DEFAULT_TOLERANCES, sample_ball, sample_balls
+from colligations.linalg import DEFAULT_TOLERANCES, sample_ball, sample_balls, sample_disc, sample_discs
 from colligations.realization import evaluate
 
 EDGE = [-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, 1.0, -2.5e-10, 0.0, 123456.789]
@@ -165,6 +165,25 @@ def test_ball_sampler_matches_one_point_draws(dim, radius):
     want = np.array([sample_ball_loop(rngs[0], dim, radius) for _ in range(40)])
     stacked = np.concatenate([sample_balls(rngs[1], 13, dim, radius), sample_balls(rngs[1], 27, dim, radius)])
     one_by_one = np.array([sample_ball(rngs[2], dim, radius) for _ in range(40)])
+    assert stacked.tobytes() == want.tobytes() == one_by_one.tobytes()
+    # The generators are left at the same place in the stream.
+    assert len({rng.random() for rng in rngs}) == 1
+
+
+def sample_disc_loop(rng, radius: float) -> complex:
+    """One disc point from two scalar uniform draws (the oracle)."""
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0))
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(r * np.cos(theta), r * np.sin(theta))
+
+
+@pytest.mark.parametrize("count", [1, 1000])
+@pytest.mark.parametrize("radius", [0.9, 1.0, 3.7, 1.7e308, 5e-324])
+def test_disc_sampler_matches_one_point_draws(count, radius):
+    rngs = [np.random.default_rng(count) for _ in range(3)]
+    want = np.array([sample_disc_loop(rngs[0], radius) for _ in range(count)], dtype=complex)
+    stacked = sample_discs(rngs[1], count, radius)
+    one_by_one = np.array([sample_disc(rngs[2], radius) for _ in range(count)], dtype=complex)
     assert stacked.tobytes() == want.tobytes() == one_by_one.tobytes()
     # The generators are left at the same place in the stream.
     assert len({rng.random() for rng in rngs}) == 1

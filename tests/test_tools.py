@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -9,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import colligations
+from colligations import cli
 from colligations.documents import KINDS, emit_document, random_document
+from colligations.linalg import Tolerances
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +78,26 @@ def test_compare_verify_refuses_a_flag_it_cannot_pass_on():
     # which compare as identical.
     assert (result.returncode, result.stdout) == (2, "")
     assert "expected pairs of one of --tol-unitarity, " in result.stderr
+
+
+def test_compare_verify_passes_on_every_tolerance_and_cap_flag():
+    # The tool runs without importing the package, so it spells the flags out;
+    # a --tol-* flag the command line builds must not be missing from them.
+    spec = importlib.util.spec_from_file_location("compare_verify", ROOT / "tools" / "compare_verify.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (sub,) = [action for action in cli._build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    tol_flags = {
+        flag
+        for parser in sub.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--tol-")
+    }
+    verify = [flag for action in sub.choices["verify"]._actions for flag in action.option_strings]
+    cap_flags = {flag for flag in verify if flag.startswith("--max-")}
+    assert len(tol_flags) == len(dataclasses.fields(Tolerances)) and len(cap_flags) == 3
+    assert tol_flags | cap_flags <= set(tool._SUITE_FLAGS)
 
 
 def test_compare_verify_names_the_parts_that_differ(tmp_path):
