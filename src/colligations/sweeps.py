@@ -15,8 +15,6 @@ import cmath
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -147,27 +145,13 @@ def _realize(doc: Document, tol: Tolerances):
         raise CliError(EXIT_MISMATCH, str(exc)) from None
 
 
-def _scalar_json(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+# The JSON text of a complex scalar from its real and imaginary parts, both finite.
+_PAIR = "[%r,%r]"
 
 
-@dataclass(frozen=True)
-class _Points:
-    """The points of one sweep, made a chunk at a time.
-
-    ``label`` is the %-template of one point's label in a record.
-    ``chunks(size)`` yields ``(labels, arguments)`` for up to ``size`` points
-    in output order: one tuple of label values per point, and the arguments
-    stacked along a leading axis.
-    """
-
-    label: str
-    chunks: Callable
-
-
-def _one_point(label, argument) -> _Points:
-    text = json.dumps(label, separators=(",", ":"), allow_nan=False)
-    return _Points("%s", lambda size: iter([([(text,)], np.array([argument], dtype=complex))]))
+def _one_point(label: str, argument):
+    """The chunks of a sweep of one point (see :func:`_grid_points`)."""
+    return lambda size: iter([([label], np.array([argument], dtype=complex))])
 
 
 def _disc_lattice(resolution: int, radius: float, size: int):
@@ -206,9 +190,15 @@ _GRID_KEYS = {
 }
 
 
-def _grid_points(obj, doc: Document) -> _Points:
+def _grid_points(obj, doc: Document):
     """The points of a ``--grid``: a disc lattice, a line segment, or a random
-    ball.  Any error in the grid is raised here, before a chunk is made."""
+    ball, as ``chunks``.  Any error in the grid is raised here, before a chunk
+    is made.
+
+    ``chunks(size)`` yields ``(labels, arguments)`` for up to ``size`` points
+    in output order: each point's label as the JSON text its record prints,
+    and the arguments stacked along a leading axis.
+    """
     if not isinstance(obj, dict):
         raise CliError(EXIT_PARSE, "grid: expected a JSON object")
     kind = obj.get("type")
@@ -252,9 +242,9 @@ def _grid_points(obj, doc: Document) -> _Points:
 
         def disc(size):
             for z in _disc_lattice(resolution, radius, size):
-                yield np.stack([z.real, z.imag], axis=1).tolist(), z
+                yield [_PAIR % point for point in zip(z.real.tolist(), z.imag.tolist())], z
 
-        return _Points("[%r,%r]", disc)
+        return disc
     if kind == "segment":
         for key in ("base", "direction", "t_min", "t_max"):
             if key not in obj:
@@ -277,9 +267,9 @@ def _grid_points(obj, doc: Document) -> _Points:
                 # A point that overflows is not regular, which its record says.
                 with np.errstate(over="ignore", invalid="ignore"):
                     arguments = np.array([base + t * direction for t in part], dtype=complex)
-                yield [_scalar_json(t) for t in part], arguments
+                yield [_PAIR % (t.real, t.imag) for t in part], arguments
 
-        return _Points("[%r,%r]", segment)
+        return segment
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise CliError(EXIT_PARSE, "grid: seed must be a non-negative integer")
@@ -293,9 +283,9 @@ def _grid_points(obj, doc: Document) -> _Points:
                 arguments = linalg.sample_discs(rng, part, radius)
             else:
                 arguments = linalg.sample_balls(rng, part, n, radius)
-            yield [(index,) for index in range(start, start + part)], arguments
+            yield [str(index) for index in range(start, start + part)], arguments
 
-    return _Points("%d", ball)
+    return ball
 
 
 # --- records ------------------------------------------------------------------
@@ -304,7 +294,8 @@ def _grid_points(obj, doc: Document) -> _Points:
 # per record shape, keys in sorted order; the bytes are those of
 # ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.  Floats go
 # through ``float.__repr__``, as in ``json``; a field that may be null uses
-# ``%s``, which writes a float as ``%r`` does.
+# ``%s``, which writes a float as ``%r`` does.  A point's label comes as the
+# JSON text of its ``"point"`` and goes in through ``%s``.
 
 
 def _nullable(x: np.ndarray) -> list:
@@ -323,24 +314,22 @@ def _abs_json(det: complex):
     return size if math.isfinite(size) else "null"
 
 
-def _eval_text(label: str, labels, values, sigma, regular) -> str:
+def _eval_text(labels, values, sigma, regular) -> str:
     count, rows, cols = values.shape
-    row = "[" + ",".join(["[%r,%r]"] * cols) + "]"
+    row = "[" + ",".join([_PAIR] * cols) + "]"
     value = "[" + ",".join([row] * rows) + "]"
-    ok = '{"point":' + label + ',"regular":true,"sigma_min":%s,"value":' + value + "}\n"
-    not_ok = '{"point":' + label + ',"regular":false,"sigma_min":%s,"value":null}\n'
+    ok = '{"point":%s,"regular":true,"sigma_min":%s,"value":' + value + "}\n"
+    not_ok = '{"point":%s,"regular":false,"sigma_min":%s,"value":null}\n'
     flat = values.view(float).reshape(count, -1).tolist()
     return "".join(
-        ok % (*point, s, *v) if r else not_ok % (*point, s)
+        ok % (point, s, *v) if r else not_ok % (point, s)
         for point, v, s, r in zip(labels, flat, _nullable(sigma), regular.tolist())
     )
 
 
-def _surface_text(label: str, labels, dets, sigma) -> str:
-    record = '{"abs_det":%s,"point":' + label + ',"sigma_min":%s}\n'
-    return "".join(
-        record % (_abs_json(d), *point, s) for point, d, s in zip(labels, dets.tolist(), _nullable(sigma))
-    )
+def _surface_text(labels, dets, sigma) -> str:
+    record = '{"abs_det":%s,"point":%s,"sigma_min":%s}\n'
+    return "".join(record % (_abs_json(d), point, s) for point, d, s in zip(labels, dets.tolist(), _nullable(sigma)))
 
 
 # --- the sweep ----------------------------------------------------------------
@@ -379,7 +368,7 @@ def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
     order, yielding each chunk's kernel outputs once written.  The checks run
     and the output opens when the first chunk is asked for."""
     variable = _variable_for(doc, args.variable)
-    points = _eval_points(args, doc)
+    chunks = _eval_points(args, doc)
     stack = _stacker(doc, variable, args.fixed)
     real = _realize(doc, tol)
     size = _chunk_points(real, args.threads)
@@ -389,20 +378,24 @@ def _sweep(args, doc: Document, tol: Tolerances, kernel, text):
         return labels, kernel(real, stack(arguments))
 
     with _open_out(args.out) as out:
-        for labels, outputs in _map_ordered(work, points.chunks(size), args.threads):
-            cli._emit_records(out, text, points.label, labels, *outputs)
+        for labels, outputs in _map_ordered(work, chunks(size), args.threads):
+            cli._emit_records(out, text, labels, *outputs)
             yield outputs
 
 
 # --- commands -----------------------------------------------------------------
 
 
-def _eval_points(args, doc: Document) -> _Points:
+def _eval_points(args, doc: Document):
+    """The chunks of the sweep's ``--point`` or ``--grid`` (see :func:`_grid_points`)."""
     if (args.point is None) == (args.grid is None):
         raise CliError(EXIT_PARSE, "give exactly one of --point or --grid")
     if args.point is not None:
         (argument,) = _arguments(doc, (_parse_json(args.point, "--point"), "--point"))
-        label = _scalar_json(argument) if isinstance(argument, complex) else documents.matrix_to_json(argument)
+        if isinstance(argument, complex):
+            label = _PAIR % (argument.real, argument.imag)
+        else:
+            label = json.dumps(documents.matrix_to_json(argument), separators=(",", ":"), allow_nan=False)
         return _one_point(label, argument)
     return _grid_points(_parse_json(args.grid, "--grid"), doc)
 

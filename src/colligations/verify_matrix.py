@@ -13,7 +13,7 @@ from .documents import KIND_TABLE, _module
 from . import realization
 from .verify import (
     CONTROL_THRESHOLD, EXPANSION_SLACK, RATIONAL_FIT_TOL, _FLOOR, _KINDS, TrialResult, _Kind, _Retry, _ball,
-    _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
+    _capped_dims, _conditioned, _draw, _evaluate, _haar, _multi_dims, _retrying, _suite,
     _symmetric_ball, _unit_sphere, _value, _well_conditioned,
 )
 
@@ -284,9 +284,7 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
 def _surface_consistency(rng, dims, tol):
     from . import multi
 
-    alpha = _draw(rng, 1, min(3, dims.max_alpha))
-    inner = _draw(rng, 1, min(2, dims.max_inner))
-    arity = _draw(rng, 1, min(2, dims.max_arity))
+    alpha, inner, arity = _capped_dims(3, 2, 2)(rng, dims)
     mc = multi.random_multi(alpha, inner, arity, rng)
     nm = arity * inner
 

@@ -37,10 +37,9 @@ from colligations.documents import (
     save_document,
 )
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, sigma_extremes
-from colligations.multi import MultiColligation
 from colligations.realization import system
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+from families import SWAP, all_identity, swap_pair
 
 
 @pytest.fixture()
@@ -53,16 +52,14 @@ def swap_doc(tmp_path):
 @pytest.fixture()
 def swap_pair_doc(tmp_path):
     path = tmp_path / "swap_pair.json"
-    members = [Colligation(SWAP, 1), Colligation(SWAP, 1)]
-    save_document(Document("multi", MultiColligation(members), {"schema_version": SCHEMA_VERSION}), path)
+    save_document(Document("multi", swap_pair(), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 
 @pytest.fixture()
 def all_identity_doc(tmp_path):
     path = tmp_path / "all_identity.json"
-    members = [Colligation(np.eye(2), 1), Colligation(np.eye(2), 1)]
-    save_document(Document("multi", MultiColligation(members), {"schema_version": SCHEMA_VERSION}), path)
+    save_document(Document("multi", all_identity(), {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
 

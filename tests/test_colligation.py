@@ -26,7 +26,7 @@ from colligations.linalg import (
     unitarity_defect,
 )
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+from families import SWAP, assert_pinned
 
 
 def swap_colligation() -> Colligation:
@@ -272,3 +272,21 @@ class TestEquivalentProbe:
                 assert got == self._outcome(self._point_by_point, x, y, strict)
                 outcomes.add(got if isinstance(got, bool) else "NearPole")
         assert outcomes == {True, False, "NearPole"}
+
+
+# --- input checks and edge returns -----------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: Colligation(np.zeros((2, 3)), 1),
+        BadSplit("colligation matrix must be square, got shape (2, 3)"),
+        id="not-square",
+    ),
+    pytest.param(lambda: colligation.spectra_match([(1j, 1)], [(-1j, 1)], 1e-9), False, id="spectra-values-differ"),
+    pytest.param(lambda: repr(swap_colligation()), "Colligation(alpha=1, inner=1)", id="repr"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

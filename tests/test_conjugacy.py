@@ -16,6 +16,8 @@ from colligations.errors import AlphaMismatch, ArityMismatch, BadSplit, NotUnita
 from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, unitarity_defect
 from colligations import realization
 
+from families import assert_pinned, regular_argument
+
 CYCLIC = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
@@ -31,11 +33,6 @@ def cyclic_closed_form(s: np.ndarray) -> complex:
     """Hand elimination of the cyclic example's two inner equations."""
     det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0] + s[0, 1]
     return (1.0 - s[1, 0]) / det
-
-
-def regular_argument(rng, slots: int) -> np.ndarray:
-    g = rng.standard_normal((slots, slots)) + 1j * rng.standard_normal((slots, slots))
-    return 0.6 * g / np.linalg.norm(g, 2)
 
 
 class TestSplit:
@@ -147,3 +144,21 @@ class TestCharfun:
     def test_wrong_argument_shape(self):
         with pytest.raises(ArityMismatch):
             tri_charfun(cyclic_tri(), np.eye(3))
+
+
+# --- input checks and edge returns -----------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: TriColligation(np.zeros((2, 3)), 1, 1), BadSplit("matrix must be square, got shape (2, 3)"), id="not-square"
+    ),
+    pytest.param(
+        lambda: TriColligation(np.eye(3), 0, 1, 2), BadSplit("invalid split alpha=0, slot_dim=1, slots=2"), id="split"
+    ),
+    pytest.param(lambda: repr(cyclic_tri()), "TriColligation(alpha=1, slot_dim=1, slots=2)", id="repr"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from colligations import doublecoset, realization, verify, verify_matrix
-from colligations.colligation import Colligation
 from colligations.doublecoset import (
     dc_charfun,
     dc_charfun_system,
@@ -30,11 +29,9 @@ from colligations.linalg import (
     signature_form,
     unitarity_defect,
 )
-from colligations.multi import MultiColligation, multi_product, random_multi
+from colligations.multi import multi_product, random_multi
 
-
-def identity_family(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
+from families import all_identity, assert_pinned
 
 
 def small_arguments(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +118,7 @@ class TestEquivalence:
 class TestProduct:
     def test_identity_family_acts_as_padding(self):
         fam = random_multi(1, 2, 2, seed=12)
-        combined = multi_product(fam, identity_family(2, 1, 3))
+        combined = multi_product(fam, all_identity(2, 1, 3))
         rng = np.random.default_rng(13)
         for _ in range(5):
             s, r = small_arguments(rng, 2)
@@ -154,7 +151,7 @@ class TestCharfun:
     def test_identity_family_value_is_identity(self):
         s = np.array([[0.2, 0.1], [0.0, 0.3]])
         r = np.array([[0.4, 0.0], [0.2, 0.1]])
-        value = dc_charfun(identity_family(2, 2, 2), s, r)
+        value = dc_charfun(all_identity(2, 2, 2), s, r)
         npt.assert_allclose(value.value, np.eye(8), atol=1e-12)
 
     def test_oracle_agreement(self):
@@ -177,7 +174,7 @@ class TestCharfun:
         with pytest.raises(OnEigensurface):
             # The two chains close into a loop through S R, so the identity
             # family is singular exactly where S R has eigenvalue 1.
-            dc_charfun(identity_family(2, 1, 1), np.eye(2), np.eye(2))
+            dc_charfun(all_identity(2, 1, 1), np.eye(2), np.eye(2))
 
     def test_wrong_shapes_rejected(self):
         fam = random_multi(1, 2, 2, seed=21)
@@ -288,3 +285,19 @@ class TestKeptRealization:
             with pytest.raises(NotUnitary):
                 dc_charfun(fam, *small_arguments(np.random.default_rng(40), 2), strict)
         dc_realization(fam)
+
+
+# --- input checks -----------------------------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: dc_equivalent(all_identity(), np.eye(2), np.eye(2)),
+        ArityMismatch("inner factors do not match the inner dimension"),
+        id="equivalence-factor-size",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

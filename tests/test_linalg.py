@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colligations.errors import NearSingular, NotUnitary, OnEigensurface
+from colligations.errors import NearSingular, NotOrthogonal, NotUnitary, OnEigensurface
 from colligations.linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -17,12 +17,15 @@ from colligations.linalg import (
     op_norm,
     orthonormal_columns,
     rel_defect,
+    require_real_orthogonal,
     require_unitary,
     sigma_extremes,
     solve,
     solve_coupled,
     unitarity_defect,
 )
+
+from families import assert_pinned
 
 # A finite entry whose modulus overflows, so LAPACK's SVD of it gives NaN;
 # its inverse (1 - 1j) / 3.4e308 is representable.
@@ -293,3 +296,41 @@ class TestUnitarityDefect:
         assert unitarity_defect(u) == np.inf
         with pytest.raises(NotUnitary, match=r"defect inf > "):
             require_unitary(u, DEFAULT_TOLERANCES)
+
+
+# --- input checks and edge returns -----------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(lambda: op_norm(np.zeros(3)), ValueError("matrix must be two-dimensional, got shape (3,)"), id="1d"),
+    pytest.param(lambda: sigma_extremes(np.zeros((0, 3))), (0.0, 0.0), id="sigma-empty"),
+    pytest.param(
+        lambda: solve(np.zeros((2, 3)), np.zeros(2)),
+        ValueError("coefficient matrix must be square, got (2, 3)"),
+        id="solve-not-square",
+    ),
+    pytest.param(lambda: solve(np.eye(2), np.zeros(3)), ValueError("rhs has 3 rows, expected 2"), id="solve-rhs-rows"),
+    pytest.param(lambda: solve(np.zeros((0, 0)), np.zeros(0)), (np.zeros(0), 0.0), id="solve-empty-vector"),
+    pytest.param(lambda: solve(np.zeros((0, 0)), np.zeros((0, 2))), (np.zeros((0, 2)), 0.0), id="solve-empty-matrix"),
+    pytest.param(lambda: kernel(np.zeros((3, 0)), 1e-12), np.zeros((0, 0)), id="kernel-no-columns"),
+    pytest.param(lambda: kernel(np.zeros((0, 2)), 1e-12), np.eye(2), id="kernel-no-rows"),
+    pytest.param(lambda: kernel(np.zeros((2, 2)), 1e-12), np.eye(2), id="kernel-zero"),
+    pytest.param(lambda: unitarity_defect(np.zeros((2, 3))), np.inf, id="defect-not-square"),
+    pytest.param(lambda: unitarity_defect(np.zeros((0, 0))), 0.0, id="defect-empty"),
+    pytest.param(
+        lambda: require_unitary(np.zeros((2, 3)), DEFAULT_TOLERANCES),
+        NotUnitary("matrix must be square, got shape (2, 3)"),
+        id="unitary-not-square",
+    ),
+    pytest.param(
+        lambda: require_real_orthogonal(np.diag([1.0, 2.0]), DEFAULT_TOLERANCES),
+        NotOrthogonal("matrix is not unitary (defect 2.121e+00 > 1.0e-10)"),
+        id="orthogonal-not-unitary",
+    ),
+    pytest.param(lambda: haar_unitary(0, 1), ValueError("dim must be positive, got 0"), id="haar-unitary-dim"),
+    pytest.param(lambda: haar_orthogonal(0, 1), ValueError("dim must be positive, got 0"), id="haar-orthogonal-dim"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

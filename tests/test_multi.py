@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from colligations.colligation import (
-    Colligation,
     charfun_z,
     conjugate_inner,
     equivalent_probe,
@@ -25,20 +24,7 @@ from colligations.multi import (
     random_multi,
 )
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def swap_pair() -> MultiColligation:
-    return MultiColligation([Colligation(SWAP, 1), Colligation(SWAP, 1)])
-
-
-def all_identity(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
-
-
-def regular_argument(rng, arity: int) -> np.ndarray:
-    g = rng.standard_normal((arity, arity)) + 1j * rng.standard_normal((arity, arity))
-    return 0.6 * g / np.linalg.norm(g, 2)
+from families import all_identity, assert_pinned, regular_argument, swap_pair
 
 
 def dilation(mc, s, lam):
@@ -221,3 +207,23 @@ class TestKeptRealization:
         for _ in range(2):
             verify._KINDS["multi"].dilation(mc, real, (s,), chi, np.array([1.5, 0.5j, -2.0]), DEFAULT_TOLERANCES)
         assert len(calls) == 4
+
+
+# --- input checks and edge returns -----------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: MultiColligation([np.eye(2)]), TypeError("members must be Colligation instances"), id="member-type"
+    ),
+    pytest.param(
+        lambda: multi_conjugate(swap_pair(), np.eye(2)),
+        ArityMismatch("conjugator has dimension 2, expected 1"),
+        id="conjugator-size",
+    ),
+    pytest.param(lambda: repr(swap_pair()), "MultiColligation(arity=2, alpha=1, inner=1)", id="repr"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

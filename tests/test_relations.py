@@ -2,10 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations.colligation import Colligation, random_colligation
 from colligations.errors import ArityMismatch, BadSplit
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, op_norm, orthonormal_columns, signature_form
-from colligations.multi import MultiColligation, elimination_matrix, multi_charfun, multi_product, random_multi
+from colligations.multi import elimination_matrix, multi_charfun, multi_product, random_multi
 from colligations.relations import (
     ConstraintSubspace,
     LinearRelation,
@@ -20,15 +19,7 @@ from colligations.relations import (
     subspace_distance,
 )
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def swap_pair() -> MultiColligation:
-    return MultiColligation([Colligation(SWAP, 1), Colligation(SWAP, 1)])
-
-
-def all_identity(arity: int = 2, alpha: int = 1, inner: int = 1) -> MultiColligation:
-    return MultiColligation([Colligation(np.eye(alpha + inner), alpha) for _ in range(arity)])
+from families import all_identity, assert_pinned, swap_pair
 
 
 def random_relation(rng, dim_v: int, dim_w: int, dim: int) -> LinearRelation:
@@ -328,3 +319,50 @@ class TestNanFailsEveryCheck:
     def test_form_with_a_nan_is_not_hermitian(self):
         with pytest.raises(BadSplit, match="must be Hermitian"):
             form_on_subspace(np.diag([np.nan, 1.0]), np.eye(2)[:, :1])
+
+
+# --- input checks and edge returns -----------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: LinearRelation(1, 1, np.zeros((3, 1))),
+        BadSplit("basis must have 2 rows, got shape (3, 1)"),
+        id="relation-rows",
+    ),
+    pytest.param(lambda: graph_relation(np.zeros(2)), BadSplit("graph needs a matrix, got shape (2,)"), id="graph-1d"),
+    pytest.param(
+        lambda: subspace_distance(identity_relation(1), identity_relation(2)),
+        BadSplit("relations live on different spaces"),
+        id="distance-spaces",
+    ),
+    pytest.param(
+        lambda: ConstraintSubspace.from_equations(np.eye(2), np.eye(3)),
+        BadSplit("coefficient blocks must be square and equal-shaped, got (2, 2) and (3, 3)"),
+        id="equation-blocks",
+    ),
+    pytest.param(
+        lambda: ConstraintSubspace.from_basis(np.zeros((3, 1))), BadSplit("basis must be 2n x n, got (3, 1)"), id="basis"
+    ),
+    pytest.param(
+        lambda: ConstraintSubspace.graph_of(np.zeros((2, 3))),
+        BadSplit("graph needs a square matrix, got (2, 3)"),
+        id="constraint-graph",
+    ),
+    pytest.param(
+        lambda: form_on_subspace(np.zeros((2, 3)), np.zeros((2, 1))),
+        BadSplit("form matrix must be square, got (2, 3)"),
+        id="form-not-square",
+    ),
+    pytest.param(
+        lambda: form_on_subspace(np.eye(2), np.zeros((3, 1))),
+        BadSplit("basis rows (3, 1) do not match form dimension 2"),
+        id="form-basis-rows",
+    ),
+    pytest.param(lambda: repr(graph_relation(np.zeros((1, 2)))), "LinearRelation(2->1, dim=2)", id="relation-repr"),
+    pytest.param(lambda: repr(ConstraintSubspace.graph_of(np.eye(2))), "ConstraintSubspace(n=2)", id="constraint-repr"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

@@ -4,6 +4,7 @@ chunk at a time, the direct record formatter, and in-order streaming."""
 import json
 import math
 import tracemalloc
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from colligations.colligation import Colligation
 from colligations.documents import SCHEMA_VERSION, Document, matrix_to_json, random_document, save_document
 from colligations.linalg import DEFAULT_TOLERANCES, sample_ball, sample_balls, sample_disc, sample_discs
 from colligations.realization import evaluate
+
+from families import SWAP
 
 EDGE = [-0.0, 5e-324, 1e16, 1.7e308, -1.7e308, 0.1, 1.0, -2.5e-10, 0.0, 123456.789]
 
@@ -29,32 +32,37 @@ def finite_or_none(x: float):
 
 
 LABELS = [
-    ("[%r,%r]", [[-0.0, 5e-324], [1e16, -1.7e308], [0.1, -0.0], [1.7e308, 2.0]], lambda p: list(p)),
-    ("%d", [(0,), (1,), (2,), (10**6,)], lambda p: p[0]),
+    [[-0.0, 5e-324], [1e16, -1.7e308], [0.1, -0.0], [1.7e308, 2.0]],
+    [0, 1, 2, 10**6],
 ]
 
 
-@pytest.mark.parametrize("label, labels, decode", LABELS)
-def test_eval_records_are_canonical_json(label, labels, decode):
+def label_text(point) -> str:
+    """The label the sweep writes for a point given as an ``[re, im]`` pair or a ball index."""
+    return sweeps._PAIR % tuple(point) if isinstance(point, list) else str(point)
+
+
+@pytest.mark.parametrize("points", LABELS, ids=["pairs", "indices"])
+def test_eval_records_are_canonical_json(points):
     values = np.resize(np.array(EDGE), 4 * 2 * 3 * 2).view(complex).reshape(4, 2, 3)
     sigma = np.array([5e-324, np.nan, 1.7e308, np.inf])
     regular = np.array([True, False, True, False])
     want = "".join(
         canonical(
             {
-                "point": decode(point),
+                "point": point,
                 "value": matrix_to_json(values[i]) if regular[i] else None,
                 "sigma_min": finite_or_none(float(sigma[i])),
                 "regular": bool(regular[i]),
             }
         )
-        for i, point in enumerate(labels)
+        for i, point in enumerate(points)
     )
-    assert sweeps._eval_text(label, labels, values, sigma, regular) == want
+    assert sweeps._eval_text([label_text(p) for p in points], values, sigma, regular) == want
 
 
-@pytest.mark.parametrize("label, labels, decode", LABELS)
-def test_surface_records_are_canonical_json(label, labels, decode):
+@pytest.mark.parametrize("points", LABELS, ids=["pairs", "indices"])
+def test_surface_records_are_canonical_json(points):
     dets = np.array([3 + 4j, complex(np.nan, np.nan), 1.7e308 + 1.7e308j, -0.0 + 5e-324j])
     sigma = np.array([-0.0, np.nan, 1e16, 5e-324])
 
@@ -67,23 +75,23 @@ def test_surface_records_are_canonical_json(label, labels, decode):
     want = "".join(
         canonical(
             {
-                "point": decode(point),
+                "point": point,
                 "abs_det": abs_or_none(complex(dets[i])),
                 "sigma_min": finite_or_none(float(sigma[i])),
             }
         )
-        for i, point in enumerate(labels)
+        for i, point in enumerate(points)
     )
-    assert sweeps._surface_text(label, labels, dets, sigma) == want
+    assert sweeps._surface_text([label_text(p) for p in points], dets, sigma) == want
 
 
 def test_matrix_point_label_is_canonical_json():
     point = np.array([[complex(-0.0, 5e-324), 1e16], [1.7e308, complex(-0.0, -2.5e-10)]])
-    sweep = sweeps._one_point(matrix_to_json(point), point)
-    ((labels, arguments),) = list(sweep.chunks(1))
+    args = Namespace(point=json.dumps(matrix_to_json(point)), grid=None)
+    ((labels, arguments),) = list(sweeps._eval_points(args, random_document("multi", 3))(1))
     assert arguments.tobytes() == point[None].tobytes()
     values = np.array([[[complex(0.5, -0.0)]]])
-    text = sweeps._eval_text(sweep.label, labels, values, np.array([0.25]), np.array([True]))
+    text = sweeps._eval_text(labels, values, np.array([0.25]), np.array([True]))
     want = {"point": matrix_to_json(point), "value": [[[0.5, -0.0]]], "sigma_min": 0.25, "regular": True}
     assert text == canonical(want)
 
@@ -91,7 +99,7 @@ def test_matrix_point_label_is_canonical_json():
 @pytest.fixture()
 def swap_doc(tmp_path):
     path = tmp_path / "swap.json"
-    swap = Colligation(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
+    swap = Colligation(SWAP, 1)
     save_document(Document("colligation", swap, {"schema_version": SCHEMA_VERSION}), path)
     return str(path)
 
@@ -136,6 +144,14 @@ def test_disc_lattice_matches_the_loop(res, radius, size):
     got = np.concatenate(chunks) if chunks else np.empty(0, dtype=complex)
     want = np.array(disc_loop(res, radius), dtype=complex)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("res, radius, size", [(4, 1.0, 1), (21, 0.7, 7), (64, 2.5, 4096), (101, 1e-3, 7)])
+def test_disc_lattice_rechecks_a_modulus_at_the_bound(monkeypatch, res, radius, size):
+    # Every modulus reads as the bound, so Python's abs decides each point.
+    bound = radius * (1.0 + 1e-12)
+    monkeypatch.setattr(np, "hypot", lambda re, im: np.full(np.shape(re), bound))
+    test_disc_lattice_matches_the_loop(res, radius, size)
 
 
 @pytest.mark.parametrize("res, radius", [(2, 1.0), (21, 1.0), (64, 0.7), (101, 2.5), (300, 1.0)])
@@ -302,13 +318,13 @@ def test_one_chunk_of_records_needs_under_one_mebibyte(tmp_path, kind, shape, gr
     doc = cli._load(str(path), tol)
     fixed = json.dumps(matrix_to_json(sample_ball(np.random.default_rng(4), 3, 0.9))) if kind == "doublecoset" else None
     stack = sweeps._stacker(doc, sweeps._variable_for(doc, None), fixed)
-    points = sweeps._grid_points(grid, doc)
+    chunks = sweeps._grid_points(grid, doc)
     real = sweeps._realize(doc, tol)
     size = sweeps._chunk_points(real, 1)
     tracemalloc.start()
     try:
-        labels, arguments = next(points.chunks(size))
-        records = sweeps._eval_text(points.label, labels, *evaluate(real, stack(arguments), tol))
+        labels, arguments = next(chunks(size))
+        records = sweeps._eval_text(labels, *evaluate(real, stack(arguments), tol))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,8 +352,9 @@ def test_a_segment_computes_its_parameter_at_most_twice_before_its_first_chunk(m
 
     parse = sweeps._parse_scalar
     monkeypatch.setattr(sweeps, "_parse_scalar", lambda obj, what: Parameter(parse(obj, what)))
-    points = sweeps._grid_points(dict(_SEGMENT, resolution=10**6), cli._load(swap_doc, DEFAULT_TOLERANCES))
+    chunks = sweeps._grid_points(dict(_SEGMENT, resolution=10**6), cli._load(swap_doc, DEFAULT_TOLERANCES))
     assert len(computed) <= 2
-    labels, arguments = next(points.chunks(3))
-    assert arguments.tolist() == [complex(*label) for label in labels]
-    assert labels[0] == [-0.9, 0.0] and -0.9 < labels[2][0] < -0.8999
+    labels, arguments = next(chunks(3))
+    parameters = [json.loads(label) for label in labels]
+    assert arguments.tolist() == [complex(*t) for t in parameters]
+    assert parameters[0] == [-0.9, 0.0] and -0.9 < parameters[2][0] < -0.8999

@@ -242,9 +242,9 @@ def test_sweep_argv_corpus_is_identical_from_a_tree_against_itself(tmp_path):
     runs = json.loads(result.stdout)
     # eval and surface, four kinds, every combination of grid, point, fixed and
     # variable (3,920), then 28 large grids, 19 lines whose largest singular
-    # value overflows and 16 long grids; the last run taken is the first
-    # large grid.
-    assert len(runs) == 3983
+    # value overflows, 16 long grids and 16 lines of labels in every repr
+    # form; the last run taken is the first large grid.
+    assert len(runs) == 3999
     (tmp_path / "runs.json").write_text(json.dumps(runs[::196]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_verify.py"), src, src, "--argv", "runs.json"],

@@ -13,6 +13,8 @@ from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhau
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
+from families import assert_pinned
+
 
 class TestRegistry:
     def test_suites_are_sorted_and_described(self):
@@ -495,3 +497,16 @@ class TestPolyval:
         for point in points:
             got, want = verify_matrix._polyval(point, coeffs), npoly.polyval(point, coeffs)
             assert (type(got), np.asarray(got).tobytes()) == (type(want), np.asarray(want).tobytes())
+
+
+# --- input checks -----------------------------------------------------------------
+
+INPUT_CHECKS = [
+    pytest.param(lambda: run_suite("multi-oracle", trials=0), ValueError("trials must be positive, got 0"), id="no-trials"),
+    pytest.param(lambda: run_suite("multi-oracle", trials=-1), ValueError("trials must be positive, got -1"), id="negative"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_check(call, want):
+    assert_pinned(call, want)

@@ -24,9 +24,12 @@ under both commands at ``--threads 1`` and ``2``.  Then come long grids, each
 at ``--threads 1`` and ``2``: a 10,000-step segment for every kind (under
 both commands for the matrix kinds; 3 to 157 chunks), whose colligation
 points overflow at its far end, and a 20,000-point ball for the
-colligation.  The paths in it are
-``DIR/KIND.json`` as ``DIR`` was given, so run ``compare_verify.py`` from the
-same directory.
+colligation.  Last come labels whose floats print in every repr form,
+each at ``--threads 1``: three scalar ``--point`` values for the colligation,
+a 2x2 ``--point`` per matrix kind, and a 13-step segment from ``t_min``
+``[-2,-0.0]`` to ``t_max`` ``[3,5e-324]`` for every kind (the matrix kinds'
+under both commands).  The paths in it are ``DIR/KIND.json`` as ``DIR`` was
+given, so run ``compare_verify.py`` from the same directory.
 """
 
 from __future__ import annotations
@@ -80,6 +83,18 @@ LONG_GRIDS = {
     "ball": '{"type":"ball","count":20000,"seed":5,"radius":1.3}',
 }
 
+# Points and a segment parameter whose parts include -0.0, 5e-324, 1e16,
+# 1.7e308 and -2.5e-10, as labels print them.
+LABEL_POINTS = {
+    "colligation": ["[-0.0,5e-324]", "[1e16,-2.5e-10]", "-0.0"],
+    "matrix": ["[[[-0.0,5e-324],[1e16,-2.5e-10]],[[-0.0,0.0],[1.7e308,-0.0]]]"],
+}
+_LABEL_SEGMENT = '{"type":"segment","base":%s,"direction":%s,"t_min":[-2,-0.0],"t_max":[3,5e-324],"resolution":13}'
+LABEL_SEGMENTS = {
+    "colligation": _LABEL_SEGMENT % (0.1, 0.2),
+    "matrix": _LABEL_SEGMENT % (_matrix(2, 0.1), _matrix(2, 0.2)),
+}
+
 
 def write_documents(directory: str) -> list[str]:
     """Write ``KIND.json`` for every kind into ``directory``; the paths, in kind order."""
@@ -102,7 +117,7 @@ def command_lines(paths: list[str]) -> list[list[str]]:
                 if value is not None:
                     argv += [flag, value]
             runs.append(argv)
-    return runs + large_grid_lines(paths) + overflow_lines(paths) + long_grid_lines(paths)
+    return runs + large_grid_lines(paths) + overflow_lines(paths) + long_grid_lines(paths) + label_lines(paths)
 
 
 def large_grid_lines(paths: list[str]) -> list[list[str]]:
@@ -148,6 +163,21 @@ def long_grid_lines(paths: list[str]) -> list[list[str]]:
             lines = [(command, LONG_GRIDS["matrix"]) for command in VARIABLES]
         for (command, grid), threads in itertools.product(lines, ("1", "2")):
             runs.append([command, path, "--threads", threads, "--grid", grid, *fixed])
+    return runs
+
+
+def label_lines(paths: list[str]) -> list[list[str]]:
+    """The command lines whose labels hold every repr form, for ``paths`` in
+    kind order."""
+    runs = []
+    for kind, path in zip(KINDS, paths):
+        fixed = ["--fixed", FIXED[1]] if kind == "doublecoset" else []
+        shape = "colligation" if kind == "colligation" else "matrix"
+        commands = ["eval"] if kind == "colligation" else list(VARIABLES)
+        for command in commands:
+            for point in LABEL_POINTS[shape]:
+                runs.append([command, path, "--threads", "1", "--point", point, *fixed])
+            runs.append([command, path, "--threads", "1", "--grid", LABEL_SEGMENTS[shape], *fixed])
     return runs
 
 
