@@ -13,10 +13,13 @@ each drawn family once.  Two kinds of suite deviate from the plain pattern:
   ``max_defect`` field) without ever failing.
 
 This module holds the runner, the registry and the shared drawing helpers;
-the suites live in three modules by what they draw (``verify_scalar``,
-``verify_matrix``, ``verify_relation``), and a process loads only its suite's.
-A suite loads the modules of the families it draws (``multi``, ``conjugacy``,
-``doublecoset``, ``relations``) when it runs and calls into them, and into the
+the suites live in five modules by what they draw (``verify_scalar``,
+``verify_multi``, ``verify_conjugacy``, ``verify_doublecoset``,
+``verify_relation``), the three matrix-argument ones sharing the laws of
+``verify_matrix``, and a process loads only its suite's.  A suite module
+imports the modules of the families it draws (``multi``, ``conjugacy``,
+``doublecoset``, ``relations``) at its top, so that they load when the suite
+is looked up, before its first draw, and calls into them, and into the
 samplers of ``linalg``, through their module attributes, so that a wrapper
 bound at run time (a tracer's) sees every call.
 """
@@ -124,7 +127,9 @@ def _suite(name: str, describe: str, budget: float | None = None, aggregate=None
 # The module that registers a suite, by the first word of the suite's name.
 _GROUPS = {
     **dict.fromkeys(("product", "charfun", "spectrum", "pole", "padding"), "verify_scalar"),
-    **dict.fromkeys(("multi", "conjugacy", "doublecoset", "single", "surface"), "verify_matrix"),
+    **dict.fromkeys(("multi", "single", "surface"), "verify_multi"),
+    "conjugacy": "verify_conjugacy",
+    "doublecoset": "verify_doublecoset",
     "relation": "verify_relation",
 }
 

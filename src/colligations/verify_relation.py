@@ -5,7 +5,7 @@ import numpy as np
 from .errors import BadSplit
 from .linalg import complex_gauss, signature_form
 from .documents import KIND_TABLE
-from . import linalg
+from . import linalg, multi, relations
 from .verify import (
     CONTAINMENT_TOL, GRAPH_TOL, _KINDS, TrialResult, _capped_dims, _draw, _retrying, _Retry,
     _suite, _value,
@@ -17,8 +17,6 @@ _relation_dims = _capped_dims(2, 3, 3)
 
 @_suite("relation-compose", "relation composition matches matrix composition on graphs", budget=GRAPH_TOL)
 def _relation_compose(rng, dims, tol):
-    from . import relations
-
     dv, dm, dw = (_draw(rng, 1, 3) for _ in range(3))
     a = complex_gauss(rng, dm, dv)
     b = complex_gauss(rng, dw, dm)
@@ -41,8 +39,6 @@ def _containment(draw_constraint):
     equations are rank deficient (:class:`BadSplit`) is drawn again."""
 
     def trial(rng, dims, tol):
-        from . import multi, relations
-
         alpha, _, arity = _relation_dims(rng, dims)
         first = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
         second = multi.random_multi(alpha, _draw(rng, 1, min(3, dims.max_inner)), arity, rng)
@@ -64,8 +60,6 @@ def _containment(draw_constraint):
         budget=CONTAINMENT_TOL)
 @_containment
 def _relation_containment(rng, arity, families, tol):
-    from . import relations
-
     constraint = relations.ConstraintSubspace.from_equations(
         complex_gauss(rng, arity, arity), complex_gauss(rng, arity, arity), tol
     )
@@ -78,8 +72,6 @@ def _relation_containment(rng, arity, families, tol):
 @_suite("relation-containment-surface", "the containment persists on the eigensurface", budget=CONTAINMENT_TOL)
 @_containment
 def _relation_containment_surface(rng, arity, families, tol):
-    from . import relations
-
     prod = families[0]
     member = _draw(rng, 0, arity - 1)
     d = prod.members[member].d
@@ -100,8 +92,6 @@ def _relation_containment_surface(rng, arity, families, tol):
 @_suite("relation-definiteness", "a definite constraint subspace forces the opposite definiteness downstream",
         budget=0.5)
 def _relation_definiteness(rng, dims, tol):
-    from . import multi, relations
-
     alpha = _draw(rng, 1, min(2, dims.max_alpha))
     arity = _draw(rng, 1, min(3, dims.max_arity))
     # Strictness of the downstream definiteness needs an inner space at least
@@ -132,8 +122,6 @@ def _relation_definiteness(rng, dims, tol):
 @_suite("relation-charfun-consistency", "off the surface the relation is the graph of the evaluated function",
         budget=GRAPH_TOL)
 def _relation_charfun_consistency(rng, dims, tol):
-    from . import multi, relations
-
     alpha, inner, arity = _relation_dims(rng, dims)
     mc = multi.random_multi(alpha, inner, arity, rng)
     real = KIND_TABLE["multi"].realize(mc, tol)

@@ -1,9 +1,15 @@
-"""Small hand-made colligations and families, argument draws, and a check
-of a call's pinned outcome, shared by the test modules."""
+"""Small hand-made colligations and families, argument draws, a check of a
+call's pinned outcome and a fresh-process run, shared by the test modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colligations
 from colligations.colligation import Colligation
 from colligations.multi import MultiColligation
 
@@ -38,3 +44,13 @@ def assert_pinned(call, want) -> None:
         assert (info.type, str(info.value)) == (type(want), str(want))
     else:
         np.testing.assert_equal(call(), want)
+
+
+def in_fresh_process(code: str, *argv) -> str:
+    """Stdout of ``python -c code argv...`` importing the package under test;
+    the process must exit 0."""
+    src = str(Path(colligations.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout

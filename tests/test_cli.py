@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import copy
 import dataclasses
@@ -39,7 +40,7 @@ from colligations.documents import (
 from colligations.linalg import DEFAULT_TOLERANCES, Tolerances, sigma_extremes
 from colligations.realization import system
 
-from families import SWAP, all_identity, swap_pair
+from families import SWAP, all_identity, in_fresh_process, swap_pair
 
 
 @pytest.fixture()
@@ -1091,22 +1092,12 @@ def _subcommands() -> dict:
     return dict(sub.choices)
 
 
-def _in_fresh_process(code: str, *argv) -> str:
-    """Stdout of ``python -c code argv...`` importing the package under test;
-    the process must exit 0."""
-    src = str(Path(colligations.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 def test_import_does_not_load_scipy():
-    _in_fresh_process("import sys, colligations.cli; sys.exit('scipy' in sys.modules)")
+    in_fresh_process("import sys, colligations.cli; sys.exit('scipy' in sys.modules)")
 
 
 def test_verify_runs_without_a_thread_pool():
-    _in_fresh_process(
+    in_fresh_process(
         "import sys, colligations.cli\n"
         "assert colligations.cli.main(['verify', 'doublecoset-oracle', '--trials', '2']) == 0\n"
         "sys.exit('concurrent.futures' in sys.modules)\n"
@@ -1114,7 +1105,7 @@ def test_verify_runs_without_a_thread_pool():
 
 
 def test_import_does_not_load_verify():
-    _in_fresh_process(
+    in_fresh_process(
         "import sys, colligations.cli\n"
         "assert 'colligations.verify' not in sys.modules\n"
     )
@@ -1151,22 +1142,24 @@ _COMMAND_CASES = {
         {"sweeps", "doublecoset"} | _KIND_MODULES["doublecoset"],
     ),
     "surface-multi": ([["surface", "@multi", "--grid", _BALL]], {"sweeps"} | _KIND_MODULES["multi"]),
-    # verify loads the module of its suite's group and the modules of the
-    # families the suite draws; --list loads every group and runs none.
+    # verify loads the module of its suite's group (with the shared laws of
+    # verify_matrix for a matrix kind) and the modules of the families the
+    # suite draws; --list loads every group, so every family, and runs none.
     **{
         f"verify-{suite}": ([["verify", suite, "--trials", "1"]], {"colligation", "realization", "verify"} | modules)
         for suite, modules in {
             "charfun-multiplicative": {"verify_scalar"},
-            "multi-oracle": {"multi", "verify_matrix"},
-            "conjugacy-oracle": {"conjugacy", "verify_matrix"},
-            "doublecoset-rational": {"multi", "doublecoset", "verify_matrix"},
+            "multi-oracle": {"multi", "verify_matrix", "verify_multi"},
+            "conjugacy-oracle": {"conjugacy", "verify_conjugacy", "verify_matrix"},
+            "doublecoset-rational": {"multi", "doublecoset", "verify_doublecoset", "verify_matrix"},
             "relation-definiteness": {"multi", "relations", "verify_relation"},
             "relation-containment": {"multi", "relations", "verify_relation"},
         }.items()
     },
     "verify-list": (
         [["verify", "--list"]],
-        {"colligation", "realization", "verify", "verify_matrix", "verify_relation", "verify_scalar"},
+        {"colligation", "realization", "verify", "verify_conjugacy", "verify_doublecoset", "verify_matrix",
+         "verify_multi", "verify_relation", "verify_scalar", "conjugacy", "doublecoset", "multi", "relations"},
     ),
 }
 _LOADED = """\
@@ -1190,7 +1183,7 @@ def test_rational_suites_load_no_numpy_polynomial(suite):
         f"    assert main(['verify', '{suite}', '--trials', '1']) == 0\n"
         "print(sorted(name for name in sys.modules if name.startswith('numpy.polynomial')))\n"
     )
-    assert _in_fresh_process(code) == "[]\n"
+    assert in_fresh_process(code) == "[]\n"
 
 
 def test_every_name_in_a_module_all_is_bound_in_that_module():
@@ -1203,9 +1196,59 @@ def test_every_name_in_a_module_all_is_bound_in_that_module():
             assert hasattr(module, public), (name, public)
 
 
+# Why each public name that no other module of the package uses is public.
+_PAPER, _COMMAND, _PERFBENCH = "part of the paper's API", "a command's entry", "held by perfbench/"
+_UNUSED_PUBLIC_NAMES = {
+    ("cli", "main"): _COMMAND,
+    ("colligation", "charfun_z"): _PAPER,
+    ("conjugacy", "tri_charfun"): _PAPER,
+    ("documents", "Payload"): _PAPER,
+    ("documents", "parse_document"): _PAPER,
+    ("documents", "save_document"): _PERFBENCH,
+    ("doublecoset", "dc_charfun"): _PAPER,
+    ("doublecoset", "transpose_inverse"): _PERFBENCH,
+    ("relations", "contains"): _PERFBENCH,
+    ("verify", "Suite"): _PAPER,
+    ("verify", "SuiteReport"): _PAPER,
+}
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` imports from a module or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_that_no_other_module_uses_has_a_reason():
+    package = Path(colligations.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    read = {name: _names_read(tree) for name, tree in trees.items()}
+    unused = set()
+    for name, tree in trees.items():
+        public = next(
+            (
+                ast.literal_eval(node.value)
+                for node in tree.body
+                if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            ),
+            [],
+        )
+        others = set().union(*(names for other, names in read.items() if other != name))
+        unused.update((name, public_name) for public_name in public if public_name not in others)
+    assert unused == set(_UNUSED_PUBLIC_NAMES)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    held = set().union(*(_names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in perfbench.glob("*.py")))
+    assert {name for (_, name), why in _UNUSED_PUBLIC_NAMES.items() if why == _PERFBENCH} <= held
+
+
 def test_import_of_the_package_loads_no_module():
     code = "import sys, colligations\nprint(sorted(name for name in sys.modules if name.startswith('colligations')))"
-    assert _in_fresh_process(code) == "['colligations']\n"
+    assert in_fresh_process(code) == "['colligations']\n"
 
 
 @pytest.mark.parametrize("case", sorted(_COMMAND_CASES))
@@ -1217,7 +1260,7 @@ def test_command_loads_only_its_modules(tmp_path, case):
         save_document(random_document(kind, seed=1), documents[f"@{kind}"])
     runs = [[documents.get(word, word) for word in argv] for argv in runs]
     want = sorted(_CLI_MODULES | {f"colligations.{name}" for name in modules})
-    for argv, (code, loaded) in zip(runs, json.loads(_in_fresh_process(_LOADED, json.dumps(runs))), strict=True):
+    for argv, (code, loaded) in zip(runs, json.loads(in_fresh_process(_LOADED, json.dumps(runs))), strict=True):
         assert (code, loaded) == (0, want), argv
 
 
@@ -1241,7 +1284,7 @@ def test_command_line_main_freezes_the_heap(swap_doc):
         "code = main()\n"
         "print(code, before, gc.get_freeze_count() > 0)\n"
     )
-    assert _in_fresh_process(code, "validate", swap_doc) == "0 0 True\n"
+    assert in_fresh_process(code, "validate", swap_doc) == "0 0 True\n"
 
 
 def _drawing_runs(doc: str) -> list[list[str]]:

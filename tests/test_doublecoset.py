@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset, realization, verify, verify_matrix
+from colligations import doublecoset, realization, verify, verify_doublecoset
 from colligations.doublecoset import (
     dc_charfun,
     dc_charfun_system,
@@ -246,7 +246,7 @@ class TestAdjointExperiment:
         fam = random_multi(1, 2, 2, seed=35)
         s, r = small_arguments(np.random.default_rng(36), 2)
         chi = dc_charfun(fam, s, r).value
-        plain, negated = verify_matrix._adjoint_readings(fam, dc_realization(fam), s, r, chi, DEFAULT_TOLERANCES)
+        plain, negated = verify_doublecoset._adjoint_readings(fam, dc_realization(fam), s, r, chi, DEFAULT_TOLERANCES)
         assert plain < 1e-9
         assert negated > 1e-3
 
@@ -272,7 +272,7 @@ class TestKeptRealization:
         real = dc_realization(fam, tol)
         chi = realization.charvalue(real, (s, r), tol).value
         verify._KINDS["doublecoset"].dilation(fam, real, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
-        verify_matrix._adjoint_readings(fam, real, s, r, chi, tol)
+        verify_doublecoset._adjoint_readings(fam, real, s, r, chi, tol)
         assert len(calls) == fam.arity
 
     def test_kept_per_tolerance_profile(self):

@@ -275,3 +275,18 @@ def test_line_coverage_lists_the_lines_a_test_file_never_runs():
     natural = source.index("def _natural(obj: dict, key: str, what: str) -> int:") + 2
     assert source[natural - 1] == "    value = obj[key]"
     assert f"src/colligations/documents.py:{natural}" not in lines
+
+
+def test_every_bench_file_parses_and_names_the_commits_it_compares():
+    benches = sorted(ROOT.glob("BENCH_*.json"))
+    assert benches
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for path in benches:
+        bench = json.loads(path.read_text())
+        # The change's own commit adds the file, so it is named by its src/ tree.
+        assert re.fullmatch(r"[0-9a-f]{40}", bench["parent_commit"]), path.name
+        assert re.fullmatch(r"[0-9a-f]{40}", bench["change_src_tree"]), path.name
+        for workload in declared["workloads"]:
+            for metric in declared["end_to_end"]:
+                reading = bench["workloads"][workload["name"]][metric["name"]]
+                assert {"parent", "change"} <= set(reading), (path.name, workload["name"], metric["name"])

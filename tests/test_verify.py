@@ -1,19 +1,18 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from colligations import doublecoset, linalg, multi, realization, relations, verify, verify_matrix, verify_scalar
+from colligations import (
+    doublecoset, linalg, multi, realization, relations, verify, verify_doublecoset, verify_matrix, verify_scalar,
+)
 from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
 from colligations.verify import Dims, _dc_dims, list_suites, run_suite
 
-from families import assert_pinned
+from families import assert_pinned, in_fresh_process
 
 
 class TestRegistry:
@@ -55,29 +54,48 @@ class TestRegistry:
             run_suite("nope", trials=1)
 
     def test_each_suite_is_registered_by_the_module_of_its_first_word(self):
+        # One fresh process imports each group module alone, in turn, and
+        # lists the suites that import registered.
+        code = (
+            "import importlib, json\n"
+            "from colligations import verify\n"
+            "registered = {}\n"
+            "for group in dict.fromkeys(verify._GROUPS.values()):\n"
+            "    before = set(verify._SUITES)\n"
+            "    importlib.import_module(f'colligations.{group}')\n"
+            "    registered[group] = sorted(set(verify._SUITES) - before)\n"
+            "print(json.dumps(registered))\n"
+        )
         suites = list_suites()
         assert len(suites) == len(verify._SUITES) == 43
+        want = {group: [] for group in verify._GROUPS.values()}
         for suite in suites:
-            law = getattr(suite.run_trial, "func", suite.run_trial)  # a kind law is a partial
-            assert law.__module__ == f"colligations.{verify._GROUPS[suite.name.split('-')[0]]}", suite.name
+            want[verify._GROUPS[suite.name.split("-")[0]]].append(suite.name)
+        assert json.loads(in_fresh_process(code)) == want
 
     def test_looking_up_a_suite_loads_no_other_suite_module(self):
         # One fresh process looks up a suite of each group in turn and lists
-        # the suite modules loaded after each lookup.
+        # the suite and family modules each lookup loaded: a suite's families
+        # load with its module, before any trial draws.
         code = (
             "import sys\n"
             "from colligations import verify\n"
-            "for name in ('pole-growth', 'relation-compose', 'single-vs-multi'):\n"
+            "families = {f'colligations.{m}' for m in ('multi', 'conjugacy', 'doublecoset', 'relations')}\n"
+            "watched = lambda: {m[13:] for m in sys.modules if m.startswith('colligations.verify_') or m in families}\n"
+            "for name in ('pole-growth', 'single-vs-multi', 'multi-oracle', 'conjugacy-oracle',\n"
+            "             'doublecoset-rational', 'relation-compose', 'relation-containment'):\n"
+            "    before = watched()\n"
             "    assert verify._lookup(name).name == name\n"
-            "    print(sorted(m for m in sys.modules if m.startswith('colligations.verify_')))\n"
+            "    print(' '.join(sorted(watched() - before)))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(verify.__file__).resolve().parents[1])}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [
-            "['colligations.verify_scalar']",
-            "['colligations.verify_relation', 'colligations.verify_scalar']",
-            "['colligations.verify_matrix', 'colligations.verify_relation', 'colligations.verify_scalar']",
+        assert in_fresh_process(code).splitlines() == [
+            "verify_scalar",
+            "multi verify_matrix verify_multi",
+            "",
+            "conjugacy verify_conjugacy",
+            "doublecoset verify_doublecoset",
+            "relations verify_relation",
+            "",
         ]
 
     def test_suites_call_the_samplers_through_linalg(self, monkeypatch):
@@ -251,8 +269,8 @@ class TestReports:
 
     def test_form_increase_reports_a_negative_increase(self, monkeypatch):
         # With the split form negated, every increase changes sign.
-        form = verify_matrix.signature_form
-        monkeypatch.setattr(verify_matrix, "signature_form", lambda plus, minus: -form(plus, minus))
+        form = verify_doublecoset.signature_form
+        monkeypatch.setattr(verify_doublecoset, "signature_form", lambda plus, minus: -form(plus, minus))
         report = run_suite("doublecoset-form-increase", trials=2, seed=0)
         assert [(f["trial"], f["seed"], f["budget"]) for f in report.failures] == [(0, 0, 1e-10), (1, 1, 1e-10)]
         for failure in report.failures:
