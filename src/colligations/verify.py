@@ -12,16 +12,18 @@ each drawn family once.  Two kinds of suite deviate from the plain pattern:
 * experiments record observations (in the per-trial detail strings and the
   ``max_defect`` field) without ever failing.
 
-This module holds the runner, the registry and the shared drawing helpers;
-the suites live in five modules by what they draw (``verify_scalar``,
+This module holds the runner, the registry and the drawing helpers no kind
+owns; the suites live in five modules by what they draw (``verify_scalar``,
 ``verify_multi``, ``verify_conjugacy``, ``verify_doublecoset``,
-``verify_relation``), the three matrix-argument ones sharing the laws of
-``verify_matrix``, and a process loads only its suite's.  A suite module
-imports the modules of the families it draws (``multi``, ``conjugacy``,
-``doublecoset``, ``relations``) at its top, so that they load when the suite
-is looked up, before its first draw, and calls into them, and into the
-samplers of ``linalg``, through their module attributes, so that a wrapper
-bound at run time (a tracer's) sees every call.
+``verify_relation``), and a process loads only its suite's.  Each of the
+three matrix-argument ones declares its kind (dims drawer, oracle,
+equivalence action, dilation check) and registers the laws of
+``verify_matrix`` for it.  A suite module imports the modules of the
+families it draws (``multi``, ``conjugacy``, ``doublecoset``, ``relations``)
+at its top, so that they load when the suite is looked up, before its first
+draw, and calls into them, and into the samplers of ``linalg``, through
+their module attributes, so that a wrapper bound at run time (a tracer's)
+sees every call.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import RetriesExhausted
-from .linalg import (
-    DEFAULT_TOLERANCES, Tolerances, block_diag, complex_gauss, haar_orthogonal, haar_unitary, near_singular, op_norm,
-)
-from .documents import KIND_TABLE, KindSpec, _module
-from . import linalg, realization
+from .linalg import DEFAULT_TOLERANCES, Tolerances, near_singular
+from .documents import _module
+from . import realization
 
 __all__ = [
     "CONTAINMENT_TOL",
@@ -247,47 +247,6 @@ def _value(outcome) -> np.ndarray:
     return outcome
 
 
-# Samplers of one ``n x n`` argument.
-def _gauss(rng, n: int) -> np.ndarray:
-    return complex_gauss(rng, n, n)
-
-
-def _haar(rng, n: int) -> np.ndarray:
-    return haar_unitary(n, rng)
-
-
-def _well_conditioned(rng, n: int) -> np.ndarray:
-    """Condition number at most 10; any other draw is drawn again."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    _conditioned(g, 0.1)
-    return g
-
-
-def _ball(radius: float):
-    return lambda rng, n: linalg.sample_ball(rng, n, radius)
-
-
-def _symmetric_ball(rng, n: int) -> np.ndarray:
-    g = complex_gauss(rng, n, n)
-    sym = (g + g.T) / 2.0
-    top = op_norm(sym)
-    if top == 0.0:
-        raise _Retry
-    return sym * (rng.uniform(0.3, 0.9) / top)
-
-
-def _unit_sphere(rng, n: int) -> np.ndarray:
-    """Operator norm exactly 1, but not unitary."""
-    g = complex_gauss(rng, n, n)
-    top = op_norm(g)
-    if top == 0.0:
-        raise _Retry
-    return g / top
-
-
-# --- dims drawers and the matrix-argument kinds -------------------------------
-
-
 def _capped_dims(alpha: int, inner: int, arity: int):
     """A dims drawer: exposed size, inner size and arity, each capped."""
 
@@ -300,107 +259,3 @@ def _capped_dims(alpha: int, inner: int, arity: int):
 
     return draw
 
-
-_multi_dims = _capped_dims(3, 4, 3)
-_dc_dims = _capped_dims(2, 3, 2)
-
-
-def _tri_dims(rng, dims) -> tuple[int, int, int]:
-    alpha = _draw(rng, 1, min(3, dims.max_alpha))
-    slot_dim = _draw(rng, 1, min(3, dims.max_inner))
-    slots = 2 if rng.uniform() < 0.7 or dims.max_arity < 3 else 3
-    return alpha, slot_dim, slots
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """What the laws need of one matrix-argument kind beyond its
-    ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
-    cap of the multiplicative law, the brute-force oracle ``(fam, args,
-    tol)``, the inner equivalence action ``(fam, inner, rng, tol)`` and the
-    dilation check ``(fam, real, args, chi, lam, tol) -> (left, right)``,
-    given the family's realization ``real`` and the value ``chi`` at
-    ``args``."""
-
-    spec: KindSpec
-    dims: Callable
-    inner_cap: int
-    oracle: Callable
-    equivalent: Callable
-    dilation: Callable | None = None
-
-    def family(self, rng, dims, tol):
-        """Draw dims and one family; return ``(family, realization, inner, arity)``."""
-        alpha, inner, arity = self.dims(rng, dims)
-        fam = self.spec.random(alpha, inner, arity, rng)
-        return fam, self.spec.realize(fam, tol), inner, arity
-
-    def args(self, rng, arity, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
-        """One drawn ``arity x arity`` argument per variable, at which every
-        listed realization is comfortably regular, and the realizations'
-        values there (see :func:`_evaluate`)."""
-
-        def draw():
-            args = [sample(rng, arity) for _ in self.spec.variables]
-            return args, _evaluate(reals, args, tol)
-
-        return _retrying(draw)
-
-
-def _multi_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the diagonal dilation identity ``(chi(lam S lam^{-1}),
-    Lam chi(S) Lam^{-1})``, ``Lam`` acting as ``lam_j I_alpha`` on block ``j``."""
-    left = realization.charvalue(real, ((lam[:, None] * args[0]) / lam[None, :],), tol).value
-    lam_big = np.kron(np.diag(lam), np.eye(fam.alpha))
-    lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(fam.alpha))
-    return left, lam_big @ chi @ lam_big_inv
-
-
-def _dc_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the congruence dilation identity,
-    ``(Lam chi(S, R) Lam^{-1}, chi(lam S lam, lam^{-1} R lam^{-1}))``:
-    ``Lam`` scales the plus blocks by ``lam_j`` and the minus blocks by
-    ``1 / lam_j``, as rescaling the plus-side variables of slot ``j`` by
-    ``lam_j`` and the minus-side ones by ``1 / lam_j`` maps solutions of the
-    coupled system onto solutions at the transformed arguments."""
-    s, r = args
-    eye_a = np.eye(fam.alpha)
-    lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
-    lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
-    left = lam_big @ chi @ lam_big_inv
-    scaled_s = lam[:, None] * s * lam[None, :]
-    scaled_r = r / lam[:, None] / lam[None, :]
-    return left, realization.charvalue(real, (scaled_s, scaled_r), tol).value
-
-
-_KINDS = {
-    "multi": _Kind(
-        KIND_TABLE["multi"],
-        _multi_dims,
-        4,
-        oracle=lambda fam, args, tol: _module("multi").multi_charfun_system(fam, *args, tol),
-        equivalent=lambda fam, inner, rng, tol: _module("multi").multi_conjugate(
-            fam, haar_unitary(inner, rng), tol
-        ),
-        dilation=_multi_dilation,
-    ),
-    "tri": _Kind(
-        KIND_TABLE["tri"],
-        _tri_dims,
-        3,
-        oracle=lambda tc, args, tol: _module("conjugacy").tri_charfun_system(tc, *args, tol),
-        equivalent=lambda tc, inner, rng, tol: _module("conjugacy").tri_conjugate(
-            tc, haar_unitary(inner, rng), tol
-        ),
-    ),
-    "doublecoset": _Kind(
-        KIND_TABLE["doublecoset"],
-        _dc_dims,
-        3,
-        oracle=lambda fam, args, tol: _module("doublecoset").dc_charfun_system(fam, *args, tol),
-        equivalent=lambda fam, inner, rng, tol: _module("doublecoset").dc_equivalent(
-            fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
-        ),
-        dilation=_dc_dilation,
-    ),
-}

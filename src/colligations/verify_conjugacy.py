@@ -2,14 +2,13 @@
 
 import numpy as np
 
-from .linalg import rel_defect
+from .linalg import haar_unitary, rel_defect
 from .documents import KIND_TABLE
 from . import conjugacy
-from .verify import (
-    CONTROL_THRESHOLD, EXPANSION_SLACK, _KINDS, TrialResult, _ball, _draw, _evaluate, _haar, _retrying, _suite,
-    _value,
+from .verify import CONTROL_THRESHOLD, EXPANSION_SLACK, TrialResult, _draw, _evaluate, _retrying, _suite, _value
+from .verify_matrix import (
+    _Kind, _at_value, _ball, _expanding, _haar, _invariant, _multiplicative, _oracle, _register, _unitary,
 )
-from .verify_matrix import _at_value, _expanding, _invariant, _multiplicative, _oracle, _register, _unitary
 
 
 def _control(results: list[TrialResult], seed: int, threshold: float) -> list[dict]:
@@ -29,7 +28,20 @@ def _control(results: list[TrialResult], seed: int, threshold: float) -> list[di
     ]
 
 
-_register("tri", [
+def _tri_dims(rng, dims) -> tuple[int, int, int]:
+    alpha = _draw(rng, 1, min(3, dims.max_alpha))
+    slot_dim = _draw(rng, 1, min(3, dims.max_inner))
+    slots = 2 if rng.uniform() < 0.7 or dims.max_arity < 3 else 3
+    return alpha, slot_dim, slots
+
+
+_KIND = _Kind(
+    KIND_TABLE["tri"], _tri_dims, 3,
+    oracle=lambda tc, args, tol: conjugacy.tri_charfun_system(tc, *args, tol),
+    equivalent=lambda tc, inner, rng, tol: conjugacy.tri_conjugate(tc, haar_unitary(inner, rng), tol),
+)
+
+_register(_KIND, [
     ("conjugacy-oracle", "the coupled-slot value matches the interleaved full-system solve", _oracle, None),
     ("conjugacy-multiplicative", "coupled-slot products multiply the transfer values", _multiplicative, None),
     ("conjugacy-conjugation-invariant", "one shared slot conjugation leaves the value unchanged", _invariant, None),
@@ -56,7 +68,7 @@ def _conjugacy_dilation_control(rng, dims, tol):
     real = KIND_TABLE["tri"].realize(tc, tol)
 
     def draw():
-        (s,), right = _KINDS["tri"].args(rng, 2, [real], tol)
+        (s,), right = _KIND.args(rng, 2, [real], tol)
         scaled = (lam[:, None] * s) / lam[None, :]
         return _evaluate([real], [scaled], tol) + right
 

@@ -4,14 +4,44 @@ function (``doublecoset-*``)."""
 import numpy as np
 
 from .errors import OnEigensurface
-from .linalg import op_norm, rel_defect, signature_form
+from .linalg import block_diag, haar_orthogonal, op_norm, rel_defect, signature_form
+from .documents import KIND_TABLE
 from . import doublecoset, realization
 from .verify import (
-    RATIONAL_FIT_TOL, _FLOOR, _KINDS, TrialResult, _ball, _conditioned, _draw, _evaluate, _haar, _retrying,
-    _suite, _symmetric_ball, _value,
+    RATIONAL_FIT_TOL, _FLOOR, TrialResult, _capped_dims, _conditioned, _draw, _evaluate, _retrying, _suite, _value,
 )
 from .verify_matrix import (
-    _at_value, _dilation, _invariant, _multiplicative, _observational, _oracle, _rational, _register,
+    _Kind, _at_value, _ball, _dilation, _haar, _invariant, _multiplicative, _observational, _oracle, _rational,
+    _register, _symmetric_ball,
+)
+
+
+_dc_dims = _capped_dims(2, 3, 2)
+
+
+def _dc_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the congruence dilation identity,
+    ``(Lam chi(S, R) Lam^{-1}, chi(lam S lam, lam^{-1} R lam^{-1}))``:
+    ``Lam`` scales the plus blocks by ``lam_j`` and the minus blocks by
+    ``1 / lam_j``, as rescaling the plus-side variables of slot ``j`` by
+    ``lam_j`` and the minus-side ones by ``1 / lam_j`` maps solutions of the
+    coupled system onto solutions at the transformed arguments."""
+    s, r = args
+    eye_a = np.eye(fam.alpha)
+    lam_big = block_diag(np.kron(np.diag(lam), eye_a), np.kron(np.diag(1.0 / lam), eye_a))
+    lam_big_inv = block_diag(np.kron(np.diag(1.0 / lam), eye_a), np.kron(np.diag(lam), eye_a))
+    left = lam_big @ chi @ lam_big_inv
+    scaled_s = lam[:, None] * s * lam[None, :]
+    scaled_r = r / lam[:, None] / lam[None, :]
+    return left, realization.charvalue(real, (scaled_s, scaled_r), tol).value
+
+
+_KIND = _Kind(
+    KIND_TABLE["doublecoset"], _dc_dims, 3,
+    oracle=lambda fam, args, tol: doublecoset.dc_charfun_system(fam, *args, tol),
+    equivalent=lambda fam, inner, rng, tol: doublecoset.dc_equivalent(
+        fam, haar_orthogonal(inner, rng), haar_orthogonal(inner, rng), tol
+    ),
 )
 
 
@@ -42,7 +72,7 @@ def _symplectic(fam, chi, rng, tol) -> TrialResult:
     return TrialResult(defect)
 
 
-_register("doublecoset", [
+_register(_KIND, [
     ("doublecoset-oracle", "the two-argument value matches the coupled full-system solve", _oracle, None),
     ("doublecoset-multiplicative", "paired products multiply the two-argument values", _multiplicative, None),
     ("doublecoset-equivalence", "two-sided real orthogonal inner moves leave the value unchanged", _invariant, None),
@@ -52,7 +82,8 @@ _register("doublecoset", [
      _at_value(_haar, _pseudo_unitary), None),
     ("doublecoset-symplectic", "symmetric arguments give values symplectic for the skew form",
      _at_value(_symmetric_ball, _symplectic), None),
-    ("doublecoset-dilation", "congruence dilations of the arguments conjugate the value", _dilation, None),
+    ("doublecoset-dilation", "congruence dilations of the arguments conjugate the value",
+     _dilation(_dc_dilation), None),
     ("doublecoset-rational", "entries are rational of the sharp degree along each argument line",
      _rational, RATIONAL_FIT_TOL),
 ])
@@ -60,10 +91,10 @@ _register("doublecoset", [
 
 @_suite("doublecoset-transpose", "transposing both arguments inverts the skew-transposed value")
 def _doublecoset_transpose(rng, dims, tol):
-    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
+    fam, real, _, arity = _KIND.family(rng, dims, tol)
 
     def draw():
-        (s, r), (chi,) = _KINDS["doublecoset"].args(rng, arity, [real], tol)
+        (s, r), (chi,) = _KIND.args(rng, arity, [real], tol)
         (transposed,) = _evaluate([real], [s.T, r.T], tol)
         chi = _value(chi)
         _conditioned(chi, _FLOOR.surface_guard)
@@ -102,10 +133,10 @@ def _adjoint_readings(fam, real, s, r, chi, tol) -> tuple[float, float]:
     aggregate=_observational,
 )
 def _doublecoset_adjoint_experiment(rng, dims, tol):
-    fam, real, _, arity = _KINDS["doublecoset"].family(rng, dims, tol)
+    fam, real, _, arity = _KIND.family(rng, dims, tol)
 
     def draw():
-        (s, r), (chi,) = _KINDS["doublecoset"].args(rng, arity, [real], tol)
+        (s, r), (chi,) = _KIND.args(rng, arity, [real], tol)
         return _adjoint_readings(fam, real, s, r, _value(chi), tol)
 
     plain, negated = _retrying(draw, OnEigensurface)

@@ -1,18 +1,90 @@
 """The ``verify`` laws shared by the matrix-argument kinds, written once.
 
 They register nothing: ``verify_multi``, ``verify_conjugacy`` and
-``verify_doublecoset`` register each law for their own kind with
-:func:`_register`, beside the suites of that kind alone.
+``verify_doublecoset`` each declare their kind (:class:`_Kind`) and register
+each law for it with :func:`_register`, beside the suites of that kind alone.
 """
 
 import functools
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import OnEigensurface
-from .linalg import complex_gauss, op_norm, rel_defect, sigma_extremes, unitarity_defect
-from . import realization
-from .verify import _KINDS, TrialResult, _Kind, _Retry, _draw, _retrying, _suite, _value
+from .linalg import complex_gauss, haar_unitary, op_norm, rel_defect, sigma_extremes, unitarity_defect
+from .documents import KindSpec
+from . import linalg, realization
+from .verify import TrialResult, _Retry, _conditioned, _draw, _evaluate, _retrying, _suite, _value
+
+
+# Samplers of one ``n x n`` argument.
+def _gauss(rng, n: int) -> np.ndarray:
+    return complex_gauss(rng, n, n)
+
+
+def _haar(rng, n: int) -> np.ndarray:
+    return haar_unitary(n, rng)
+
+
+def _well_conditioned(rng, n: int) -> np.ndarray:
+    """Condition number at most 10; any other draw is drawn again."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    _conditioned(g, 0.1)
+    return g
+
+
+def _ball(radius: float):
+    return lambda rng, n: linalg.sample_ball(rng, n, radius)
+
+
+def _symmetric_ball(rng, n: int) -> np.ndarray:
+    g = complex_gauss(rng, n, n)
+    sym = (g + g.T) / 2.0
+    top = op_norm(sym)
+    if top == 0.0:
+        raise _Retry
+    return sym * (rng.uniform(0.3, 0.9) / top)
+
+
+def _unit_sphere(rng, n: int) -> np.ndarray:
+    """Operator norm exactly 1, but not unitary."""
+    g = complex_gauss(rng, n, n)
+    top = op_norm(g)
+    if top == 0.0:
+        raise _Retry
+    return g / top
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What the laws need of one matrix-argument kind beyond its
+    ``documents.KIND_TABLE`` entry (``spec``): the dims drawer, the inner-size
+    cap of the multiplicative law, the brute-force oracle ``(fam, args,
+    tol)`` and the inner equivalence action ``(fam, inner, rng, tol)``."""
+
+    spec: KindSpec
+    dims: Callable
+    inner_cap: int
+    oracle: Callable
+    equivalent: Callable
+
+    def family(self, rng, dims, tol):
+        """Draw dims and one family; return ``(family, realization, inner, arity)``."""
+        alpha, inner, arity = self.dims(rng, dims)
+        fam = self.spec.random(alpha, inner, arity, rng)
+        return fam, self.spec.realize(fam, tol), inner, arity
+
+    def args(self, rng, arity, reals, tol, sample=_gauss) -> tuple[list[np.ndarray], list]:
+        """One drawn ``arity x arity`` argument per variable, at which every
+        listed realization is comfortably regular, and the realizations'
+        values there (see :func:`_evaluate`)."""
+
+        def draw():
+            args = [sample(rng, arity) for _ in self.spec.variables]
+            return args, _evaluate(reals, args, tol)
+
+        return _retrying(draw)
 
 
 def _polyval(x, c):
@@ -108,16 +180,24 @@ def _unitary(fam, chi, rng, tol) -> TrialResult:
     return TrialResult(unitarity_defect(chi))
 
 
-def _dilation(kind: _Kind, rng, dims, tol) -> TrialResult:
-    fam, real, _, arity = kind.family(rng, dims, tol)
+def _dilation(check):
+    """The law that draws one family, one regular point and one diagonal
+    dilation ``lam`` and compares the sides ``check(fam, real, args, chi,
+    lam, tol) -> (left, right)`` of the kind's dilation identity, given the
+    family's realization ``real`` and the value ``chi`` at ``args``."""
 
-    def draw():
-        args, (chi,) = kind.args(rng, arity, [real], tol)
-        lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
-        return kind.dilation(fam, real, args, _value(chi), lam, tol)
+    def law(kind: _Kind, rng, dims, tol) -> TrialResult:
+        fam, real, _, arity = kind.family(rng, dims, tol)
 
-    left, right = _retrying(draw, OnEigensurface)
-    return TrialResult(rel_defect(left, right))
+        def draw():
+            args, (chi,) = kind.args(rng, arity, [real], tol)
+            lam = rng.uniform(0.5, 2.0, size=arity) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=arity))
+            return check(fam, real, args, _value(chi), lam, tol)
+
+        left, right = _retrying(draw, OnEigensurface)
+        return TrialResult(rel_defect(left, right))
+
+    return law
 
 
 def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
@@ -149,8 +229,8 @@ def _rational(kind: _Kind, rng, dims, tol) -> TrialResult:
     return TrialResult(worst)
 
 
-def _register(kind: str, rows) -> None:
+def _register(kind: _Kind, rows) -> None:
     """Register each row ``(name, description, law, budget)`` as a suite of
     the kind ``kind``; a budget of None is as in ``Suite.budget``."""
     for name, describe, law, budget in rows:
-        _suite(name, describe, budget)(functools.partial(law, _KINDS[kind]))
+        _suite(name, describe, budget)(functools.partial(law, kind))

@@ -4,21 +4,39 @@
 import numpy as np
 
 from .errors import NearPole, OnEigensurface
-from .linalg import complex_gauss, near_singular, op_norm, rel_defect, sigma_extremes, unitarity_defect
+from .linalg import complex_gauss, haar_unitary, near_singular, op_norm, rel_defect, sigma_extremes, unitarity_defect
 from .colligation import _charvalues, random_colligation
 from .documents import KIND_TABLE
-from . import multi
+from . import multi, realization
 from .verify import (
-    EXPANSION_SLACK, RATIONAL_FIT_TOL, _FLOOR, _KINDS, TrialResult, _ball, _capped_dims, _conditioned, _draw,
-    _evaluate, _haar, _multi_dims, _retrying, _suite, _unit_sphere, _value, _well_conditioned,
+    EXPANSION_SLACK, RATIONAL_FIT_TOL, _FLOOR, TrialResult, _capped_dims, _conditioned, _draw, _evaluate,
+    _retrying, _suite, _value,
 )
 from .verify_matrix import (
-    _at_value, _dilation, _expanding, _invariant, _multiplicative, _observational, _oracle, _rational,
-    _register, _unitary,
+    _Kind, _at_value, _ball, _dilation, _expanding, _haar, _invariant, _multiplicative, _observational, _oracle,
+    _rational, _register, _unit_sphere, _unitary, _well_conditioned,
 )
 
 
-_register("multi", [
+_multi_dims = _capped_dims(3, 4, 3)
+
+
+def _multi_dilation(fam, real, args, chi, lam, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the diagonal dilation identity ``(chi(lam S lam^{-1}),
+    Lam chi(S) Lam^{-1})``, ``Lam`` acting as ``lam_j I_alpha`` on block ``j``."""
+    left = realization.charvalue(real, ((lam[:, None] * args[0]) / lam[None, :],), tol).value
+    lam_big = np.kron(np.diag(lam), np.eye(fam.alpha))
+    lam_big_inv = np.kron(np.diag(1.0 / lam), np.eye(fam.alpha))
+    return left, lam_big @ chi @ lam_big_inv
+
+
+_KIND = _Kind(
+    KIND_TABLE["multi"], _multi_dims, 4,
+    oracle=lambda fam, args, tol: multi.multi_charfun_system(fam, *args, tol),
+    equivalent=lambda fam, inner, rng, tol: multi.multi_conjugate(fam, haar_unitary(inner, rng), tol),
+)
+
+_register(_KIND, [
     ("multi-oracle", "the several-variable value matches the interleaved full-system solve", _oracle, None),
     ("multi-multiplicative", "slotwise products multiply the several-variable values", _multiplicative, None),
     ("multi-conjugation-invariant", "shared inner conjugation leaves the several-variable value unchanged",
@@ -27,14 +45,14 @@ _register("multi", [
      _at_value(_ball(0.95), _expanding), EXPANSION_SLACK),
     ("multi-boundary-unitary", "unitary arguments give unitary several-variable values",
      _at_value(_haar, _unitary), None),
-    ("multi-dilation", "diagonal dilations conjugate the several-variable value", _dilation, None),
+    ("multi-dilation", "diagonal dilations conjugate the several-variable value", _dilation(_multi_dilation), None),
     ("multi-rational", "entries are rational of the sharp degree along a generic line", _rational, RATIONAL_FIT_TOL),
 ])
 
 
 @_suite("multi-reflection", "inverting the adjoint argument inverts the adjoint value")
 def _multi_reflection(rng, dims, tol):
-    _, real, _, arity = _KINDS["multi"].family(rng, dims, tol)
+    _, real, _, arity = _KIND.family(rng, dims, tol)
 
     def draw():
         s = _well_conditioned(rng, arity)
@@ -58,7 +76,7 @@ def _multi_boundary_inverse_experiment(rng, dims, tol):
     alpha, inner, _ = _multi_dims(rng, dims)
     arity = _draw(rng, 2, max(2, min(3, dims.max_arity)))
     real = KIND_TABLE["multi"].realize(multi.random_multi(alpha, inner, arity, rng), tol)
-    _, (value,) = _KINDS["multi"].args(rng, arity, [real], tol, _unit_sphere)
+    _, (value,) = _KIND.args(rng, arity, [real], tol, _unit_sphere)
     value = _value(value)
     smin, _ = sigma_extremes(value)
     detail = f"smin(value)-1={smin - 1.0:+.3e} unitarity={unitarity_defect(value):.3e}"

@@ -7,8 +7,7 @@ from .linalg import complex_gauss, signature_form
 from .documents import KIND_TABLE
 from . import linalg, multi, relations
 from .verify import (
-    CONTAINMENT_TOL, GRAPH_TOL, _KINDS, TrialResult, _capped_dims, _draw, _retrying, _Retry,
-    _suite, _value,
+    CONTAINMENT_TOL, GRAPH_TOL, TrialResult, _capped_dims, _draw, _evaluate, _retrying, _Retry, _suite, _value,
 )
 
 
@@ -125,7 +124,12 @@ def _relation_charfun_consistency(rng, dims, tol):
     alpha, inner, arity = _relation_dims(rng, dims)
     mc = multi.random_multi(alpha, inner, arity, rng)
     real = KIND_TABLE["multi"].realize(mc, tol)
-    (s,), (chi,) = _KINDS["multi"].args(rng, arity, [real], tol)
+
+    def draw():
+        s = complex_gauss(rng, arity, arity)
+        return s, _evaluate([real], [s], tol)
+
+    s, (chi,) = _retrying(draw)
     relation = relations.char_relation(mc, relations.ConstraintSubspace.graph_of(s, tol), tol)
     graph = relations.graph_relation(_value(chi), tol)
     defect = relations.subspace_distance(relation, graph)

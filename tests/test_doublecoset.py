@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset, realization, verify, verify_doublecoset
+from colligations import doublecoset, realization, verify_doublecoset
 from colligations.doublecoset import (
     dc_charfun,
     dc_charfun_system,
@@ -44,7 +44,7 @@ def small_arguments(rng, arity: int) -> tuple[np.ndarray, np.ndarray]:
 
 def dilation_check(fam, s, r, lam):
     real = dc_realization(fam)
-    return verify._KINDS["doublecoset"].dilation(fam, real, (s, r), dc_charfun(fam, s, r).value, lam, DEFAULT_TOLERANCES)
+    return verify_doublecoset._dc_dilation(fam, real, (s, r), dc_charfun(fam, s, r).value, lam, DEFAULT_TOLERANCES)
 
 
 def form_defects(fam, s, r) -> tuple[float, float, float]:
@@ -271,7 +271,7 @@ class TestKeptRealization:
         s, r = small_arguments(np.random.default_rng(38), 3)
         real = dc_realization(fam, tol)
         chi = realization.charvalue(real, (s, r), tol).value
-        verify._KINDS["doublecoset"].dilation(fam, real, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
+        verify_doublecoset._dc_dilation(fam, real, (s, r), chi, np.array([1.5, 0.5j, -2.0]), tol)
         verify_doublecoset._adjoint_readings(fam, real, s, r, chi, tol)
         assert len(calls) == fam.arity
 

@@ -11,7 +11,7 @@ from colligations.colligation import (
     random_colligation,
 )
 from colligations.errors import AlphaMismatch, ArityMismatch, OnEigensurface
-from colligations import multi, verify
+from colligations import multi, verify_multi
 from colligations.linalg import DEFAULT_TOLERANCES, haar_unitary, rel_defect, sigma_extremes, unitarity_defect
 from colligations.multi import (
     MultiColligation,
@@ -29,7 +29,7 @@ from families import all_identity, assert_pinned, regular_argument, swap_pair
 
 def dilation(mc, s, lam):
     real = multi_realization(mc)
-    return verify._KINDS["multi"].dilation(mc, real, (s,), multi_charfun(mc, s).value, lam, DEFAULT_TOLERANCES)
+    return verify_multi._multi_dilation(mc, real, (s,), multi_charfun(mc, s).value, lam, DEFAULT_TOLERANCES)
 
 
 class TestFamily:
@@ -205,7 +205,7 @@ class TestKeptRealization:
         multi_realization(mc)
         assert len(calls) == 4
         for _ in range(2):
-            verify._KINDS["multi"].dilation(mc, real, (s,), chi, np.array([1.5, 0.5j, -2.0]), DEFAULT_TOLERANCES)
+            verify_multi._multi_dilation(mc, real, (s,), chi, np.array([1.5, 0.5j, -2.0]), DEFAULT_TOLERANCES)
         assert len(calls) == 4
 
 

@@ -10,7 +10,8 @@ from colligations import (
 )
 from colligations.errors import BadSplit, NearPole, OnEigensurface, RetriesExhausted
 from colligations.linalg import Tolerances
-from colligations.verify import Dims, _dc_dims, list_suites, run_suite
+from colligations.verify import Dims, list_suites, run_suite
+from colligations.verify_doublecoset import _dc_dims
 
 from families import assert_pinned, in_fresh_process
 
