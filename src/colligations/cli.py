@@ -132,7 +132,8 @@ def _cmd_verify(args, tol: Tolerances) -> int:
     if _lookup(args.suite) is None:
         names = [suite.name for suite in list_suites()]
         raise CliError(EXIT_MISMATCH, f"unknown suite {args.suite!r} (known: {', '.join(names)})")
-    dims = Dims(max_alpha=args.max_alpha, max_inner=args.max_inner, max_arity=args.max_arity)
+    bounds = {bound.name: getattr(args, bound.name) for bound in dataclasses.fields(Dims)}
+    dims = Dims(**{name: value for name, value in bounds.items() if value is not None})
     try:
         report = run_suite(args.suite, trials=args.trials, seed=args.seed, dims=dims, tol=tol)
     except (MemoryError, ValueError):  # numpy refuses a drawn size past int64 or memory before allocating
@@ -229,13 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", help="list the registered suites")
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-alpha", type=_positive_int, default=3, help="largest exposed dimension drawn by any suite")
-    p.add_argument(
-        "--max-inner", type=_positive_int, default=4, help="largest inner dimension drawn, unless a law needs more"
-    )
-    p.add_argument(
-        "--max-arity", type=_positive_int, default=3, help="largest family arity drawn, unless a law needs two"
-    )
+    p.add_argument("--max-alpha", type=_positive_int, help="largest exposed dimension drawn by any suite")
+    p.add_argument("--max-inner", type=_positive_int, help="largest inner dimension drawn, unless a law needs more")
+    p.add_argument("--max-arity", type=_positive_int, help="largest family arity drawn, unless a law needs two")
     p.add_argument(
         "--threads",
         type=_positive_int,

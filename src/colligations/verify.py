@@ -28,7 +28,7 @@ sees every call.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -77,6 +77,12 @@ class Dims:
     max_alpha: int = 3
     max_inner: int = 4
     max_arity: int = 3
+
+    def __post_init__(self):
+        for bound in fields(self):
+            value = getattr(self, bound.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{bound.name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,13 @@ class TestReports:
         assert report.passed
 
     @pytest.mark.parametrize(
+        "bound, value", [("max_alpha", 0), ("max_inner", -2), ("max_arity", True), ("max_alpha", 2.0)]
+    )
+    def test_dims_reject_a_bound_that_is_not_a_positive_int(self, bound, value):
+        with pytest.raises(ValueError, match=f"^{bound} must be a positive int"):
+            Dims(**{bound: value})
+
+    @pytest.mark.parametrize(
         "suite", ["surface-consistency", "spectrum-union", "relation-containment", "relation-containment-surface"]
     )
     def test_literal_size_caps_give_way_to_dims(self, monkeypatch, suite):
