@@ -16,7 +16,8 @@ _relation_dims = _capped_dims(2, 3, 3)
 
 @_suite("relation-compose", "relation composition matches matrix composition on graphs", budget=GRAPH_TOL)
 def _relation_compose(rng, dims, tol):
-    dv, dm, dw = (_draw(rng, 1, 3) for _ in range(3))
+    # The three spaces are exposed spaces: ``max_alpha`` bounds them.
+    dv, dm, dw = (_draw(rng, 1, min(3, dims.max_alpha)) for _ in range(3))
     a = complex_gauss(rng, dm, dv)
     b = complex_gauss(rng, dw, dm)
     composed = relations.compose_relations(

@@ -177,6 +177,20 @@ class TestReports:
         assert drawn
         assert max(max(sizes) for sizes in drawn) == 1
 
+    def test_relation_compose_draws_its_spaces_under_max_alpha(self, monkeypatch):
+        # Every graph the suite builds, the identity's included, is of a
+        # matrix between two of its drawn spaces.
+        shapes = []
+        graph_relation = relations.graph_relation
+
+        def recorded(matrix, tol):
+            shapes.append(np.shape(matrix))
+            return graph_relation(matrix, tol)
+
+        monkeypatch.setattr(relations, "graph_relation", recorded)
+        assert run_suite("relation-compose", trials=20, seed=0, dims=Dims(1, 1, 1)).passed
+        assert shapes and set(shapes) == {(1, 1)}
+
     def test_failures_carry_trial_seeds(self):
         report = run_suite("charfun-contractive", trials=3, seed=5)
         assert report.passed
