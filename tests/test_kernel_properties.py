@@ -4,7 +4,9 @@ Documents of every kind are drawn by seed, so the ``"z"``, ``"S"`` and
 ``"SR"`` forms are all reached, and every argument entry has its own
 magnitude anywhere from 5e-324 to 1.7e308, or is a signed zero.  At such
 points the systems overflow, underflow and turn singular, which is where
-the kernel's rounding and its warnings have gone wrong before.
+the kernel's rounding and its warnings have gone wrong before.  A regular
+value of the ``"S"`` and ``"SR"`` forms must also agree with the brute-force
+``*_charfun_system`` oracle of its kind, where that oracle solves.
 """
 
 import warnings
@@ -13,30 +15,43 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colligations import conjugacy, doublecoset, multi
 from colligations.documents import KIND_TABLE, KINDS
-from colligations.linalg import DEFAULT_TOLERANCES
-from colligations.realization import evaluate, surface_indicators
+from colligations.errors import OnEigensurface
+from colligations.linalg import DEFAULT_TOLERANCES, rel_defect, sigma_extremes
+from colligations.realization import evaluate, surface_indicators, system
 
 # Real and imaginary parts: signed zeros, subnormals and anything up to the
 # float limit, each drawn on its own.
 _PART = st.floats(min_value=-1.7e308, max_value=1.7e308, allow_nan=False, allow_infinity=False)
-_ENTRY = st.builds(complex, _PART, _PART)
+# Parts of a well-scaled argument, at which the oracles solve.
+_MODERATE = st.floats(min_value=-4.0, max_value=4.0)
+
+
+# The brute-force solve of each matrix-argument kind, independent of the kernel.
+_ORACLES = {
+    "multi": multi.multi_charfun_system,
+    "tri": conjugacy.tri_charfun_system,
+    "doublecoset": doublecoset.dc_charfun_system,
+}
 
 
 @st.composite
-def _batches(draw):
-    """A realization and a stack of 2 to 6 points for it."""
-    kind = draw(st.sampled_from(KINDS))
+def _documents(draw, kinds=KINDS, part=_PART):
+    """A kind, a family of it, its realization and a stack of 2 to 6 points
+    for it, whose entries have real and imaginary parts drawn from ``part``."""
+    entry = st.builds(complex, part, part)
+    kind = draw(st.sampled_from(kinds))
     spec = KIND_TABLE[kind]
     alpha, inner, arity = (draw(st.integers(1, 2)) for _ in range(3))
     fam = spec.random(alpha, inner, arity, draw(st.integers(0, 2**32 - 1)))
     real = spec.realize(fam, DEFAULT_TOLERANCES)
     count = draw(st.integers(2, 6))
     if spec.argument_dim is None:
-        return real, [np.array(draw(st.lists(_ENTRY, min_size=count, max_size=count)))]
+        return kind, fam, real, [np.array(draw(st.lists(entry, min_size=count, max_size=count)))]
     n = spec.argument_dim(fam)
-    entries = st.lists(_ENTRY, min_size=count * n * n, max_size=count * n * n)
-    return real, [np.array(draw(entries)).reshape(count, n, n) for _ in spec.variables]
+    entries = st.lists(entry, min_size=count * n * n, max_size=count * n * n)
+    return kind, fam, real, [np.array(draw(entries)).reshape(count, n, n) for _ in spec.variables]
 
 
 def _alone(kernel, real, args):
@@ -50,10 +65,34 @@ def _bits(arrays):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(_batches())
-def test_a_point_alone_gives_the_bits_it_gives_in_a_batch_and_no_warning(batch):
-    real, args = batch
+@given(_documents())
+def test_a_point_alone_gives_the_bits_it_gives_in_a_batch_and_no_warning(document):
+    _, _, real, args = document
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kernel in (evaluate, surface_indicators):
             assert _bits(kernel(real, args)) == _bits(_alone(kernel, real, args)), kernel.__name__
+
+
+# A regular value may differ from the oracle's by this many units of
+# rounding (float64 epsilon) times the condition number sigma_max/sigma_min
+# of the point's system; the worst seen over 3,959 points of 2,000 random
+# documents was 6.2.
+_ORACLE_BUDGET = 100 * np.finfo(float).eps
+
+
+# The oracles refuse nearly every regular point whose entries span the float
+# range, so half the documents draw their entries from _MODERATE instead.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([_PART, _MODERATE]).flatmap(lambda part: _documents(tuple(_ORACLES), part)))
+def test_a_regular_value_agrees_with_the_oracle_within_its_condition_number(document):
+    kind, fam, real, args = document
+    values, _, regular = evaluate(real, args)
+    for k in np.flatnonzero(regular):
+        point = [arg[k] for arg in args]
+        try:
+            oracle = _ORACLES[kind](fam, *point, DEFAULT_TOLERANCES)
+        except OnEigensurface:
+            continue
+        smin, smax = sigma_extremes(system(real, [arg[k : k + 1] for arg in args])[0])
+        assert rel_defect(values[k], oracle) <= _ORACLE_BUDGET * smax / smin, (kind, k)
