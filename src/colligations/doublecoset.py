@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     Tolerances,
     _check_argument,
+    _svd,
     block_diag,
     op_norm,
     require_real_orthogonal,
@@ -44,19 +45,25 @@ DoubleCosetFamily = MultiColligation  # kept for the benchmark's oracle checks; 
 def transpose_inverse(g, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Transposed inverse of a unitary, computed as the entrywise conjugate.
 
-    The shortcut is cross-checked against an explicit solve of
-    ``g^T x = 1``; disagreement means the input was not unitary enough.
+    The shortcut is cross-checked against the inverse ``V diag(1/s) U^*`` of
+    the SVD ``g^T = U diag(s) V^*``; disagreement, or an input that is not a
+    finite square matrix, means the input was not unitary enough.
     """
     m = np.asarray(g, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotUnitary("transpose-inverse cross-check found the matrix singular")
+    if not np.isfinite(m).all():
+        raise NotUnitary("transpose-inverse cross-check found the inverse not finite")
     shortcut = m.conj()
-    try:
-        explicit = np.linalg.solve(m.T, np.eye(m.shape[0], dtype=complex))
-    except np.linalg.LinAlgError:
-        raise NotUnitary("transpose-inverse cross-check found the matrix singular") from None
+    scale, (u, s, vh) = _svd(m.T, compute_uv=True)
+    if s.size and not s[-1] > 0:
+        raise NotUnitary("transpose-inverse cross-check found the matrix singular")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves the inverse not finite
+        explicit = (vh.conj().T * (scale / s)) @ u.conj().T
     if not np.isfinite(explicit).all():
         raise NotUnitary("transpose-inverse cross-check found the inverse not finite")
     gap = op_norm(shortcut - explicit)
-    if not gap <= tol.residual_tol * max(1.0, op_norm(explicit)):
+    if not gap <= tol.residual_tol * (scale / s).max(initial=1.0):  # max(1, the inverse's norm scale / s[-1])
         raise NotUnitary(f"transpose-inverse shortcut disagrees with direct solve (gap {gap:.3e})")
     return shortcut
 

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligations import doublecoset, realization, verify_doublecoset
+from colligations import cli, doublecoset, realization, verify_doublecoset
+from colligations.documents import matrix_to_json, random_document, save_document
 from colligations.doublecoset import (
     dc_charfun,
     dc_charfun_system,
@@ -65,6 +68,9 @@ class TestTransposeInverse:
         u = haar_unitary(3, seed=0)
         npt.assert_allclose(transpose_inverse(u), u.conj(), atol=1e-12)
 
+    def test_empty_matrix_is_its_own_transposed_inverse(self):
+        assert transpose_inverse(np.zeros((0, 0))).shape == (0, 0)
+
     def test_non_unitary_rejected(self):
         rng = np.random.default_rng(1)
         g = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
@@ -78,14 +84,24 @@ class TestTransposeInverse:
 
     @pytest.mark.filterwarnings("error")
     def test_inverse_that_overflows_is_rejected(self):
-        # LAPACK raises no error for it, and the inverse it returns is NaN.
+        # Its singular value is nonzero, but the reciprocal overflows.
         with pytest.raises(NotUnitary, match="inverse not finite"):
             transpose_inverse(np.array([[1e-310]]))
 
-    @pytest.mark.parametrize("g", [[[1 / (1.5e308 + 1.5e308j)]], np.zeros((2, 2))], ids=["underflow", "zero"])
+    @pytest.mark.parametrize(
+        "g",
+        [[[1 / (1.5e308 + 1.5e308j)]], np.zeros((2, 2)), np.ones((2, 3)), np.ones(3)],
+        ids=["underflow", "zero", "not-square", "one-dimensional"],
+    )
     def test_singular_input_is_not_unitary(self, g):
         with pytest.raises(NotUnitary, match="singular"):
             transpose_inverse(np.array(g))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_input_that_is_not_finite_is_not_unitary(self, entry):
+        with pytest.raises(NotUnitary, match="inverse not finite"):
+            transpose_inverse(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 class TestEquivalence:
@@ -285,6 +301,23 @@ class TestKeptRealization:
             with pytest.raises(NotUnitary):
                 dc_charfun(fam, *small_arguments(np.random.default_rng(40), 2), strict)
         dc_realization(fam)
+
+
+def test_a_doublecoset_eval_runs_no_lu(monkeypatch, tmp_path, capsys):
+    # The cross-check takes its inverse from an SVD, which every eval
+    # process runs anyway, so no eval process loads LAPACK's LU code.
+    def refused(*args, **kwargs):
+        raise AssertionError("an LU routine of numpy.linalg was called")
+
+    for name in ("solve", "inv", "det", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    dc_realization(random_multi(1, 2, 3, seed=41))
+    path = tmp_path / "doc.json"
+    save_document(random_document("doublecoset", 42), path)
+    grid = '{"type":"ball","count":20,"seed":43,"radius":0.5}'
+    fixed = json.dumps(matrix_to_json(0.3 * np.eye(2)))
+    assert cli.main(["eval", str(path), "--grid", grid, "--fixed", fixed]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
 
 
 # --- input checks -----------------------------------------------------------------
