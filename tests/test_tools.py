@@ -210,7 +210,9 @@ def test_compare_startup_prints_the_median_peak_rss_of_each_command_line(startup
     assert len(lines) == 4 + len(runs)
     for run, line in zip(runs, lines[4:]):
         match = re.fullmatch(
-            r"median wall A ([0-9.]+) s, B ([0-9.]+) s; median peak RSS A ([0-9.]+) MiB, B ([0-9.]+) MiB: (.*)", line
+            r"median wall A ([0-9.]+) s, B ([0-9.]+) s;"
+            r" median peak RSS A ([0-9]+\.[0-9]{2}) MiB, B ([0-9]+\.[0-9]{2}) MiB: (.*)",
+            line,
         )
         assert match and match.group(5) == " ".join(run), line
         assert all(0.0 < float(match.group(i)) < 100.0 for i in (1, 2))

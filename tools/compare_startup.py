@@ -163,7 +163,7 @@ def main(argv=None) -> int:
         )
         print(
             f"median wall A {wall_a:.4f} s, B {wall_b:.4f} s;"
-            f" median peak RSS A {rss_a:.1f} MiB, B {rss_b:.1f} MiB: {' '.join(run)}"
+            f" median peak RSS A {rss_a:.2f} MiB, B {rss_b:.2f} MiB: {' '.join(run)}"
         )
     return 0
 
